@@ -212,35 +212,59 @@ class SymExpansion:
         }
 
 
-def expand_in_basis(f: MultiPoly, basis: str) -> SymExpansion:
-    """Write a symmetric polynomial exactly over one of the three bases.
+def expand_with_tail(f: MultiPoly, basis: str, k: int | None = None) -> dict[Partition, MultiPoly]:
+    """Expand f over one basis in its first k (head) slots.
 
-    m: group monomials by their sorted exponent vector.  E: repeatedly
-    strip the lex-leading monomial, which pins the E-exponent.  s: strip
-    the lex-greatest weakly decreasing monomial; dominance triangularity
-    of the Schur expansion makes this terminate.
+    The slots after the head (the tail, holding earlier z's) ride along: the
+    coefficient of each partition is a polynomial in the tail slots.  f must
+    be symmetric in the head slots.  m: group monomials by their sorted head
+    exponent.  E and s: repeatedly strip the lex-greatest head exponent,
+    which is weakly decreasing and pins the basis element (both bases are
+    monic in lex order); dominance triangularity makes this terminate.
     """
-    n = f.arity
+    k = f.arity if k is None else k
     if basis not in BASIS_TAGS:
         raise PolyError(f"unknown basis tag {basis!r}")
-    if not f.is_symmetric():
-        raise NotSymmetric("input polynomial is not symmetric")
-    coeffs: dict[Partition, Fraction] = {}
+    if not 0 <= k <= f.arity:
+        raise PolyError(f"need 0 <= k <= arity, got k={k}, arity={f.arity}")
+    if not f.is_symmetric(k):
+        raise NotSymmetric(f"input is not symmetric in its first {k} of {f.arity} slots")
+    work: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+    for exp, c in f.terms.items():
+        work.setdefault(exp[:k], {})[exp[k:]] = c
+    tail_arity, tail_names = f.arity - k, f.names[k:]
+    coeffs: dict[Partition, MultiPoly] = {}
     if basis == "m":
-        for exp, c in f.terms.items():
-            if all(a >= b for a, b in zip(exp, exp[1:])):
-                coeffs[Partition(exp)] = c
-        return SymExpansion(basis, n, coeffs)
-    work = f
-    while not work.is_zero:
-        lead = work.leading_exp("lex")
+        for head, tail in work.items():
+            if all(a >= b for a, b in zip(head, head[1:])):
+                coeffs[Partition(head)] = MultiPoly(tail_arity, tail, tail_names)
+        return coeffs
+    while work:
+        lead = max(work)
         if any(a < b for a, b in zip(lead, lead[1:])):
             raise InvariantViolation("lex-leading monomial of a symmetric poly not sorted")
         lam = Partition(lead)
-        c = work.terms[lead]
-        coeffs[lam] = c
-        work = work - basis_poly(basis, lam).raw * c
-    return SymExpansion(basis, n, coeffs)
+        tail = work.pop(lead)
+        coeffs[lam] = MultiPoly(tail_arity, tail, tail_names)
+        for hexp, hc in basis_poly(basis, lam).raw.terms.items():
+            if hexp == lead:
+                continue
+            row = work.setdefault(hexp, {})
+            for texp, tc in tail.items():
+                s = row.get(texp, 0) - hc * tc
+                if s:
+                    row[texp] = s
+                else:
+                    row.pop(texp, None)
+            if not row:
+                del work[hexp]
+    return coeffs
+
+
+def expand_in_basis(f: MultiPoly, basis: str) -> SymExpansion:
+    """Write a symmetric polynomial exactly over one of the three bases."""
+    coeffs = expand_with_tail(f, basis)
+    return SymExpansion(basis, f.arity, {lam: c.constant() for lam, c in coeffs.items()})
 
 
 def schur_in_monomials(lam: Partition) -> SymExpansion:

@@ -11,13 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from . import qops_elementary as qe
-from . import qops_monomial as qm
 from . import qops_schur as qs
 from . import verify
 from .bases import basis_poly
 from .partitions import Partition
-from .poly import MultiPoly, PolyError
+from .poly import InvariantViolation, MultiPoly, PolyError
 
 
 def _dump(obj) -> str:
@@ -38,8 +36,19 @@ def _parse_partition(text: str, n: int | None = None) -> Partition:
 
 
 def _read_poly(path: str) -> MultiPoly:
-    data = sys.stdin.read() if path == "-" else open(path).read()
-    return MultiPoly.from_json(json.loads(data))
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PolyError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise PolyError(f"malformed JSON in {path}: {exc}") from exc
+    return MultiPoly.from_json(data)
 
 
 def _emit_poly(p: MultiPoly, fmt: str):
@@ -47,11 +56,6 @@ def _emit_poly(p: MultiPoly, fmt: str):
         print(p.pretty())
     else:
         print(_dump(p.to_json()))
-
-
-Q_OPS = {"m": qm.apply_q, "E": qe.apply_q, "s": qs.apply_q}
-Q_POLYS = {"m": qm.q_poly, "E": qe.q_poly, "s": qs.q_poly}
-LIFTS = {"m": qm.lift, "E": qe.lift, "s": qs.lift}
 
 
 def cmd_basis(args) -> int:
@@ -62,14 +66,15 @@ def cmd_basis(args) -> int:
 
 
 def cmd_apply_q(args) -> int:
+    ops = verify.BASES[args.basis]
     if args.lam is not None:
         lam = _parse_partition(args.lam, args.n)
         f = basis_poly(args.basis, lam).normalized
-        q = Q_POLYS[args.basis](lam)
-        out = {"eigenvalue": q.to_json(), "result": Q_OPS[args.basis](f).to_json()}
+        q = ops.q_poly(lam)
+        out = {"eigenvalue": q.to_json(), "result": ops.apply_q(f).to_json()}
     else:
         f = _read_poly(args.input)
-        out = {"result": Q_OPS[args.basis](f).to_json()}
+        out = {"result": ops.apply_q(f).to_json()}
     if args.format == "table":
         if "eigenvalue" in out:
             print("q(z) coefficients:", out["eigenvalue"])
@@ -81,7 +86,7 @@ def cmd_apply_q(args) -> int:
 
 def cmd_separate(args) -> int:
     lam = _parse_partition(args.lam, args.n)
-    q = Q_POLYS[args.basis](lam)
+    q = verify.BASES[args.basis].q_poly(lam)
     product = verify.eigen_product(q, lam.n)
     out = {"q": q.to_json(), "product": product.to_json()}
     if args.format == "table":
@@ -96,9 +101,13 @@ def cmd_invert(args) -> int:
     if args.lam is not None:
         lam = _parse_partition(args.lam, args.n)
         g = verify.eigen_product(qs.q_poly(lam), lam.n)
+        result = qs.separate_inverse(g)
     else:
         g = _read_poly(args.input)
-    result = qs.separate_inverse(g)
+        try:
+            result = qs.separate_inverse(g)
+        except InvariantViolation as exc:
+            raise PolyError(str(exc)) from exc
     out = {"input": g.to_json(), "result": result.to_json()}
     if args.format == "table":
         print(result.pretty())
@@ -110,7 +119,7 @@ def cmd_invert(args) -> int:
 def cmd_lift(args) -> int:
     lam = _parse_partition(args.lam)
     f = basis_poly(args.basis, lam).normalized
-    _emit_poly(LIFTS[args.basis](f), args.format)
+    _emit_poly(verify.BASES[args.basis].lift(f), args.format)
     return 0
 
 

@@ -21,7 +21,7 @@ class Partition:
     def __post_init__(self):
         if not self.parts:
             raise PolyError("partition must have length >= 1")
-        if any(not isinstance(p, int) or p < 0 for p in self.parts):
+        if any(type(p) is not int or p < 0 for p in self.parts):
             raise PolyError(f"parts must be nonnegative integers: {self.parts}")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise PolyError(f"parts must be weakly decreasing: {self.parts}")
@@ -47,9 +47,6 @@ class Partition:
         """Add the staircase (n-1, n-2, ..., 0)."""
         n = self.n
         return ShiftedPartition(tuple(p + n - 1 - i for i, p in enumerate(self.parts)))
-
-    def drop_last(self) -> "Partition":
-        return Partition(self.parts[:-1])
 
     def with_trailing_zero(self) -> "Partition":
         return Partition(self.parts + (0,))
@@ -79,10 +76,6 @@ class ShiftedPartition:
 
     def to_json(self) -> list[int]:
         return list(self.parts)
-
-
-def weight(lam: Partition) -> int:
-    return lam.weight()
 
 
 def dominance_leq(mu: Partition, lam: Partition) -> bool:

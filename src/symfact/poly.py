@@ -9,11 +9,14 @@ lexicographic (grevlex).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 Scalar = int | Fraction
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class PolyError(ValueError):
@@ -418,8 +421,33 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "MultiPoly":
+        """Parse the JSON form strictly; any schema violation is a PolyError.
+
+        ``vars`` is a list of strings; each term's ``e`` is a list of one
+        non-negative int per variable and its ``c`` an int or a string
+        "p" or "p/q".  Floats, bools and repeated exponents are rejected.
+        """
+        if not isinstance(data, Mapping) or not all(
+            isinstance(data.get(key), list) for key in ("vars", "terms")
+        ):
+            raise PolyError('polynomial JSON must be an object with "vars" and "terms" lists')
         names = tuple(data["vars"])
-        terms = {tuple(t["e"]): Fraction(t["c"]) for t in data["terms"]}
+        if not all(isinstance(v, str) for v in names):
+            raise PolyError("variable names must be strings")
+        terms: dict[Exponent, Fraction] = {}
+        for t in data["terms"]:
+            if not isinstance(t, Mapping) or "e" not in t or "c" not in t:
+                raise PolyError(f'each term must be an object with "e" and "c": {t!r}')
+            e, c = t["e"], t["c"]
+            if not (
+                isinstance(e, list)
+                and len(e) == len(names)
+                and all(type(a) is int and a >= 0 for a in e)
+            ):
+                raise PolyError(f"exponent {e!r} must be {len(names)} non-negative integers")
+            if tuple(e) in terms:
+                raise PolyError(f"exponent {e!r} appears twice")
+            terms[tuple(e)] = _parse_coeff(c)
         return cls(len(names), terms, names)
 
     def pretty(self) -> str:
@@ -447,6 +475,18 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.pretty()})"
+
+
+def _parse_coeff(c) -> Fraction:
+    """A JSON coefficient: an int, or a string "p" or "p/q" with q nonzero."""
+    if type(c) is int:
+        return Fraction(c)
+    if isinstance(c, str) and _RATIONAL.fullmatch(c):
+        try:
+            return Fraction(c)
+        except ZeroDivisionError:
+            raise PolyError(f"coefficient {c!r} has a zero denominator") from None
+    raise PolyError(f'coefficient {c!r} must be an int or a string "p" or "p/q"')
 
 
 def det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

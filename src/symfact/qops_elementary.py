@@ -1,11 +1,15 @@
 """Operators factorizing products of elementary symmetric polynomials.
 
 The ring of symmetric polynomials is identified with a free polynomial ring
-in coordinates eps_j = e_j(x).  Every operator here acts on those
-coordinates by substitution: Q_z scales eps_j by 1 + (z-1) j / n, the
-separating map sends eps_j to C(n,j) prod_i (1 + (z_i-1) j / n), and the
-chain links A_k act on the elementary polynomials of the first k variables
-by a two-term rule.
+in coordinates eps_j = e_j(x).  The Hamiltonians are the Euler operators
+eps_j d/deps_j, and Q_z scales eps_j by 1 + (z-1) j / n, so E_lam has the
+eigenvalue polynomial prod_j (1 + (z-1) j / n)^(lam_j - lam_{j+1}).
+
+Q, the separating map and the lift are the shared spectral forms of
+``symfact.spectral`` on the E basis.  The chain links A_k act on the
+elementary polynomials of the first k variables by a two-term rule; the
+A-chain is kept as an independent route and checked against the spectral
+separating map (``separate``) and the rho-Q composition (``separate_via_q``).
 """
 
 from __future__ import annotations
@@ -13,18 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .bases import elementary_power, elementary_sym, expand_in_basis
+from . import spectral
+from .bases import elementary_power, elementary_sym, expand_in_basis, expand_with_tail
 from .partitions import Partition
-from .poly import (
-    InvariantViolation,
-    MultiPoly,
-    NotSymmetric,
-    PolyError,
-    UniPoly,
-    default_names,
-)
-
-Exponent = tuple[int, ...]
+from .poly import InvariantViolation, MultiPoly, PolyError, UniPoly, default_names
 
 
 def _eps_names(n: int) -> tuple[str, ...]:
@@ -63,6 +59,11 @@ def apply_h(f: MultiPoly, j: int) -> MultiPoly:
     if not 1 <= j <= n:
         raise PolyError(f"need 1 <= j <= n, got j={j}")
     return from_eps(to_eps(f).euler(j - 1), n)
+
+
+def h_eigenvalue(lam: Partition, j: int) -> Fraction:
+    """Eigenvalue of H_j on E_lam: the exponent lam_j - lam_{j+1} of e_j."""
+    return Fraction(lam.diff(j, j + 1))
 
 
 def h_explicit_value(f: MultiPoly, j: int, point: list[Fraction]) -> Fraction:
@@ -124,42 +125,9 @@ def q_ode_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
     return residual
 
 
-@lru_cache(maxsize=None)
-def _q_scale(j: int, n: int) -> UniPoly:
-    return UniPoly([Fraction(n - j, n), Fraction(j, n)])
-
-
 def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:
-    """Scale eps_j by 1 + (z-1) j / n and map back; new z slot appended.
-
-    Trailing slots past ``n_x`` (earlier z's) ride along untouched.
-    """
-    n = f.arity if n_x is None else n_x
-    groups: dict[Exponent, dict[Exponent, Fraction]] = {}
-    for exp, c in f.terms.items():
-        groups.setdefault(exp[n:], {})[exp[:n]] = c
-    out: dict[Exponent, Fraction] = {}
-    for tail, heads in groups.items():
-        eps = to_eps(MultiPoly(n, heads))
-        for eexp, c in eps.terms.items():
-            zfactor = UniPoly.const(1)
-            xfactor = MultiPoly.const(n, 1)
-            for j, e in enumerate(eexp, start=1):
-                if not e:
-                    continue
-                zfactor = zfactor * _q_scale(j, n) ** e
-                xfactor = xfactor * elementary_power(j, e, n)
-            for xexp, xc in xfactor.terms.items():
-                for d, qc in enumerate(zfactor.coeffs):
-                    if not qc:
-                        continue
-                    key = xexp + tail + (d,)
-                    s = out.get(key, Fraction(0)) + c * xc * qc
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-    return MultiPoly(f.arity + 1, out, f.names + (z_name,))
+    """Spectral Q on the E basis; trailing slots past ``n_x`` ride along."""
+    return spectral.diagonal_q(f, "E", q_poly, n_x, z_name)
 
 
 @lru_cache(maxsize=None)
@@ -194,26 +162,21 @@ def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:
         raise PolyError(f"need 1 <= k <= n, got k={k}")
     if f.arity < k:
         raise PolyError("polynomial must have at least k slots")
-    if not f.is_symmetric(k):
-        raise NotSymmetric("input must be symmetric in its first k slots")
-    groups: dict[Exponent, dict[Exponent, Fraction]] = {}
-    for exp, c in f.terms.items():
-        groups.setdefault(exp[k:], {})[exp[:k]] = c
-    out: dict[Exponent, Fraction] = {}
+    out: dict[tuple[int, ...], Fraction] = {}
     powers: dict[tuple[int, int], MultiPoly] = {}
-    for tail, heads in groups.items():
-        eps = to_eps(MultiPoly(k, heads))
-        for eexp, c in eps.terms.items():
-            image = MultiPoly.one(k)
-            for j, e in enumerate(eexp, start=1):
-                if not e:
-                    continue
-                if (j, e) not in powers:
-                    powers[(j, e)] = _chain_image(j, k, n) ** e
-                image = image * powers[(j, e)]
-            for hexp, hc in image.terms.items():
-                key = hexp + tail
-                s = out.get(key, Fraction(0)) + c * hc
+    for lam, tail in expand_with_tail(f, "E", k).items():
+        image = MultiPoly.one(k)
+        for j in range(1, k + 1):
+            e = lam.diff(j, j + 1)
+            if not e:
+                continue
+            if (j, e) not in powers:
+                powers[(j, e)] = _chain_image(j, k, n) ** e
+            image = image * powers[(j, e)]
+        for hexp, hc in image.terms.items():
+            for texp, tc in tail.terms.items():
+                key = hexp + texp
+                s = out.get(key, 0) + hc * tc
                 if s:
                     out[key] = s
                 else:
@@ -221,29 +184,9 @@ def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:
     return MultiPoly(f.arity, out, f.names)
 
 
-@lru_cache(maxsize=None)
-def _separating_image(j: int, n: int) -> MultiPoly:
-    """C(n,j) prod_i (1 + (z_i - 1) j / n) over the n z-slots."""
-    import math
-
-    names = default_names("z", n)
-    acc = MultiPoly.const(n, math.comb(n, j), names)
-    for i in range(n):
-        acc = acc * (
-            MultiPoly.const(n, Fraction(n - j, n), names)
-            + MultiPoly.variable(i, n, names) * Fraction(j, n)
-        )
-    return acc
-
-
 def separate_via_q(f: MultiPoly) -> MultiPoly:
-    """rho_0 composed with n eps-scaling Q's, output in z_1..z_n."""
-    n = f.arity
-    h = f
-    for i in range(n, 0, -1):
-        h = apply_q(h, n_x=n, z_name=f"z{i}")
-    h = h.partial_eval({i: 1 for i in range(n)})
-    return h.permute(list(range(n - 1, -1, -1)))
+    """rho_0 composed with n spectral Q's, output in z_1..z_n."""
+    return spectral.separate_via_q(f, apply_q)
 
 
 def separate_via_chain(f: MultiPoly) -> MultiPoly:
@@ -255,35 +198,15 @@ def separate_via_chain(f: MultiPoly) -> MultiPoly:
 
 
 def separate(f: MultiPoly, check_routes: bool = True) -> MultiPoly:
-    """eps-substitution separating map; optionally checked against the chain."""
-    n = f.arity
-    eps = to_eps(f)
-    out = MultiPoly.zero(n, default_names("z", n))
-    powers: dict[tuple[int, int], MultiPoly] = {}
-    for eexp, c in eps.terms.items():
-        image = MultiPoly.one(n, out.names)
-        for j, e in enumerate(eexp, start=1):
-            if not e:
-                continue
-            if (j, e) not in powers:
-                powers[(j, e)] = _separating_image(j, n) ** e
-            image = image * powers[(j, e)]
-        out = out + image * c
+    """Spectral separating map; optionally checked against the A-chain."""
+    out = spectral.separate(f, "E", q_poly)
     if check_routes and out != separate_via_chain(f):
-        raise InvariantViolation("eps-substitution and A-chain routes disagree")
+        raise InvariantViolation(
+            f"separation routes disagree [E] n={f.arity}: spectral product vs A-chain"
+        )
     return out
 
 
 def lift(f: MultiPoly) -> MultiPoly:
-    """Variable-adding operator: eps_j <- ((n-j)/n) e_j of the n variables."""
-    m = f.arity
-    n = m + 1
-    eps = to_eps(f)
-    acc = MultiPoly.zero(n)
-    for eexp, c in eps.terms.items():
-        term = MultiPoly.const(n, c)
-        for j, e in enumerate(eexp, start=1):
-            if e:
-                term = term * Fraction(n - j, n) ** e * elementary_power(j, e, n)
-        acc = acc + term
-    return acc
+    """Spectral lift: E-bar of (lam) goes to E-bar of (lam, 0)."""
+    return spectral.lift(f, "E")

@@ -6,16 +6,21 @@ elementary symmetric polynomials in the Euler operators x_i d/dx_i.  The
 separating map S_n = rho_0 Q_{z_1}...Q_{z_n} factorizes each normalized
 basis element into a product of univariate eigenvalue polynomials, and
 admits an equivalent triangular chain of k-variable operators A_k.
+
+This module keeps the paper's own definitions, which serve as independent
+cross-check routes for the shared spectral core in ``symfact.spectral``:
+the substitution-average Q (vs ``spectral.diagonal_q`` on the m basis),
+the A-chain separating map (checked against the rho-Q composition), and
+the insertion-average lift (vs ``spectral.lift`` on the m basis).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from typing import Callable
 
-from .bases import basis_poly, expand_in_basis
+from . import spectral
 from .partitions import Partition
 from .poly import InvariantViolation, MultiPoly, NotSymmetric, PolyError, UniPoly, default_names
 
@@ -43,6 +48,11 @@ def apply_h(f: MultiPoly, j: int, n: int | None = None) -> MultiPoly:
     return acc
 
 
+def h_eigenvalue(lam: Partition, j: int) -> Fraction:
+    """Eigenvalue of H_j on m_lam: e_j of the parts."""
+    return Fraction(sum(math.prod(s) for s in itertools.combinations(lam.parts, j)))
+
+
 def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:
     """Substitution average (1/n) sum_j f(..., z x_j, ...), new z slot last.
 
@@ -65,36 +75,24 @@ def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPol
     return MultiPoly(f.arity + 1, out, f.names + (z_name,))
 
 
-@dataclass(frozen=True)
-class ProjectorPjk:
-    """Substitution x_j <- x_j x_k, x_k <- 1 (1-based, j < k)."""
-
-    j: int
-    k: int
-
-    def __post_init__(self):
-        if not 1 <= self.j < self.k:
-            raise PolyError(f"need 1 <= j < k, got j={self.j}, k={self.k}")
-
-    def apply(self, f: MultiPoly) -> MultiPoly:
-        if self.k > f.arity:
-            raise PolyError("projector index exceeds arity")
-        sj, sk = self.j - 1, self.k - 1
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in f.terms.items():
-            new = list(exp)
-            new[sk] = exp[sj]
-            key = tuple(new)
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return MultiPoly(f.arity, out, f.names)
-
-
 def apply_projector(f: MultiPoly, j: int, k: int) -> MultiPoly:
-    return ProjectorPjk(j, k).apply(f)
+    """Substitution x_j <- x_j x_k, x_k <- 1 (1-based, j < k)."""
+    if not 1 <= j < k:
+        raise PolyError(f"need 1 <= j < k, got j={j}, k={k}")
+    if k > f.arity:
+        raise PolyError("projector index exceeds arity")
+    sj, sk = j - 1, k - 1
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exp, c in f.terms.items():
+        new = list(exp)
+        new[sk] = exp[sj]
+        key = tuple(new)
+        s = out.get(key, Fraction(0)) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return MultiPoly(f.arity, out, f.names)
 
 
 def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:
@@ -132,12 +130,7 @@ def rho(f: MultiPoly, k: int) -> MultiPoly:
 
 def separate_via_q(f: MultiPoly) -> MultiPoly:
     """rho_0 composed with n substitution-average Q's, output in z_1..z_n."""
-    n = f.arity
-    h = f
-    for i in range(n, 0, -1):
-        h = apply_q(h, n_x=n, z_name=f"z{i}")
-    h = h.partial_eval({i: 1 for i in range(n)})
-    return h.permute(list(range(n - 1, -1, -1)))
+    return spectral.separate_via_q(f, apply_q)
 
 
 def separate(f: MultiPoly, check_routes: bool = True) -> MultiPoly:
@@ -154,7 +147,9 @@ def separate(f: MultiPoly, check_routes: bool = True) -> MultiPoly:
         g = apply_a(g, k, n)
     g = g.rename(default_names("z", n))
     if check_routes and g != separate_via_q(f):
-        raise InvariantViolation("A-chain and Q-composition routes disagree")
+        raise InvariantViolation(
+            f"separation routes disagree [m] n={n}: A-chain vs rho-Q composition"
+        )
     return g
 
 
@@ -177,44 +172,3 @@ def separation_residual(lam: Partition) -> UniPoly:
     for part in lam.parts:
         p = p.euler() - p * part
     return p
-
-
-@dataclass(frozen=True)
-class DiagonalOperator:
-    """Expand, scale each basis coefficient by q_lam(z), reassemble.
-
-    The spectral form of a Q-operator: diagonal on one of the three bases
-    with a univariate eigenvalue polynomial per partition.  Output gains one
-    z slot appended after the input slots.
-    """
-
-    basis: str
-    eigenvalue: Callable[[Partition], UniPoly]
-
-    def apply(self, f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:
-        n = f.arity if n_x is None else n_x
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-        for exp, c in f.terms.items():
-            groups.setdefault(exp[n:], {})[exp[:n]] = c
-        out: dict[tuple[int, ...], Fraction] = {}
-        for tail, heads in groups.items():
-            expn = expand_in_basis(MultiPoly(n, heads), self.basis)
-            for lam, c in expn.coeffs.items():
-                q = self.eigenvalue(lam)
-                raw = basis_poly(self.basis, lam).raw
-                for d, qc in enumerate(q.coeffs):
-                    if not qc:
-                        continue
-                    for hexp, hc in raw.terms.items():
-                        key = hexp + tail + (d,)
-                        s = out.get(key, Fraction(0)) + c * qc * hc
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
-        return MultiPoly(f.arity + 1, out, f.names + (z_name,))
-
-
-def diagonal_q() -> DiagonalOperator:
-    """The spectral route for the substitution-average Q (cross-check)."""
-    return DiagonalOperator("m", q_poly)

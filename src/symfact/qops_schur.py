@@ -6,6 +6,12 @@ partition) divisible by (z-1)^(n-1) and normalized to value 1 at z = 1.
 The Hamiltonians are Euler-operator polynomials conjugated by the
 Vandermonde; the separating map has an exact differential-operator inverse
 built from K_n = prod_{i<j} (D_i - D_j).
+
+Q, the separating map and the lift are the shared spectral forms of
+``symfact.spectral`` on the s basis.  Independent routes kept as
+cross-checks: ``q_via_restriction`` and ``q_via_restricted_determinant``
+for q, the conjugated ``apply_h`` against ``h_eigenvalue``, and
+``separate_inverse`` against ``separate``.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import qops_monomial
-from .bases import expand_in_basis, restricted_schur, schur_poly, vandermonde
+from . import qops_monomial, spectral
+from .bases import restricted_schur, schur_poly, vandermonde
 from .partitions import Partition, ShiftedPartition
 from .poly import (
     InvariantViolation,
@@ -117,12 +123,10 @@ def phi_ode_residual(lam: Partition) -> UniPoly:
     return p
 
 
-def _hamiltonian_eigenvalues(lam: Partition) -> list[Fraction]:
+def h_eigenvalue(lam: Partition, j: int) -> Fraction:
+    """Eigenvalue of H_j on s_lam: e_j of the shifted parts mu."""
     mu = lam.shifted().parts
-    return [
-        Fraction(sum(math.prod(sub) for sub in itertools.combinations(mu, k)))
-        for k in range(1, lam.n + 1)
-    ]
+    return Fraction(sum(math.prod(sub) for sub in itertools.combinations(mu, j)))
 
 
 def _apply_big_z(num: UniPoly, order: int, n: int) -> tuple[UniPoly, int]:
@@ -146,7 +150,7 @@ def separated_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
     powers: list[tuple[UniPoly, int]] = [(q, 0)]
     for _ in range(n):
         powers.append(_apply_big_z(*powers[-1], n))
-    h = _hamiltonian_eigenvalues(lam)
+    h = [h_eigenvalue(lam, k) for k in range(1, n + 1)]
     zm1 = UniPoly([-1, 1])
     num, order = powers[n]
     residual = num * zm1 ** (n - order)
@@ -168,13 +172,9 @@ def apply_h(f: MultiPoly, j: int) -> MultiPoly:
         raise InvariantViolation("conjugated Hamiltonian left the symmetric ring") from exc
 
 
-def spectral_q() -> qops_monomial.DiagonalOperator:
-    return qops_monomial.DiagonalOperator("s", q_poly)
-
-
 def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:
-    """Spectral Q-operator: expand over the Schur basis, scale, reassemble."""
-    return spectral_q().apply(f, n_x, z_name)
+    """Spectral Q on the Schur basis; trailing slots past ``n_x`` ride along."""
+    return spectral.diagonal_q(f, "s", q_poly, n_x, z_name)
 
 
 def apply_k(f: MultiPoly) -> MultiPoly:
@@ -193,17 +193,7 @@ def apply_k(f: MultiPoly) -> MultiPoly:
 
 def separate(f: MultiPoly) -> MultiPoly:
     """Factorizing map: each Schur component contributes prod_j q(z_j)."""
-    n = f.arity
-    expn = expand_in_basis(f, "s")
-    names = default_names("z", n)
-    acc = MultiPoly.zero(n, names)
-    for lam, c in expn.coeffs.items():
-        q = q_poly(lam)
-        term = MultiPoly.const(n, c * schur_poly(lam).value_at_one, names)
-        for j in range(n):
-            term = term * q.as_multipoly(n, j, names)
-        acc = acc + term
-    return acc
+    return spectral.separate(f, "s", q_poly)
 
 
 def separate_inverse(g: MultiPoly) -> MultiPoly:
@@ -230,12 +220,4 @@ def separate_inverse(g: MultiPoly) -> MultiPoly:
 
 def lift(f: MultiPoly) -> MultiPoly:
     """Spectral lifting: each Schur component of length n-1 gains a zero part."""
-    m = f.arity
-    n = m + 1
-    expn = expand_in_basis(f, "s")
-    acc = MultiPoly.zero(n)
-    for lam, c in expn.coeffs.items():
-        lifted = lam.with_trailing_zero()
-        scale = c * schur_poly(lam).value_at_one / schur_poly(lifted).value_at_one
-        acc = acc + schur_poly(lifted).raw * scale
-    return acc
+    return spectral.lift(f, "s")

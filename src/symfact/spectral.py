@@ -1,0 +1,86 @@
+"""The spectral structure the three bases share, stated once.
+
+Each basis (m, E, s) has a Q-operator that is diagonal with a univariate
+eigenvalue polynomial q_lam(z), a separating map sending the normalized
+basis element to prod_j q_lam(z_j), and a lift that appends a zero part.
+Q, the separating map and the lift take the basis tag (and, where needed,
+the basis's ``q_poly``) and work through :func:`symfact.bases.expand_with_tail`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable
+
+from .bases import basis_poly, expand_in_basis, expand_with_tail
+from .partitions import Partition
+from .poly import MultiPoly, UniPoly, default_names
+
+QPoly = Callable[[Partition], UniPoly]
+
+
+def eigen_product(q: UniPoly, n: int) -> MultiPoly:
+    """prod_j q(z_j) over n z-slots."""
+    names = default_names("z", n)
+    acc = MultiPoly.one(n, names)
+    for j in range(n):
+        acc = acc * q.as_multipoly(n, j, names)
+    return acc
+
+
+def diagonal_q(
+    f: MultiPoly, basis: str, q_poly: QPoly, n_x: int | None = None, z_name: str = "z"
+) -> MultiPoly:
+    """Expand over the basis, scale each component by q_lam(z), reassemble.
+
+    The first ``n_x`` slots (default all) are expanded; trailing slots hold
+    earlier z's and ride along.  The new z slot is appended last.
+    """
+    n = f.arity if n_x is None else n_x
+    out: dict[tuple[int, ...], Fraction] = {}
+    for lam, tail in expand_with_tail(f, basis, n).items():
+        q = q_poly(lam)
+        scaled_tail = [
+            (texp + (d,), tc * qc)
+            for texp, tc in tail.terms.items()
+            for d, qc in enumerate(q.coeffs)
+            if qc
+        ]
+        for hexp, hc in basis_poly(basis, lam).raw.terms.items():
+            for exp, c in scaled_tail:
+                key = hexp + exp
+                s = out.get(key, 0) + hc * c
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+    return MultiPoly(f.arity + 1, out, f.names + (z_name,))
+
+
+def separate(f: MultiPoly, basis: str, q_poly: QPoly) -> MultiPoly:
+    """Separating map: each component c b_lam goes to c b_lam(1..1) prod_j q_lam(z_j)."""
+    n = f.arity
+    acc = MultiPoly.zero(n, default_names("z", n))
+    for lam, c in expand_in_basis(f, basis).coeffs.items():
+        acc = acc + eigen_product(q_poly(lam), n) * (c * basis_poly(basis, lam).value_at_one)
+    return acc
+
+
+def lift(f: MultiPoly, basis: str) -> MultiPoly:
+    """Variable-adding operator: normalized b_lam goes to normalized b_(lam, 0)."""
+    acc = MultiPoly.zero(f.arity + 1)
+    for lam, c in expand_in_basis(f, basis).coeffs.items():
+        short = basis_poly(basis, lam)
+        full = basis_poly(basis, lam.with_trailing_zero())
+        acc = acc + full.raw * (c * short.value_at_one / full.value_at_one)
+    return acc
+
+
+def separate_via_q(f: MultiPoly, apply_q: Callable[..., MultiPoly]) -> MultiPoly:
+    """rho_0 composed with n Q's (one basis's ``apply_q``), output in z_1..z_n."""
+    n = f.arity
+    h = f
+    for i in range(n, 0, -1):
+        h = apply_q(h, n_x=n, z_name=f"z{i}")
+    h = h.partial_eval({i: 1 for i in range(n)})
+    return h.permute(list(range(n - 1, -1, -1)))

@@ -9,7 +9,6 @@ acceptance tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -27,21 +26,15 @@ from .bases import (
     restricted_schur,
     schur_poly,
     schur_value_at_one,
-    vandermonde,
 )
-from .partitions import Partition, enumerate_partitions
-from .poly import InvariantViolation, MultiPoly, NotDivisible, UniPoly, default_names
+from .partitions import enumerate_partitions
+from .poly import InvariantViolation, MultiPoly, NotDivisible, UniPoly
+from .spectral import eigen_product
 
 SUITES = ("eigen", "chain", "inverse", "ode", "lifting", "quadrature", "all")
 
-
-def eigen_product(q: UniPoly, n: int) -> MultiPoly:
-    """prod_j q(z_j) over n z-slots."""
-    names = default_names("z", n)
-    acc = MultiPoly.one(n, names)
-    for j in range(n):
-        acc = acc * q.as_multipoly(n, j, names)
-    return acc
+# Each basis tag's operator module: q_poly, apply_q, apply_h, h_eigenvalue, lift.
+BASES = {"m": qm, "E": qe, "s": qs}
 
 
 def _scaled(f: MultiPoly, q: UniPoly) -> MultiPoly:
@@ -109,42 +102,20 @@ class Reporter:
 # -- eigen: eigenrelations, commutators, bases -----------------------------------
 
 
-def _eigen_h_values(basis: str, lam: Partition, j: int) -> Fraction:
-    if basis == "m":
-        return Fraction(sum(math.prod(s) for s in _subsets(lam.parts, j)))
-    if basis == "E":
-        return Fraction(lam.diff(j, j + 1))
-    mu = lam.shifted().parts
-    return Fraction(sum(math.prod(s) for s in _subsets(mu, j)))
-
-
-def _subsets(values, j):
-    return itertools.combinations(values, j)
-
-
 def suite_eigen(max_weight: int, n: int, rng: random.Random) -> Reporter:
     rep = Reporter()
     sweep = enumerate_partitions(max_weight, n)
     for lam in sweep:
         tag = f"lambda={list(lam.parts)}, n={n}"
-        for basis, applyq, qpoly in (
-            ("m", qm.apply_q, qm.q_poly),
-            ("E", qe.apply_q, qe.q_poly),
-            ("s", qs.apply_q, qs.q_poly),
-        ):
+        for basis, ops in BASES.items():
             nb = basis_poly(basis, lam)
             rep.guarded(
                 f"Q eigenrelation [{basis}] {tag}",
-                lambda applyq=applyq, nb=nb, q=qpoly(lam): applyq(nb.normalized) == _scaled(nb.normalized, q),
+                lambda ops=ops, nb=nb, q=ops.q_poly(lam): ops.apply_q(nb.normalized) == _scaled(nb.normalized, q),
             )
             for j in range(1, n + 1):
-                if basis == "m":
-                    got = qm.apply_h(nb.normalized, j)
-                elif basis == "E":
-                    got = qe.apply_h(nb.normalized, j)
-                else:
-                    got = qs.apply_h(nb.normalized, j)
-                want = nb.normalized * _eigen_h_values(basis, lam, j)
+                got = ops.apply_h(nb.normalized, j)
+                want = nb.normalized * ops.h_eigenvalue(lam, j)
                 rep.record(f"H_{j} eigenrelation [{basis}] {tag}", got == want)
             expn = expand_in_basis(nb.raw, basis)
             rep.record(
@@ -179,18 +150,16 @@ def suite_eigen(max_weight: int, n: int, rng: random.Random) -> Reporter:
                 if qm.apply_h(qm.apply_h(f, k), j) != qm.apply_h(qm.apply_h(f, j), k):
                     ok_hh = False
     rep.record(f"[H_j, H_k] = 0 on monomials [m], n={n}", ok_hh)
-    for basis, applyq, applyh in (
-        ("E", qe.apply_q, qe.apply_h),
-        ("s", qs.apply_q, qs.apply_h),
-    ):
+    for basis in ("E", "s"):
+        ops = BASES[basis]
         ok_qq = all(
-            _compose_q_both_orders(basis_poly(basis, lam).normalized, applyq, n)
+            _compose_q_both_orders(basis_poly(basis, lam).normalized, ops.apply_q, n)
             for lam in sweep
         )
         rep.record(f"[Q_z1, Q_z2] = 0 on basis [{basis}], n={n}", ok_qq)
         ok_hh = all(
-            applyh(applyh(basis_poly(basis, lam).normalized, k), j)
-            == applyh(applyh(basis_poly(basis, lam).normalized, j), k)
+            ops.apply_h(ops.apply_h(basis_poly(basis, lam).normalized, k), j)
+            == ops.apply_h(ops.apply_h(basis_poly(basis, lam).normalized, j), k)
             for lam in sweep
             for j in range(1, n + 1)
             for k in range(j + 1, n + 1)
@@ -212,7 +181,7 @@ def suite_eigen(max_weight: int, n: int, rng: random.Random) -> Reporter:
                 )
 
     # round trips on random symmetric polynomials
-    for basis in ("m", "E", "s"):
+    for basis in BASES:
         for trial in range(3):
             f = random_symmetric(n, max_weight, rng, basis=rng.choice(("m", "E", "s")))
             expn = expand_in_basis(f, basis)
@@ -391,10 +360,10 @@ def suite_lifting(max_weight: int, n: int, rng: random.Random) -> Reporter:
     for lam_short in enumerate_partitions(max_weight, n - 1):
         lam = lam_short.with_trailing_zero()
         tag = f"lambda'={list(lam_short.parts)}, n={n}"
-        for basis, lift in (("m", qm.lift), ("E", qe.lift), ("s", qs.lift)):
+        for basis, ops in BASES.items():
             short = basis_poly(basis, lam_short).normalized
             full = basis_poly(basis, lam).normalized
-            rep.guarded(f"lifting on normalized basis [{basis}] {tag}", lambda lift=lift, short=short, full=full: lift(short) == full)
+            rep.guarded(f"lifting on normalized basis [{basis}] {tag}", lambda lift=ops.lift, short=short, full=full: lift(short) == full)
         rep.record(
             f"q(0) matches the closed lifting value {tag}",
             qs.q_poly(lam).eval(0) == qs.q_at_zero(lam),

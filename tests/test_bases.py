@@ -6,8 +6,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import fractions_small
 from symfact.bases import (
+    BASIS_TAGS,
     SymExpansion,
     alternant,
     basis_poly,
@@ -15,6 +18,7 @@ from symfact.bases import (
     elementary_product,
     elementary_sym,
     expand_in_basis,
+    expand_with_tail,
     is_dominance_triangular,
     monomial_sym,
     restricted_schur,
@@ -217,3 +221,55 @@ class TestExpansion:
             "n": 3,
             "coeffs": [{"lambda": [1, 1, 0], "c": "1"}],
         }
+
+
+def outer(head, tail):
+    """head(x) tail(t) in the slots (x..., t...)."""
+    return MultiPoly(
+        head.arity + tail.arity,
+        {h + t: hc * tc for h, hc in head.terms.items() for t, tc in tail.terms.items()},
+    )
+
+
+@st.composite
+def head_symmetric(draw):
+    """(basis, head slots k, f): f symmetric in its first k slots, 0-2 tail slots."""
+    basis = draw(st.sampled_from(BASIS_TAGS))
+    k = draw(st.integers(min_value=1, max_value=3))
+    tail_slots = draw(st.integers(min_value=0, max_value=2))
+    lams = enumerate_partitions(3, k)
+    f = MultiPoly.zero(k + tail_slots)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        head = basis_poly(draw(st.sampled_from(BASIS_TAGS)), draw(st.sampled_from(lams))).raw
+        texp = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(tail_slots))
+        f = f + outer(head, MultiPoly(tail_slots, {texp: draw(fractions_small)}))
+    return basis, k, f
+
+
+class TestExpansionWithTail:
+    @given(head_symmetric())
+    def test_reconstructs(self, case):
+        basis, k, f = case
+        acc = MultiPoly.zero(f.arity)
+        for lam, tail in expand_with_tail(f, basis, k).items():
+            acc = acc + outer(basis_poly(basis, lam).raw, tail)
+        assert acc == f
+
+    @given(head_symmetric())
+    def test_agrees_tail_by_tail_with_expand_in_basis(self, case):
+        basis, k, f = case
+        expn = expand_with_tail(f, basis, k)
+        tails = {exp[k:] for exp in f.terms} | {t for c in expn.values() for t in c.terms}
+        for texp in tails:
+            head = MultiPoly(k, {e[:k]: c for e, c in f.terms.items() if e[k:] == texp})
+            per_tail = {lam: c.terms[texp] for lam, c in expn.items() if texp in c.terms}
+            assert per_tail == expand_in_basis(head, basis).coeffs
+
+    @given(head_symmetric())
+    def test_asymmetric_head_rejected(self, case):
+        basis, k, f = case
+        if k < 2:
+            return
+        bump = MultiPoly(f.arity, {(1,) + (0,) * (f.arity - 1): 1})
+        with pytest.raises(NotSymmetric, match=f"first {k} of {f.arity} slots"):
+            expand_with_tail(f + bump, basis, k)

@@ -143,3 +143,58 @@ class TestVerifyCommand:
         _, first = run(capsys, "verify", "--suite", "lifting", "--max-weight", "2", "--n", "2")
         _, second = run(capsys, "verify", "--suite", "lifting", "--max-weight", "2", "--n", "2")
         assert first == second
+
+
+
+def _poly(terms, names=("x1", "x2")):
+    return json.dumps({"vars": list(names), "terms": terms})
+
+
+APPLY_Q = ("apply-q", "--basis", "m", "--input", "-")
+INVERT = ("invert", "--input", "-")
+
+
+class TestInputBoundary:
+    """Every input error exits 2 with a one-line message and no traceback."""
+
+    @staticmethod
+    def assert_input_error(code, err, fragment):
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err
+
+    @pytest.mark.parametrize(
+        "argv, stdin, fragment",
+        [
+            (APPLY_Q, _poly([{"e": [1, 0], "c": "1/0"}]), "zero denominator"),
+            (APPLY_Q, '{"vars": ["x1"], "terms": [', "malformed JSON"),
+            (APPLY_Q, json.dumps({"vars": ["x1", "x2"]}), '"terms"'),
+            (APPLY_Q, _poly([{"e": [0, 0], "c": 0.1}]), "coefficient 0.1"),
+            (APPLY_Q, _poly([{"e": [0, 0], "c": True}]), "coefficient True"),
+            (INVERT, _poly([{"e": [1.5, 1.5], "c": "1"}]), "non-negative integers"),
+            (APPLY_Q, _poly([{"e": [1], "c": "1"}]), "non-negative integers"),
+            (APPLY_Q, _poly([{"e": [1, 1], "c": "1"}, {"e": [1, 1], "c": "2"}]), "appears twice"),
+            (INVERT, _poly([{"e": [1, 0], "c": "1"}], ("z1", "z2")), "not in the image"),
+        ],
+        ids=[
+            "zero-denominator",
+            "malformed-json",
+            "missing-terms",
+            "float-coefficient",
+            "bool-coefficient",
+            "fractional-exponent",
+            "exponent-length",
+            "repeated-exponent",
+            "not-in-image",
+        ],
+    )
+    def test_stdin_input_error(self, capsys, monkeypatch, argv, stdin, fragment):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = cli.main(list(argv))
+        self.assert_input_error(code, capsys.readouterr().err, fragment)
+
+    def test_missing_input_file(self, capsys, tmp_path):
+        code = cli.main(["apply-q", "--basis", "s", "--input", str(tmp_path / "absent.json")])
+        self.assert_input_error(code, capsys.readouterr().err, "cannot read")

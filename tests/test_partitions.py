@@ -34,6 +34,8 @@ def test_validation():
         Partition((1, 2))
     with pytest.raises(PolyError):
         Partition((1, -1))
+    with pytest.raises(PolyError):
+        Partition((True, False))
 
 
 def test_part_accessor_with_virtual_zero():

@@ -9,7 +9,7 @@ from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact.bases import elementary_generating, elementary_product, elementary_sym
 from symfact.partitions import Partition, enumerate_partitions
-from symfact.poly import MultiPoly, NotSymmetric, UniPoly
+from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, UniPoly
 
 
 def ebar(*parts):
@@ -197,6 +197,14 @@ class TestSeparation:
             for j in range(3):
                 expected = expected * q.as_multipoly(3, j)
             assert qe.separate(ebar(*lam.parts)) == expected
+
+    def test_route_disagreement_names_basis_n_and_routes(self, monkeypatch):
+        monkeypatch.setattr(qe, "separate_via_chain", lambda f: MultiPoly.zero(f.arity))
+        with pytest.raises(InvariantViolation) as err:
+            qe.separate(ebar(1, 0))
+        message = str(err.value)
+        assert "[E]" in message and "n=2" in message
+        assert "spectral product" in message and "A-chain" in message
 
     def test_differs_from_eps_coordinates(self):
         # the two separated forms genuinely differ

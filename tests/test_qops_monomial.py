@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from symfact import qops_monomial as qm
+from symfact import spectral
 from symfact.bases import monomial_sym
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import MultiPoly, UniPoly
@@ -89,10 +90,9 @@ class TestQOperator:
             assert qm.apply_q(f) == f.extend(1, ("z",)) * q.as_multipoly(4, 3)
 
     def test_agrees_with_spectral_route(self):
-        spectral = qm.diagonal_q()
         for lam in enumerate_partitions(4, 3):
             f = monomial_sym(lam).normalized
-            assert qm.apply_q(f) == spectral.apply(f)
+            assert qm.apply_q(f) == spectral.diagonal_q(f, "m", qm.q_poly)
 
     def test_commutativity_on_symmetric_input(self):
         f = mbar(2, 1, 0) + mbar(1, 1, 1) * F(1, 3)
@@ -174,8 +174,11 @@ class TestLift:
 
     def test_lifts_basis_elements(self):
         for lam_short in enumerate_partitions(4, 2):
-            lifted = qm.lift(monomial_sym(lam_short).normalized)
+            f = monomial_sym(lam_short).normalized
+            lifted = qm.lift(f)
             assert lifted == monomial_sym(lam_short.with_trailing_zero()).normalized
+            # the insertion average is a cross-route for the generic spectral lift
+            assert spectral.lift(f, "m") == lifted
 
 
 def test_separation_equation_residual():
