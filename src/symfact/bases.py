@@ -20,8 +20,10 @@ from .poly import (
     MultiPoly,
     NotSymmetric,
     PolyError,
+    accumulate,
     default_names,
     det,
+    numerators,
 )
 
 BASIS_TAGS = ("m", "E", "s")
@@ -220,7 +222,9 @@ def expand_with_tail(f: MultiPoly, basis: str, k: int | None = None) -> dict[Par
     be symmetric in the head slots.  m: group monomials by their sorted head
     exponent.  E and s: repeatedly strip the lex-greatest head exponent,
     which is weakly decreasing and pins the basis element (both bases are
-    monic in lex order); dominance triangularity makes this terminate.
+    monic in lex order); dominance triangularity makes this terminate.  The
+    basis elements have integer coefficients, so the reduction runs on f's
+    integer numerators over one common denominator.
     """
     k = f.arity if k is None else k
     if basis not in BASIS_TAGS:
@@ -229,15 +233,22 @@ def expand_with_tail(f: MultiPoly, basis: str, k: int | None = None) -> dict[Par
         raise PolyError(f"need 0 <= k <= arity, got k={k}, arity={f.arity}")
     if not f.is_symmetric(k):
         raise NotSymmetric(f"input is not symmetric in its first {k} of {f.arity} slots")
-    work: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for exp, c in f.terms.items():
+    num, den = numerators(f.terms)
+    work: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for exp, c in num.items():
         work.setdefault(exp[:k], {})[exp[k:]] = c
     tail_arity, tail_names = f.arity - k, f.names[k:]
+
+    def tail_poly(tail: dict[tuple[int, ...], int]) -> MultiPoly:
+        return MultiPoly._make(
+            tail_arity, {t: Fraction(c, den) for t, c in tail.items()}, tail_names
+        )
+
     coeffs: dict[Partition, MultiPoly] = {}
     if basis == "m":
         for head, tail in work.items():
             if all(a >= b for a, b in zip(head, head[1:])):
-                coeffs[Partition(head)] = MultiPoly(tail_arity, tail, tail_names)
+                coeffs[Partition(head)] = tail_poly(tail)
         return coeffs
     while work:
         lead = max(work)
@@ -245,17 +256,14 @@ def expand_with_tail(f: MultiPoly, basis: str, k: int | None = None) -> dict[Par
             raise InvariantViolation("lex-leading monomial of a symmetric poly not sorted")
         lam = Partition(lead)
         tail = work.pop(lead)
-        coeffs[lam] = MultiPoly(tail_arity, tail, tail_names)
-        for hexp, hc in basis_poly(basis, lam).raw.terms.items():
+        coeffs[lam] = tail_poly(tail)
+        basis_terms, basis_den = numerators(basis_poly(basis, lam).raw.terms)
+        if basis_den != 1:
+            raise InvariantViolation(f"basis element {basis}{lam} has non-integer coefficients")
+        for hexp, hc in basis_terms.items():
             if hexp == lead:
                 continue
-            row = work.setdefault(hexp, {})
-            for texp, tc in tail.items():
-                s = row.get(texp, 0) - hc * tc
-                if s:
-                    row[texp] = s
-                else:
-                    row.pop(texp, None)
+            row = accumulate(work.setdefault(hexp, {}), ((t, -hc * tc) for t, tc in tail.items()))
             if not row:
                 del work[hexp]
     return coeffs

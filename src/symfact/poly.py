@@ -5,16 +5,29 @@ touches floating point.  A :class:`MultiPoly` maps exponent tuples to nonzero
 coefficients and carries display names for its variable slots.  The canonical
 term order for serialization and for exact division is graded reverse
 lexicographic (grevlex).
+
+The public constructor validates its input: exponents are tuples of
+non-negative ints, coefficients (like evaluation points) are ints or
+Fractions, never floats or bools.  Results the kernel builds itself go
+through the trusted constructor :meth:`MultiPoly._make`, which takes a fresh
+dict of nonzero Fractions as it is.  The hot loops -- products, partial
+evaluation, and :func:`tensor_sum`, which the spectral operators use -- write
+their inputs as integer numerators over one common denominator
+(:func:`numerators`), multiply and add Python ints, and build each output
+Fraction once.  :func:`accumulate` is the one sparse add-and-drop-zeros loop.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import add, neg
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 Exponent = tuple[int, ...]
 Scalar = int | Fraction
+K = TypeVar("K", bound=Hashable)
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -37,11 +50,69 @@ class InvariantViolation(RuntimeError):
 
 def grevlex_key(exp: Exponent) -> tuple:
     """Sort key that orders exponents ascending under grevlex."""
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp), tuple(map(neg, reversed(exp))))
 
 
 def default_names(prefix: str, arity: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(arity))
+
+
+def _scalar(value) -> Fraction:
+    """An exact scalar: an int or a Fraction, never a float or a bool."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+        return Fraction(value)
+    raise PolyError(f"{value!r} is not an int or a Fraction")
+
+
+def accumulate(out: dict, pairs: Iterable[tuple[Hashable, object]]) -> dict:
+    """Add each (key, value) into ``out`` in place, dropping keys whose sum is zero."""
+    get = out.get
+    for key, c in pairs:
+        s = get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def numerators(coeffs: Mapping[K, Fraction]) -> tuple[dict[K, int], int]:
+    """Integer numerators of ``coeffs`` over the LCM of their denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
+
+
+def tensor_sum(
+    groups: Iterable[Sequence[Mapping[Exponent, Fraction]]],
+) -> dict[Exponent, Fraction]:
+    """Terms of sum_g prod_i f_gi, the factors of a group in disjoint slots.
+
+    Each group is a sequence of term dicts; a product term's exponent is the
+    concatenation of its factors' exponents, in order.  The arithmetic runs
+    on integer numerators over one running common denominator.
+    """
+    out: dict[Exponent, int] = {}
+    den = 1
+    for factors in groups:
+        nums = [numerators(f) for f in factors]
+        d = math.prod(fd for _, fd in nums)
+        common = math.lcm(den, d)
+        if common != den:
+            scale = common // den
+            out = {e: c * scale for e, c in out.items()}
+            den = common
+        # the factors after the first, folded from the right; the empty
+        # product starts at the group's scale to the common denominator
+        rest: dict[Exponent, int] = {(): den // d}
+        for num, _ in reversed(nums[1:]):
+            rest = {e1 + e2: c1 * c2 for e1, c1 in num.items() for e2, c2 in rest.items()}
+        accumulate(
+            out,
+            ((e1 + e2, c1 * c2) for e1, c1 in nums[0][0].items() for e2, c2 in rest.items()),
+        )
+    return {e: Fraction(c, den) for e, c in out.items()}
 
 
 class MultiPoly:
@@ -69,21 +140,35 @@ class MultiPoly:
         if len(names) != arity:
             raise PolyError(f"{len(names)} names for arity {arity}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Exponent, Fraction] = {}
-        for exp, coeff in items:
+
+        def checked(exp, coeff) -> tuple[Exponent, Fraction]:
             exp = tuple(exp)
             if len(exp) != arity:
                 raise PolyError(f"exponent {exp} has length != arity {arity}")
-            if any(e < 0 for e in exp):
-                raise PolyError(f"negative exponent in {exp}")
-            c = clean.get(exp, Fraction(0)) + Fraction(coeff)
-            if c:
-                clean[exp] = c
-            else:
-                clean.pop(exp, None)
+            if any(type(e) is not int or e < 0 for e in exp):
+                raise PolyError(f"exponent {exp} must hold non-negative ints")
+            return exp, _scalar(coeff)
+
+        clean = accumulate({}, (checked(exp, coeff) for exp, coeff in items))
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "names", names)
+
+    @classmethod
+    def _make(
+        cls, arity: int, terms: dict[Exponent, Fraction], names: tuple[str, ...]
+    ) -> "MultiPoly":
+        """Trusted constructor for dicts the kernel built itself.
+
+        ``terms`` must be a dict no one else mutates, with valid exponents
+        and only nonzero Fraction values; ``names`` a tuple of ``arity``
+        strings.  Nothing is validated or copied.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "names", names)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
@@ -96,7 +181,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, arity: int, value: Scalar, names: Sequence[str] | None = None) -> "MultiPoly":
-        return cls(arity, {(0,) * arity: Fraction(value)}, names)
+        return cls(arity, {(0,) * arity: value}, names)
 
     @classmethod
     def one(cls, arity: int, names: Sequence[str] | None = None) -> "MultiPoly":
@@ -161,26 +246,22 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_arity(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return MultiPoly(self.arity, out, self.names)
+        out = accumulate(dict(self.terms), other.terms.items())
+        return MultiPoly._make(self.arity, out, self.names)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()}, self.names)
+        return MultiPoly._make(self.arity, {e: -c for e, c in self.terms.items()}, self.names)
 
     def __sub__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.arity, other, self.names)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self + (-other)
+        self._check_arity(other)
+        out = accumulate(dict(self.terms), ((e, -c) for e, c in other.terms.items()))
+        return MultiPoly._make(self.arity, out, self.names)
 
     def __rsub__(self, other) -> "MultiPoly":
         return (-self) + other
@@ -190,20 +271,27 @@ class MultiPoly:
             c = Fraction(other)
             if not c:
                 return MultiPoly.zero(self.arity, self.names)
-            return MultiPoly(self.arity, {e: k * c for e, k in self.terms.items()}, self.names)
+            out = {e: k * c for e, k in self.terms.items()}
+            return MultiPoly._make(self.arity, out, self.names)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_arity(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
-        return MultiPoly(self.arity, out, self.names)
+        if not (self.terms and other.terms):
+            return MultiPoly.zero(self.arity, self.names)
+        num1, den1 = numerators(self.terms)
+        num2, den2 = numerators(other.terms)
+        out = accumulate(
+            {},
+            (
+                (tuple(map(add, e1, e2)), c1 * c2)
+                for e1, c1 in num1.items()
+                for e2, c2 in num2.items()
+            ),
+        )
+        den = den1 * den2
+        return MultiPoly._make(
+            self.arity, {e: Fraction(c, den) for e, c in out.items()}, self.names
+        )
 
     __rmul__ = __mul__
 
@@ -224,70 +312,80 @@ class MultiPoly:
 
         Multivariate division by leading-term reduction under grevlex; a
         reduction step that cannot proceed, or a leftover remainder, raises
-        :class:`NotDivisible`.
+        :class:`NotDivisible`.  Both sides are integer numerators; when the
+        divisor's leading numerator does not divide a remainder's, remainder
+        and quotient are scaled up by the missing factor, so the reduction
+        stays in ints (never, for a divisor with leading coefficient +-1).
         """
         if not isinstance(den, MultiPoly):
             den = MultiPoly.const(self.arity, den, self.names)
         self._check_arity(den)
         if den.is_zero:
             raise PolyError("division by zero polynomial")
-        rem = dict(self.terms)
+        rem, rem_den = numerators(self.terms)
+        d_terms, d_den = numerators(den.terms)
         d_exp = den.leading_exp()
-        d_coeff = den.terms[d_exp]
-        quot: dict[Exponent, Fraction] = {}
+        d_lead = d_terms[d_exp]
+        quot: dict[Exponent, int] = {}
+        scale = 1
         while rem:
             lead = max(rem, key=grevlex_key)
             shift = tuple(a - b for a, b in zip(lead, d_exp))
             if any(s < 0 for s in shift):
                 raise NotDivisible(f"leading term {lead} not reducible by {d_exp}")
-            c = rem[lead] / d_coeff
+            r = rem[lead]
+            if r % d_lead:
+                g = abs(d_lead) // math.gcd(r, d_lead)
+                rem = {e: c * g for e, c in rem.items()}
+                quot = {e: c * g for e, c in quot.items()}
+                scale *= g
+                r *= g
+            c = r // d_lead
             quot[shift] = c
-            for e2, c2 in den.terms.items():
-                exp = tuple(a + b for a, b in zip(shift, e2))
-                s = rem.get(exp, Fraction(0)) - c * c2
-                if s:
-                    rem[exp] = s
-                else:
-                    rem.pop(exp, None)
-        return MultiPoly(self.arity, quot, self.names)
+            accumulate(
+                rem, ((tuple(map(add, shift, e2)), -c * c2) for e2, c2 in d_terms.items())
+            )
+        out_den = scale * rem_den
+        return MultiPoly._make(
+            self.arity, {e: Fraction(c * d_den, out_den) for e, c in quot.items()}, self.names
+        )
 
     # -- evaluation and substitution ----------------------------------------
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.arity:
             raise PolyError("point length != arity")
-        pt = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, exp):
-                if e:
-                    v *= x**e
-            total += v
-        return total
+        return self.partial_eval(dict(enumerate(point))).constant()
 
     def partial_eval(self, assignments: Mapping[int, Scalar]) -> "MultiPoly":
-        """Evaluate some slots at fixed values and drop them from the arity."""
+        """Evaluate some slots at fixed values and drop them from the arity.
+
+        A slot set to 1 is only dropped.  Every other value p/q is cleared of
+        its denominator: with E the slot's top exponent, x^e becomes
+        p^e q^(E-e) over a common denominator carrying q^E.
+        """
         for slot in assignments:
             if not 0 <= slot < self.arity:
                 raise PolyError(f"slot {slot} out of range")
-        vals = {s: Fraction(v) for s, v in assignments.items()}
+        vals = {s: _scalar(v) for s, v in assignments.items()}
         keep = [i for i in range(self.arity) if i not in vals]
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
-            factor = c
-            for s, v in vals.items():
-                if exp[s]:
-                    factor *= v ** exp[s]
-            if not factor:
-                continue
-            new_exp = tuple(exp[i] for i in keep)
-            s2 = out.get(new_exp, Fraction(0)) + factor
-            if s2:
-                out[new_exp] = s2
-            else:
-                out.pop(new_exp, None)
-        return MultiPoly(len(keep), out, tuple(self.names[i] for i in keep))
+        names = tuple(self.names[i] for i in keep)
+        if not self.terms:
+            return MultiPoly._make(len(keep), {}, names)
+        num, den = numerators(self.terms)
+        scaled = []
+        for s, v in vals.items():
+            if v != 1:
+                top = max(exp[s] for exp in num)
+                scaled.append((s, v.numerator, v.denominator, top))
+                den *= v.denominator**top
+        pairs = []
+        for exp, c in num.items():
+            for s, p, q, top in scaled:
+                c *= p ** exp[s] * q ** (top - exp[s])
+            pairs.append((tuple(map(exp.__getitem__, keep)), c))
+        out = accumulate({}, pairs)
+        return MultiPoly._make(len(keep), {e: Fraction(c, den) for e, c in out.items()}, names)
 
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Exact composition: replace slot i by ``images[i]``.
@@ -331,13 +429,13 @@ class MultiPoly:
             new = list(exp)
             new[slot] = e - 1
             out[tuple(new)] = c * e
-        return MultiPoly(self.arity, out, self.names)
+        return MultiPoly._make(self.arity, out, self.names)
 
     def euler(self, slot: int) -> "MultiPoly":
         """Degree-grading derivation x d/dx on one slot."""
         if not 0 <= slot < self.arity:
             raise PolyError(f"slot {slot} out of range")
-        return MultiPoly(
+        return MultiPoly._make(
             self.arity,
             {e: c * e[slot] for e, c in self.terms.items() if e[slot]},
             self.names,
@@ -345,11 +443,8 @@ class MultiPoly:
 
     def scale_terms(self, weight: Callable[[Exponent], Scalar]) -> "MultiPoly":
         """Multiply each term's coefficient by a function of its exponent."""
-        return MultiPoly(
-            self.arity,
-            {e: c * Fraction(weight(e)) for e, c in self.terms.items()},
-            self.names,
-        )
+        scaled = ((e, c * _scalar(weight(e))) for e, c in self.terms.items())
+        return MultiPoly._make(self.arity, {e: c for e, c in scaled if c}, self.names)
 
     # -- slot surgery --------------------------------------------------------
 
@@ -362,7 +457,7 @@ class MultiPoly:
         if len(new_names) != extra:
             raise PolyError("need one name per new slot")
         pad = (0,) * extra
-        return MultiPoly(
+        return MultiPoly._make(
             self.arity + extra,
             {e + pad: c for e, c in self.terms.items()},
             self.names + tuple(new_names),
@@ -372,7 +467,7 @@ class MultiPoly:
         """Insert a fresh slot before position ``pos``."""
         if not 0 <= pos <= self.arity:
             raise PolyError(f"position {pos} out of range")
-        return MultiPoly(
+        return MultiPoly._make(
             self.arity + 1,
             {e[:pos] + (0,) + e[pos:]: c for e, c in self.terms.items()},
             self.names[:pos] + (name,) + self.names[pos:],
@@ -385,13 +480,11 @@ class MultiPoly:
         names = [""] * self.arity
         for i, p in enumerate(perm):
             names[p] = self.names[i]
-        out = {}
-        for exp, c in self.terms.items():
-            new = [0] * self.arity
-            for i, p in enumerate(perm):
-                new[p] = exp[i]
-            out[tuple(new)] = c
-        return MultiPoly(self.arity, out, names)
+        source = [0] * self.arity  # slot p of the image reads slot source[p]
+        for i, p in enumerate(perm):
+            source[p] = i
+        out = {tuple(map(exp.__getitem__, source)): c for exp, c in self.terms.items()}
+        return MultiPoly._make(self.arity, out, tuple(names))
 
     def swap_slots(self, i: int, j: int) -> "MultiPoly":
         perm = list(range(self.arity))
@@ -399,14 +492,27 @@ class MultiPoly:
         return self.permute(perm)
 
     def rename(self, names: Sequence[str]) -> "MultiPoly":
-        return MultiPoly(self.arity, self.terms, names)
+        names = tuple(names)
+        if len(names) != self.arity:
+            raise PolyError(f"{len(names)} names for arity {self.arity}")
+        return MultiPoly._make(self.arity, self.terms, names)
 
     def is_symmetric(self, k: int | None = None) -> bool:
-        """Symmetry under permutations of the first ``k`` slots (default all)."""
+        """Symmetry under permutations of the first ``k`` slots (default all).
+
+        Checks each adjacent swap in place: every term whose exponents differ
+        in the two slots must find its swapped exponent with the same
+        coefficient.
+        """
         k = self.arity if k is None else k
+        if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= self.arity:
+            raise PolyError(f"need 0 <= k <= arity {self.arity}, got k={k!r}")
+        terms = self.terms
         for i in range(k - 1):
-            if self.swap_slots(i, i + 1) != self:
-                return False
+            for exp, c in terms.items():
+                a, b = exp[i], exp[i + 1]
+                if a != b and terms.get(exp[:i] + (b, a) + exp[i + 2 :]) != c:
+                    return False
         return True
 
     # -- serialization -------------------------------------------------------
@@ -550,7 +656,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -621,13 +727,15 @@ class UniPoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        num1, den1 = numerators(dict(enumerate(self.coeffs)))
+        num2, den2 = numerators(dict(enumerate(other.coeffs)))
+        out = [0] * (len(num1) + len(num2) - 1)
+        for i, a in num1.items():
+            if a:
+                for j, b in num2.items():
+                    out[i + j] += a * b
+        den = den1 * den2
+        return UniPoly(Fraction(c, den) for c in out)
 
     __rmul__ = __mul__
 

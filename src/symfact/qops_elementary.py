@@ -20,7 +20,7 @@ from functools import lru_cache
 from . import spectral
 from .bases import elementary_power, elementary_sym, expand_in_basis, expand_with_tail
 from .partitions import Partition
-from .poly import InvariantViolation, MultiPoly, PolyError, UniPoly, default_names
+from .poly import InvariantViolation, MultiPoly, PolyError, UniPoly, default_names, tensor_sum
 
 
 def _eps_names(n: int) -> tuple[str, ...]:
@@ -162,8 +162,8 @@ def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:
         raise PolyError(f"need 1 <= k <= n, got k={k}")
     if f.arity < k:
         raise PolyError("polynomial must have at least k slots")
-    out: dict[tuple[int, ...], Fraction] = {}
     powers: dict[tuple[int, int], MultiPoly] = {}
+    groups = []
     for lam, tail in expand_with_tail(f, "E", k).items():
         image = MultiPoly.one(k)
         for j in range(1, k + 1):
@@ -173,15 +173,8 @@ def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:
             if (j, e) not in powers:
                 powers[(j, e)] = _chain_image(j, k, n) ** e
             image = image * powers[(j, e)]
-        for hexp, hc in image.terms.items():
-            for texp, tc in tail.terms.items():
-                key = hexp + texp
-                s = out.get(key, 0) + hc * tc
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return MultiPoly(f.arity, out, f.names)
+        groups.append((image.terms, tail.terms))
+    return MultiPoly._make(f.arity, tensor_sum(groups), f.names)
 
 
 def separate_via_q(f: MultiPoly) -> MultiPoly:

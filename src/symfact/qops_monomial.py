@@ -22,7 +22,16 @@ from fractions import Fraction
 
 from . import spectral
 from .partitions import Partition
-from .poly import InvariantViolation, MultiPoly, NotSymmetric, PolyError, UniPoly, default_names
+from .poly import (
+    InvariantViolation,
+    MultiPoly,
+    NotSymmetric,
+    PolyError,
+    UniPoly,
+    accumulate,
+    default_names,
+    numerators,
+)
 
 
 def q_poly(lam: Partition) -> UniPoly:
@@ -62,17 +71,12 @@ def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPol
     n = f.arity if n_x is None else n_x
     if not 1 <= n <= f.arity:
         raise PolyError("n_x out of range")
-    out: dict[tuple[int, ...], Fraction] = {}
-    inv = Fraction(1, n)
-    for exp, c in f.terms.items():
-        for j in range(n):
-            new = exp + (exp[j],)
-            s = out.get(new, Fraction(0)) + c * inv
-            if s:
-                out[new] = s
-            else:
-                out.pop(new, None)
-    return MultiPoly(f.arity + 1, out, f.names + (z_name,))
+    num, den = numerators(f.terms)
+    out = accumulate({}, ((exp + (exp[j],), c) for exp, c in num.items() for j in range(n)))
+    den *= n
+    return MultiPoly._make(
+        f.arity + 1, {e: Fraction(c, den) for e, c in out.items()}, f.names + (z_name,)
+    )
 
 
 def apply_projector(f: MultiPoly, j: int, k: int) -> MultiPoly:
@@ -82,17 +86,8 @@ def apply_projector(f: MultiPoly, j: int, k: int) -> MultiPoly:
     if k > f.arity:
         raise PolyError("projector index exceeds arity")
     sj, sk = j - 1, k - 1
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exp, c in f.terms.items():
-        new = list(exp)
-        new[sk] = exp[sj]
-        key = tuple(new)
-        s = out.get(key, Fraction(0)) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return MultiPoly(f.arity, out, f.names)
+    out = accumulate({}, ((exp[:sk] + (exp[sj],) + exp[k:], c) for exp, c in f.terms.items()))
+    return MultiPoly._make(f.arity, out, f.names)
 
 
 def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy import integrate
-
 from . import qops_schur
 from .bases import alternant, schur_poly, vandermonde
 from .partitions import Partition
@@ -110,7 +108,10 @@ def _adaptive_delta_integral_3d(
     ``tail_bound`` is given) the eliminated variable above it, i.e.
     x1 x2 < c / tail_bound.  The x1 range is split at the hyperbola kink so
     each adaptive call sees a smooth integrand; subdivision is deterministic.
+    scipy is imported here, its only use, so importing symfact stays cheap.
     """
+    from scipy import integrate
+
     if p.arity != 3:
         raise PolyError("need a three-variable polynomial")
     terms = []

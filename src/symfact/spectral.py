@@ -9,12 +9,11 @@ the basis's ``q_poly``) and work through :func:`symfact.bases.expand_with_tail`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable
 
 from .bases import basis_poly, expand_in_basis, expand_with_tail
 from .partitions import Partition
-from .poly import MultiPoly, UniPoly, default_names
+from .poly import MultiPoly, UniPoly, default_names, tensor_sum
 
 QPoly = Callable[[Partition], UniPoly]
 
@@ -34,27 +33,19 @@ def diagonal_q(
     """Expand over the basis, scale each component by q_lam(z), reassemble.
 
     The first ``n_x`` slots (default all) are expanded; trailing slots hold
-    earlier z's and ride along.  The new z slot is appended last.
+    earlier z's and ride along.  The new z slot is appended last: the result
+    is sum_lam b_lam(x) * tail_lam * q_lam(z).
     """
     n = f.arity if n_x is None else n_x
-    out: dict[tuple[int, ...], Fraction] = {}
-    for lam, tail in expand_with_tail(f, basis, n).items():
-        q = q_poly(lam)
-        scaled_tail = [
-            (texp + (d,), tc * qc)
-            for texp, tc in tail.terms.items()
-            for d, qc in enumerate(q.coeffs)
-            if qc
-        ]
-        for hexp, hc in basis_poly(basis, lam).raw.terms.items():
-            for exp, c in scaled_tail:
-                key = hexp + exp
-                s = out.get(key, 0) + hc * c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return MultiPoly(f.arity + 1, out, f.names + (z_name,))
+    out = tensor_sum(
+        (
+            basis_poly(basis, lam).raw.terms,
+            tail.terms,
+            {(d,): c for d, c in enumerate(q_poly(lam).coeffs) if c},
+        )
+        for lam, tail in expand_with_tail(f, basis, n).items()
+    )
+    return MultiPoly._make(f.arity + 1, out, f.names + (z_name,))
 
 
 def separate(f: MultiPoly, basis: str, q_poly: QPoly) -> MultiPoly:

@@ -1,9 +1,14 @@
 """Command-line contract: JSON shapes, exit codes, byte stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symfact
 from symfact import cli
 from symfact.poly import MultiPoly
 
@@ -12,6 +17,17 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is only needed by the adaptive quadrature; a cold CLI call must not pay for it
+    src = str(Path(symfact.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, symfact.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestBasisCommand:

@@ -2,7 +2,8 @@
 
 Reads bench/expected.json (written by bench/record.py, never here) and
 requires byte-identical CLI JSON for every recorded `--lambda` call, and the
-same check count and [name, status] sequence for each verify suite at n <= 3.
+same check count and [name, status] sequence for every recorded verify suite
+(n = 2, 3 and 4).
 """
 
 import hashlib
@@ -19,9 +20,7 @@ EXPECTED = json.loads(
     (Path(__file__).resolve().parent.parent / "bench" / "expected.json").read_text()
 )
 
-SMALL_SUITES = sorted(
-    key for key in EXPECTED["verify"] if int(key.split("/")[1].removeprefix("n=")) <= 3
-)
+SUITES = sorted(EXPECTED["verify"])
 
 
 def test_cli_outputs_are_byte_identical():
@@ -37,7 +36,11 @@ def test_cli_outputs_are_byte_identical():
     assert mismatched == []
 
 
-@pytest.mark.parametrize("key", SMALL_SUITES)
+def test_every_recorded_suite_is_checked():
+    assert len(SUITES) == 18
+
+
+@pytest.mark.parametrize("key", SUITES)
 def test_verify_check_names_and_statuses(key):
     suite, n, weight = key.split("/")
     report = verify.run_suite(

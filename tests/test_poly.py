@@ -194,11 +194,48 @@ class TestSubstitutionAndSlots:
         assert not x1.is_symmetric()
         assert x1.swap_slots(0, 1) == x2
 
+    def test_is_symmetric_slot_count_bounds(self):
+        f = MultiPoly(3, {(1, 1, 0): 1})
+        assert f.is_symmetric(0) and f.is_symmetric(2) and not f.is_symmetric(3)
+        for k in (-1, 4, True, 1.0):
+            with pytest.raises(PolyError):
+                f.is_symmetric(k)
+
     def test_json_round_trip(self):
         f = MultiPoly(2, {(2, 0): F(1, 2), (0, 0): -3})
         data = f.to_json()
         assert data == {"vars": ["x1", "x2"], "terms": [{"e": [2, 0], "c": "1/2"}, {"e": [0, 0], "c": "-3"}]}
         assert MultiPoly.from_json(data) == f
+
+
+class TestScalarBoundary:
+    """Binary floats and bools never enter the kernel as scalars."""
+
+    @pytest.mark.parametrize("bad", [0.5, 0.1, True, "1/2", None])
+    def test_constructor_rejects_non_exact_coefficients(self, bad):
+        with pytest.raises(PolyError):
+            MultiPoly(1, {(1,): bad})
+
+    @pytest.mark.parametrize("bad", [1.0, (1.5,), (True,)])
+    def test_constructor_rejects_non_int_exponents(self, bad):
+        exp = (bad,) if not isinstance(bad, tuple) else bad
+        with pytest.raises(PolyError):
+            MultiPoly(1, {exp: 1})
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, False])
+    def test_eval_rejects_non_exact_points(self, bad):
+        with pytest.raises(PolyError):
+            MultiPoly(2, {(1, 1): 1}).eval([1, bad])
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True])
+    def test_partial_eval_rejects_non_exact_values(self, bad):
+        with pytest.raises(PolyError):
+            MultiPoly(2, {(1, 1): 1}).partial_eval({0: bad})
+
+    def test_exact_scalars_accepted(self):
+        f = MultiPoly(2, {(1, 1): F(1, 3), (0, 1): 2})
+        assert f.eval([F(1, 2), 3]) == F(13, 2)
+        assert f.partial_eval({0: F(-2, 3)}) == MultiPoly(1, {(1,): F(16, 9)}, ("x2",))
 
 
 class TestUniPoly:

@@ -1,0 +1,179 @@
+"""The MultiPoly kernel against sympy.Poly, an implementation that shares no code with it.
+
+Arity 1-4, coefficients with denominators other than 1.  Also the invariant
+every kernel result keeps: ``terms`` holds only nonzero Fraction values under
+int exponent tuples of length ``arity`` (the trusted constructor skips that
+check, so an int or float leaking out of an integer loop would show here).
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from symfact import qops_elementary as qe
+from symfact import qops_monomial as qm
+from symfact import spectral
+from symfact.bases import basis_poly, expand_with_tail
+from symfact.partitions import Partition
+from symfact.poly import MultiPoly, tensor_sum
+from symfact.verify import BASES
+
+sympy = pytest.importorskip("sympy")
+
+coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 9))
+
+
+@st.composite
+def polys(draw, arity=None, max_terms=4, max_exp=3):
+    a = arity if arity is not None else draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, max_exp)] * a)
+    terms = draw(st.dictionaries(exps, coefficients, max_size=max_terms))
+    return MultiPoly(a, terms)
+
+
+@st.composite
+def poly_pairs(draw, max_terms=4, max_exp=3):
+    a = draw(st.integers(1, 4))
+    return draw(polys(a, max_terms, max_exp)), draw(polys(a, max_terms, max_exp))
+
+
+def gens(arity):
+    return sympy.symbols(f"x1:{arity + 1}")
+
+
+def rational(c: Fraction):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def to_expr(f: MultiPoly):
+    xs = gens(f.arity)
+    return sympy.Add(
+        *(rational(c) * sympy.Mul(*(x**e for x, e in zip(xs, exp))) for exp, c in f.terms.items())
+    )
+
+
+def terms_of(expr, symbols) -> dict:
+    """The nonzero coefficients of a sympy expression as {exponent: Fraction}."""
+    expr = sympy.expand(expr)
+    if not symbols:
+        return {(): Fraction(int(expr.p), int(expr.q))} if expr != 0 else {}
+    poly = sympy.Poly(expr, *symbols, domain=sympy.QQ)
+    return {
+        tuple(exp): Fraction(int(c.numerator), int(c.denominator))
+        for exp, c in poly.terms()
+        if c != 0
+    }
+
+
+def assert_kernel_terms(f: MultiPoly):
+    assert isinstance(f, MultiPoly)
+    assert len(f.names) == f.arity
+    for exp, c in f.terms.items():
+        assert type(exp) is tuple and len(exp) == f.arity
+        assert all(type(e) is int and e >= 0 for e in exp)
+        assert type(c) is Fraction and c != 0
+
+
+class TestAgainstSympy:
+    @given(poly_pairs())
+    def test_add_sub_mul(self, pair):
+        f, g = pair
+        xs = gens(f.arity)
+        assert (f + g).terms == terms_of(to_expr(f) + to_expr(g), xs)
+        assert (f - g).terms == terms_of(to_expr(f) - to_expr(g), xs)
+        assert (f * g).terms == terms_of(to_expr(f) * to_expr(g), xs)
+
+    @given(st.lists(st.tuples(polys(2, 3, 2), polys(1, 3, 2)), min_size=1, max_size=3))
+    def test_tensor_sum(self, groups):
+        # sum_g a_g(x1, x2) * b_g(x3): the b factor's slot is renamed to x3
+        x1, x3 = gens(1)[0], gens(3)[2]
+        expr = sympy.Add(*(to_expr(a) * to_expr(b).xreplace({x1: x3}) for a, b in groups))
+        assert tensor_sum((a.terms, b.terms) for a, b in groups) == terms_of(expr, gens(3))
+
+    @given(poly_pairs(max_terms=3, max_exp=2))
+    def test_divide_exact_by_a_factor(self, pair):
+        f, g = pair
+        if g.is_zero:
+            return
+        product = f * g
+        xs = gens(f.arity)
+        quot, rem = sympy.div(
+            sympy.Poly(to_expr(product), *xs, domain=sympy.QQ),
+            sympy.Poly(to_expr(g), *xs, domain=sympy.QQ),
+        )
+        assert rem.is_zero
+        assert product.divide_exact(g).terms == terms_of(quot.as_expr(), xs) == f.terms
+
+    @given(
+        polys(),
+        st.data(),
+        st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 2), Fraction(3)]),
+    )
+    def test_partial_eval(self, f, data, value):
+        slots = data.draw(st.sets(st.integers(0, f.arity - 1), min_size=1))
+        values = {s: value if i % 2 == 0 else Fraction(1) for i, s in enumerate(sorted(slots))}
+        xs = gens(f.arity)
+        expr = to_expr(f).subs({xs[s]: rational(v) for s, v in values.items()})
+        kept = [x for i, x in enumerate(xs) if i not in values]
+        assert f.partial_eval(values).terms == terms_of(expr, kept)
+
+    @given(polys(), st.data())
+    def test_permute(self, f, data):
+        perm = data.draw(st.permutations(range(f.arity)))
+        xs = gens(f.arity)
+        expr = to_expr(f).xreplace({xs[i]: xs[p] for i, p in enumerate(perm)})
+        assert f.permute(perm).terms == terms_of(expr, xs)
+
+    @given(polys(max_terms=3, max_exp=2), st.data())
+    def test_is_symmetric(self, f, data):
+        k = data.draw(st.integers(0, f.arity))
+        xs = gens(f.arity)
+        expr = sympy.expand(to_expr(f))
+
+        def symmetric_in_head(e):
+            return all(
+                sympy.expand(e.xreplace({xs[i]: xs[i + 1], xs[i + 1]: xs[i]}) - e) == 0
+                for i in range(k - 1)
+            )
+
+        assert f.is_symmetric(k) == symmetric_in_head(expr)
+        # the symmetrization over the head slots, built by sympy, is symmetric
+        sym = sympy.Add(
+            *(
+                expr.xreplace(dict(zip(xs[:k], [xs[i] for i in p])))
+                for p in itertools.permutations(range(k))
+            )
+        )
+        assert MultiPoly(f.arity, terms_of(sym, xs)).is_symmetric(k)
+
+
+class TestResultTerms:
+    @given(poly_pairs(max_terms=3, max_exp=2), coefficients)
+    def test_kernel_operations(self, pair, c):
+        f, g = pair
+        results = [
+            f + g, f - g, -f, f * g, f * c, f * 0, f + 1, f * g ** 2,
+            (f * g).divide_exact(g) if not g.is_zero else f,
+            f.partial_eval({0: 1}), f.partial_eval({0: 0}), f.partial_eval({0: c}),
+            f.permute(list(range(f.arity))[::-1]), f.euler(0), f.diff(0),
+            f.scale_terms(lambda e: sum(e) - 1), f.extend(2), f.insert_slot(0, "t"),
+            f.rename([f"y{i}" for i in range(f.arity)]),
+        ]
+        for r in results:
+            assert_kernel_terms(r)
+        assert type(f.eval([c] * f.arity)) is Fraction
+
+    @pytest.mark.parametrize("basis", ["m", "E", "s"])
+    def test_spectral_loops(self, basis):
+        lams = [Partition((2, 1, 0)), Partition((1, 1, 1)), Partition((3, 0, 0))]
+        f = MultiPoly.zero(3)
+        for i, lam in enumerate(lams):
+            f = f + basis_poly(basis, lam).raw * Fraction(2 * i + 1, i + 2)
+        g = spectral.diagonal_q(f, basis, BASES[basis].q_poly)
+        results = [g, *expand_with_tail(g, basis, 3).values(), qe.apply_a(f, 3, 3)]
+        results += [qm.apply_q(f), qm.apply_projector(f, 1, 3)]
+        results.append(spectral.separate_via_q(f, qm.apply_q))
+        for r in results:
+            assert_kernel_terms(r)
