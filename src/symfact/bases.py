@@ -1,9 +1,9 @@
 """The three symmetric-polynomial bases and expansions of symmetric polynomials.
 
 Monomial sums m, products of elementary symmetric polynomials E, and Schur
-functions s (built as the bialternant: alternant determinant divided exactly
-by the Vandermonde).  Every basis element also comes in a normalized form
-with value 1 at the all-ones point.
+functions s (built as the bialternant: the alternant, written as its
+permutation sum, divided exactly by the Vandermonde).  Every basis element
+also comes in a normalized form with value 1 at the all-ones point.
 """
 
 from __future__ import annotations
@@ -49,17 +49,22 @@ def vandermonde(n: int) -> MultiPoly:
 
 
 def alternant(mu: tuple[int, ...], n: int) -> MultiPoly:
-    """det{x_i^(mu_j)} with row index i, column index j."""
+    """det{x_i^(mu_j)}, written as its permutation sum.
+
+    a_mu = sum over permutations w of sign(w) prod_j x_w(j)^(mu_j)
+    (Macdonald, Symmetric Functions and Hall Polynomials, I §3); a repeated
+    exponent makes the terms cancel to zero.
+    """
     if len(mu) != n:
         raise PolyError("exponent vector length must equal n")
-    matrix = [
-        [
-            MultiPoly(n, {tuple(mu[j] if k == i else 0 for k in range(n)): 1})
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return det(matrix)
+    terms = []
+    for w in itertools.permutations(range(n)):
+        exp = [0] * n
+        for j, i in enumerate(w):
+            exp[i] = mu[j]
+        inversions = sum(a > b for a, b in itertools.combinations(w, 2))
+        terms.append((tuple(exp), -1 if inversions % 2 else 1))
+    return MultiPoly(n, terms)
 
 
 @lru_cache(maxsize=None)

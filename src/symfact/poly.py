@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic: sparse multivariate and dense univariate.
+"""Exact polynomial arithmetic: one sparse multivariate kernel and its univariate view.
 
 Coefficients are `fractions.Fraction` everywhere; nothing in this module
 touches floating point.  A :class:`MultiPoly` maps exponent tuples to nonzero
@@ -15,6 +15,10 @@ evaluation, and :func:`tensor_sum`, which the spectral operators use -- write
 their inputs as integer numerators over one common denominator
 (:func:`numerators`), multiply and add Python ints, and build each output
 Fraction once.  :func:`accumulate` is the one sparse add-and-drop-zeros loop.
+
+:class:`UniPoly` is a dense view of a one-slot MultiPoly: its arithmetic,
+evaluation and checks are the kernel's, and it adds only the coefficient
+tuple by degree and the JSON list.  :func:`det` is the cofactor expansion.
 """
 
 from __future__ import annotations
@@ -268,7 +272,7 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _scalar(other)
             if not c:
                 return MultiPoly.zero(self.arity, self.names)
             out = {e: k * c for e, k in self.terms.items()}
@@ -596,28 +600,21 @@ def _parse_coeff(c) -> Fraction:
 
 
 def det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Exact determinant of a square matrix of polynomials.
-
-    Cofactor expansion up to order 5, fraction-free (Bareiss) elimination
-    with exact division above that.
-    """
+    """Exact determinant of a square matrix of polynomials, by cofactor expansion."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise PolyError("matrix is not square")
     if n == 0:
         raise PolyError("empty matrix")
     arity = matrix[0][0].arity
-    names = matrix[0][0].names
     for row in matrix:
         for entry in row:
             if entry.arity != arity:
                 raise PolyError("matrix entries must share one arity")
-    if n <= 5:
-        return _det_cofactor([list(row) for row in matrix])
-    return _det_bareiss([list(row) for row in matrix], arity, names)
+    return _det_cofactor(matrix)
 
 
-def _det_cofactor(m: list[list[MultiPoly]]) -> MultiPoly:
+def _det_cofactor(m: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     n = len(m)
     if n == 1:
         return m[0][0]
@@ -631,35 +628,35 @@ def _det_cofactor(m: list[list[MultiPoly]]) -> MultiPoly:
     return acc
 
 
-def _det_bareiss(m: list[list[MultiPoly]], arity: int, names) -> MultiPoly:
-    n = len(m)
-    sign = 1
-    prev = MultiPoly.one(arity, names)
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero), None)
-            if pivot is None:
-                return MultiPoly.zero(arity, names)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).divide_exact(prev)
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return result if sign == 1 else -result
+_Z = ("z",)
+
+
+def _kernel(value):
+    """The MultiPoly behind a UniPoly operand; scalars pass through to the kernel."""
+    return value.poly if isinstance(value, UniPoly) else value
 
 
 class UniPoly:
-    """Dense exact polynomial in one variable, coefficients by degree."""
+    """Dense view of a one-slot :class:`MultiPoly` in z, coefficients by degree.
 
-    __slots__ = ("coeffs",)
+    All arithmetic is the kernel's; the view adds the dense coefficient
+    tuple, the degree, indexing by degree and the JSON list form.
+    """
+
+    __slots__ = ("poly",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        poly = MultiPoly(1, (((d,), c) for d, c in enumerate(coeffs)), _Z)
+        object.__setattr__(self, "poly", poly)
+
+    @classmethod
+    def of(cls, poly: MultiPoly) -> "UniPoly":
+        """View a one-slot polynomial as a UniPoly (no copy)."""
+        if poly.arity != 1:
+            raise PolyError(f"need a univariate polynomial, got arity {poly.arity}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "poly", poly)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("UniPoly is immutable")
@@ -677,146 +674,83 @@ class UniPoly:
         return cls((0,) * degree + (coeff,))
 
     @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        return self.poly.terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.poly.is_zero
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return max((d for (d,) in self.poly.terms), default=-1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(self[d] for d in range(self.degree + 1))
 
     def __getitem__(self, d: int) -> Fraction:
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else Fraction(0)
+        return self.poly.terms.get((d,), Fraction(0))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UniPoly.const(other)
-        return NotImplemented
+        return self.poly == _kernel(other)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.poly)
 
     def __add__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.const(other)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self[d] + other[d] for d in range(n))
+        return UniPoly.of(self.poly + _kernel(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
+        return UniPoly.of(-self.poly)
 
     def __sub__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.const(other)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
+        return UniPoly.of(self.poly - _kernel(other))
 
     def __rsub__(self, other) -> "UniPoly":
-        return (-self) + other
+        return UniPoly.of(_kernel(other) - self.poly)
 
     def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(c * Fraction(other) for c in self.coeffs)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero()
-        num1, den1 = numerators(dict(enumerate(self.coeffs)))
-        num2, den2 = numerators(dict(enumerate(other.coeffs)))
-        out = [0] * (len(num1) + len(num2) - 1)
-        for i, a in num1.items():
-            if a:
-                for j, b in num2.items():
-                    out[i + j] += a * b
-        den = den1 * den2
-        return UniPoly(Fraction(c, den) for c in out)
+        return UniPoly.of(self.poly * _kernel(other))
 
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "UniPoly":
-        if not isinstance(power, int) or power < 0:
-            raise PolyError("power must be a nonnegative integer")
-        result = UniPoly.const(1)
-        for _ in range(power):
-            result = result * self
-        return result
+        return UniPoly.of(self.poly**power)
 
     def eval(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return self.poly.eval((x,))
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(self.coeffs[d] * d for d in range(1, len(self.coeffs)))
+        return UniPoly.of(self.poly.diff(0))
 
     def euler(self) -> "UniPoly":
         """z d/dz: scale the degree-d coefficient by d."""
-        return UniPoly(c * d for d, c in enumerate(self.coeffs))
+        return UniPoly.of(self.poly.euler(0))
 
     def divide_exact(self, den: "UniPoly") -> "UniPoly":
-        if den.is_zero:
-            raise PolyError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dd = den.degree
-        lead = den.coeffs[-1]
-        if len(rem) - 1 < dd:
-            if any(rem):
-                raise NotDivisible("degree of numerator below denominator")
-            return UniPoly.zero()
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for d in range(len(rem) - 1, dd - 1, -1):
-            c = rem[d] / lead
-            quot[d - dd] = c
-            if c:
-                for j in range(dd + 1):
-                    rem[d - dd + j] -= c * den.coeffs[j]
-        if any(rem):
-            raise NotDivisible("nonzero remainder in univariate division")
-        return UniPoly(quot)
+        return UniPoly.of(self.poly.divide_exact(_kernel(den)))
 
     def as_multipoly(self, arity: int, slot: int, names: Sequence[str] | None = None) -> MultiPoly:
         """Embed into a multivariate ring, powers going to one slot."""
-        terms = {}
-        for d, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            exp = [0] * arity
-            exp[slot] = d
-            terms[tuple(exp)] = c
-        return MultiPoly(arity, terms, names)
+        pad = (0,) * slot, (0,) * (arity - slot - 1)
+        return MultiPoly(arity, {pad[0] + e + pad[1]: c for e, c in self.terms.items()}, names)
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, data: Iterable[str]) -> "UniPoly":
-        return cls(Fraction(c) for c in data)
+    def from_json(cls, data: list) -> "UniPoly":
+        """Parse a list of coefficients by degree, each as in MultiPoly.from_json."""
+        if not isinstance(data, list):
+            raise PolyError("univariate polynomial JSON must be a list of coefficients")
+        return cls(_parse_coeff(c) for c in data)
 
     def pretty(self, var: str = "z") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for d in range(self.degree, -1, -1):
-            c = self[d]
-            if not c:
-                continue
-            if d == 0:
-                parts.append(str(c))
-            else:
-                v = var if d == 1 else f"{var}^{d}"
-                parts.append(v if c == 1 else f"-{v}" if c == -1 else f"{c}*{v}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return self.poly.rename((var,)).pretty()
 
     def __repr__(self):
         return f"UniPoly({self.pretty()})"
+

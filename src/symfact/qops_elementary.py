@@ -88,6 +88,7 @@ def h_explicit_value(f: MultiPoly, j: int, point: list[Fraction]) -> Fraction:
     return elementary_sym(j, n).eval(pt) * total
 
 
+@lru_cache(maxsize=None)
 def q_poly(lam: Partition) -> UniPoly:
     """prod_j (1 + (z-1) j / n)^(lam_j - lam_{j+1}); value 1 at z = 1."""
     n = lam.n
@@ -190,10 +191,10 @@ def separate_via_chain(f: MultiPoly) -> MultiPoly:
     return g.rename(default_names("z", n))
 
 
-def separate(f: MultiPoly, check_routes: bool = True) -> MultiPoly:
-    """Spectral separating map; optionally checked against the A-chain."""
+def separate(f: MultiPoly) -> MultiPoly:
+    """Spectral separating map, checked against the A-chain."""
     out = spectral.separate(f, "E", q_poly)
-    if check_routes and out != separate_via_chain(f):
+    if out != separate_via_chain(f):
         raise InvariantViolation(
             f"separation routes disagree [E] n={f.arity}: spectral product vs A-chain"
         )

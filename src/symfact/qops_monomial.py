@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from . import spectral
 from .partitions import Partition
@@ -34,6 +35,7 @@ from .poly import (
 )
 
 
+@lru_cache(maxsize=None)
 def q_poly(lam: Partition) -> UniPoly:
     """Eigenvalue polynomial (1/n) sum_j z^(lam_j); equals m-bar at (z,1,..,1)."""
     n = lam.n
@@ -128,11 +130,11 @@ def separate_via_q(f: MultiPoly) -> MultiPoly:
     return spectral.separate_via_q(f, apply_q)
 
 
-def separate(f: MultiPoly, check_routes: bool = True) -> MultiPoly:
+def separate(f: MultiPoly) -> MultiPoly:
     """Factorizing map: on a normalized basis element, prod_j q(z_j).
 
-    Runs the triangular A-chain; with ``check_routes`` the rho-Q composition
-    is computed as well and any disagreement raises.
+    Runs the triangular A-chain and checks it against the rho-Q composition;
+    any disagreement raises.
     """
     n = f.arity
     if not f.is_symmetric():
@@ -141,7 +143,7 @@ def separate(f: MultiPoly, check_routes: bool = True) -> MultiPoly:
     for k in range(n, 0, -1):
         g = apply_a(g, k, n)
     g = g.rename(default_names("z", n))
-    if check_routes and g != separate_via_q(f):
+    if g != separate_via_q(f):
         raise InvariantViolation(
             f"separation routes disagree [m] n={n}: A-chain vs rho-Q composition"
         )

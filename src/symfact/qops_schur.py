@@ -20,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import qops_monomial, spectral
 from .bases import restricted_schur, schur_poly, vandermonde
@@ -28,7 +29,6 @@ from .poly import (
     InvariantViolation,
     MultiPoly,
     NotDivisible,
-    PolyError,
     UniPoly,
     default_names,
 )
@@ -70,6 +70,7 @@ def phi_data(lam: Partition) -> PhiData:
     return PhiData(mu, tuple(cs), phi)
 
 
+@lru_cache(maxsize=None)
 def q_poly(lam: Partition) -> UniPoly:
     """(n-1)! phi(z) / (z-1)^(n-1), an exact polynomial with q(1) = 1."""
     n = lam.n
@@ -92,26 +93,17 @@ def q_at_zero(lam: Partition) -> Fraction:
     return Fraction(math.factorial(n - 1), math.prod(mu[:-1])) if n > 1 else Fraction(1)
 
 
-def _to_unipoly(p: MultiPoly) -> UniPoly:
-    if p.arity != 1:
-        raise PolyError("need a univariate polynomial")
-    coeffs = [Fraction(0)] * (p.total_degree() + 1)
-    for exp, c in p.terms.items():
-        coeffs[exp[0]] = c
-    return UniPoly(coeffs)
-
-
 def q_via_restriction(lam: Partition) -> UniPoly:
     """Oracle route: the normalized Schur polynomial at (z, 1, ..., 1)."""
     n = lam.n
     restricted = schur_poly(lam).normalized.partial_eval({i: 1 for i in range(1, n)})
-    return _to_unipoly(restricted)
+    return UniPoly.of(restricted)
 
 
 def q_via_restricted_determinant(lam: Partition) -> UniPoly:
     """Second oracle: the mixed-determinant restriction with k = 2."""
     num, den = restricted_schur(lam, 2)
-    ratio = _to_unipoly(num.divide_exact(den))
+    ratio = UniPoly.of(num.divide_exact(den))
     return ratio * (1 / schur_poly(lam).value_at_one)
 
 

@@ -41,7 +41,7 @@ def diagonal_q(
         (
             basis_poly(basis, lam).raw.terms,
             tail.terms,
-            {(d,): c for d, c in enumerate(q_poly(lam).coeffs) if c},
+            q_poly(lam).terms,
         )
         for lam, tail in expand_with_tail(f, basis, n).items()
     )

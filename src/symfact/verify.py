@@ -17,6 +17,7 @@ from . import qops_elementary as qe
 from . import qops_monomial as qm
 from . import qops_schur as qs
 from . import quadcheck as qc
+from . import spectral
 from .bases import (
     alternant,
     basis_poly,
@@ -225,13 +226,13 @@ def suite_chain(max_weight: int, n: int, rng: random.Random) -> Reporter:
         mbar = basis_poly("m", lam).normalized
         rep.guarded(
             f"separation both routes and product [m] {tag}",
-            lambda mbar=mbar, lam=lam: qm.separate(mbar, check_routes=True)
+            lambda mbar=mbar, lam=lam: qm.separate(mbar)
             == eigen_product(qm.q_poly(lam), n),
         )
         ebar = basis_poly("E", lam).normalized
         rep.guarded(
             f"separation eps/chain routes and product [E] {tag}",
-            lambda ebar=ebar, lam=lam: qe.separate(ebar, check_routes=True)
+            lambda ebar=ebar, lam=lam: qe.separate(ebar)
             == eigen_product(qe.q_poly(lam), n),
         )
         rep.record(
@@ -267,7 +268,7 @@ def suite_chain(max_weight: int, n: int, rng: random.Random) -> Reporter:
     if n >= 2 and any(lam.weight() > 0 for lam in sweep):
         witness = any(
             qe.to_eps(basis_poly("E", lam).normalized)
-            != qe.separate(basis_poly("E", lam).normalized, check_routes=False)
+            != spectral.separate(basis_poly("E", lam).normalized, "E", qe.q_poly)
             for lam in sweep
             if lam.weight() > 0
         )

@@ -27,7 +27,7 @@ from symfact.bases import (
     vandermonde,
 )
 from symfact.partitions import Partition, dominance_leq, enumerate_partitions
-from symfact.poly import MultiPoly, NotSymmetric
+from symfact.poly import MultiPoly, NotSymmetric, det
 
 
 def symmetrized_average(lam):
@@ -133,6 +133,29 @@ class TestSchur:
         for n in (2, 3, 4):
             mu = tuple(range(n - 1, -1, -1))
             assert alternant(mu, n) == vandermonde(n)
+
+    @staticmethod
+    def _power_matrix_det(mu, n):
+        return det([[MultiPoly.variable(i, n) ** m for m in mu] for i in range(n)])
+
+    def test_alternant_is_the_determinant(self):
+        # det{x_i^(mu_j)}, the paper's definition, for every strictly
+        # decreasing mu with n <= 4 and entries <= 6
+        for n in (1, 2, 3, 4):
+            for mu in itertools.combinations(range(6, -1, -1), n):
+                assert alternant(mu, n) == self._power_matrix_det(mu, n), mu
+
+    def test_alternant_with_a_repeated_exponent_vanishes(self):
+        assert alternant((1, 1), 2).is_zero
+        assert alternant((3, 0, 3), 3).is_zero
+
+    def test_alternant_of_permuted_exponents(self):
+        mu = (4, 2, 0)
+        for w in itertools.permutations(range(3)):
+            nu = tuple(mu[j] for j in w)
+            inversions = sum(a > b for a, b in itertools.combinations(w, 2))
+            assert alternant(nu, 3) == alternant(mu, 3) * (-1) ** inversions
+            assert alternant(nu, 3) == self._power_matrix_det(nu, 3)
 
     def test_value_formula_agrees_with_direct(self):
         for lam in enumerate_partitions(6, 3):

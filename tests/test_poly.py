@@ -115,7 +115,7 @@ class TestDeterminant:
         assert det(m) == expected
 
     def test_bareiss_path_matches_product_formula(self):
-        # order 6 exercises fraction-free elimination
+        # order 6: a cofactor expansion several levels deep
         n = 6
         xs = xvars(n)
         m = [[xs[i] ** (n - 1 - j) for j in range(n)] for i in range(n)]
@@ -232,6 +232,21 @@ class TestScalarBoundary:
         with pytest.raises(PolyError):
             MultiPoly(2, {(1, 1): 1}).partial_eval({0: bad})
 
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True])
+    def test_unipoly_constructor_rejects_non_exact_coefficients(self, bad):
+        with pytest.raises(PolyError):
+            UniPoly([1, bad])
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True])
+    def test_unipoly_eval_rejects_non_exact_points(self, bad):
+        with pytest.raises(PolyError):
+            UniPoly([1, 1]).eval(bad)
+
+    @pytest.mark.parametrize("bad", [[0.1], [1.0], [True], ["0.1"], ["1/0"], "12"])
+    def test_unipoly_from_json_is_strict(self, bad):
+        with pytest.raises(PolyError):
+            UniPoly.from_json(bad)
+
     def test_exact_scalars_accepted(self):
         f = MultiPoly(2, {(1, 1): F(1, 3), (0, 1): 2})
         assert f.eval([F(1, 2), 3]) == F(13, 2)
@@ -265,3 +280,21 @@ class TestUniPoly:
     def test_trimming_and_zero(self):
         assert UniPoly([0, 0]).is_zero
         assert UniPoly([1, 0]).degree == 0
+        assert UniPoly([0, 0]).coeffs == () and UniPoly([0, 0]).degree == -1
+
+    def test_json_and_pretty(self):
+        p = UniPoly([F(1, 2), 0, -1, 3])
+        assert p.coeffs == (F(1, 2), 0, -1, 3)
+        assert p.to_json() == ["1/2", "0", "-1", "3"]
+        assert UniPoly.from_json(p.to_json()) == p
+        assert UniPoly.from_json([1, "-2/3"]) == UniPoly([1, F(-2, 3)])
+        assert p.pretty() == "3*z^3 - z^2 + 1/2"
+        assert p.pretty("w") == "3*w^3 - w^2 + 1/2"
+        assert UniPoly().pretty() == "0"
+
+    def test_view_of_a_one_slot_polynomial(self):
+        f = MultiPoly(1, {(2,): F(1, 3), (0,): 1}, ("t",))
+        assert UniPoly.of(f) == UniPoly([1, 0, F(1, 3)])
+        assert UniPoly.of(f).as_multipoly(1, 0) == f
+        with pytest.raises(PolyError):
+            UniPoly.of(MultiPoly.one(2))

@@ -1,9 +1,11 @@
 """The MultiPoly kernel against sympy.Poly, an implementation that shares no code with it.
 
-Arity 1-4, coefficients with denominators other than 1.  Also the invariant
-every kernel result keeps: ``terms`` holds only nonzero Fraction values under
-int exponent tuples of length ``arity`` (the trusted constructor skips that
-check, so an int or float leaking out of an integer loop would show here).
+Arity 1-4, coefficients with denominators other than 1.  The UniPoly view
+is checked against univariate sympy.Poly, and schur_poly against sympy's own
+cancellation of the bialternant.  Also the invariant every kernel result
+keeps: ``terms`` holds only nonzero Fraction values under int exponent tuples
+of length ``arity`` (the trusted constructor skips that check, so an int or
+float leaking out of an integer loop would show here).
 """
 
 import itertools
@@ -15,9 +17,9 @@ from hypothesis import given, strategies as st
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact import spectral
-from symfact.bases import basis_poly, expand_with_tail
-from symfact.partitions import Partition
-from symfact.poly import MultiPoly, tensor_sum
+from symfact.bases import basis_poly, expand_with_tail, schur_poly
+from symfact.partitions import Partition, enumerate_partitions
+from symfact.poly import MultiPoly, UniPoly, tensor_sum
 from symfact.verify import BASES
 
 sympy = pytest.importorskip("sympy")
@@ -119,6 +121,14 @@ class TestAgainstSympy:
         kept = [x for i, x in enumerate(xs) if i not in values]
         assert f.partial_eval(values).terms == terms_of(expr, kept)
 
+    @given(polys(max_terms=3, max_exp=2), st.integers(1, 3), st.data())
+    def test_substitute(self, f, target, data):
+        images = [data.draw(polys(target, 3, 2)) for _ in range(f.arity)]
+        xs, ys = gens(f.arity), sympy.symbols(f"y1:{target + 1}")
+        image_exprs = [to_expr(g).xreplace(dict(zip(gens(target), ys))) for g in images]
+        expr = to_expr(f).xreplace(dict(zip(xs, image_exprs)))
+        assert f.substitute(images).terms == terms_of(expr, ys)
+
     @given(polys(), st.data())
     def test_permute(self, f, data):
         perm = data.draw(st.permutations(range(f.arity)))
@@ -147,6 +157,51 @@ class TestAgainstSympy:
             )
         )
         assert MultiPoly(f.arity, terms_of(sym, xs)).is_symmetric(k)
+
+
+uni_coefficients = st.lists(st.just(Fraction(0)) | coefficients, max_size=5)
+
+
+class TestUniPolyAgainstSympy:
+    z = sympy.symbols("z")
+
+    def expr(self, coeffs):
+        return sympy.Add(*(rational(c) * self.z**d for d, c in enumerate(coeffs)))
+
+    def assert_same(self, p: UniPoly, expr):
+        """p's dense coefficients are those of the sympy expression in z."""
+        poly = sympy.Poly(expr, self.z, domain=sympy.QQ)
+        expected = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+        assert p.coeffs == (tuple(expected) if not poly.is_zero else ())
+
+    @given(uni_coefficients, uni_coefficients)
+    def test_add_mul_divide_exact(self, a, b):
+        f, g = UniPoly(a), UniPoly(b)
+        self.assert_same(f + g, self.expr(a) + self.expr(b))
+        self.assert_same(f * g, self.expr(a) * self.expr(b))
+        if not g.is_zero:
+            quot, rem = sympy.div(self.expr(a) * self.expr(b), self.expr(b), self.z)
+            assert rem == 0
+            self.assert_same((f * g).divide_exact(g), quot)
+
+    @given(uni_coefficients, st.just(Fraction(0)) | st.just(Fraction(1)) | coefficients)
+    def test_derivative_euler_eval(self, a, x):
+        f = UniPoly(a)
+        self.assert_same(f, self.expr(a))
+        self.assert_same(f.derivative(), sympy.diff(self.expr(a), self.z))
+        self.assert_same(f.euler(), self.z * sympy.diff(self.expr(a), self.z))
+        assert rational(f.eval(x)) == self.expr(a).subs(self.z, rational(x))
+
+
+class TestSchurAgainstBialternant:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_schur_poly_is_sympys_cancelled_bialternant(self, n):
+        xs = gens(n)
+        vandermonde = sympy.Mul(*(xs[i] - xs[j] for i in range(n) for j in range(i + 1, n)))
+        for lam in enumerate_partitions(4, n):
+            mu = lam.shifted().parts
+            alternant = sympy.Matrix(n, n, lambda i, j: xs[i] ** mu[j]).det(method="berkowitz")
+            assert schur_poly(lam).raw.terms == terms_of(sympy.cancel(alternant / vandermonde), xs)
 
 
 class TestResultTerms:

@@ -187,7 +187,7 @@ class TestSeparation:
                 f = f + elementary_product(rng.choice(lams)).raw * F(
                     rng.randint(-3, 3), rng.randint(1, 2)
                 )
-            subst = qe.separate(f, check_routes=True)  # asserts chain route inside
+            subst = qe.separate(f)  # asserts chain route inside
             assert subst == qe.separate_via_q(f)
 
     def test_separated_products_sweep(self):

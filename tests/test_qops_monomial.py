@@ -155,7 +155,7 @@ class TestSeparation:
     def test_route_check_is_active(self):
         # both routes agree on symmetric input (raises otherwise)
         f = mbar(2, 1) + mbar(1, 1) * 3
-        qm.separate(f, check_routes=True)
+        qm.separate(f)
 
     def test_symmetry_required(self):
         with pytest.raises(Exception):
