@@ -3,7 +3,10 @@
 Monomial sums m, products of elementary symmetric polynomials E, and Schur
 functions s (built as the bialternant: the alternant, written as its
 permutation sum, divided exactly by the Vandermonde).  Every basis element
-also comes in a normalized form with value 1 at the all-ones point.
+also comes in a normalized form with value 1 at the all-ones point.  Any
+other antisymmetric polynomial is divided by the Vandermonde without
+division: :func:`over_vandermonde` reads its coefficients off in the Schur
+basis.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .partitions import Partition, dominance_leq
 from .poly import (
     InvariantViolation,
     MultiPoly,
+    NotDivisible,
     NotSymmetric,
     PolyError,
     accumulate,
@@ -147,6 +151,28 @@ def schur_poly(lam: Partition) -> NormalizedBasisPoly:
             f"normalization mismatch for {lam}: direct {direct} vs closed {closed}"
         )
     return NormalizedBasisPoly(raw, direct, raw * (1 / direct))
+
+
+def over_vandermonde(g: MultiPoly) -> MultiPoly:
+    """g / a_delta for an antisymmetric g, read off instead of divided.
+
+    An antisymmetric g is sum_mu [x^mu]g * a_mu over its strictly decreasing
+    exponents mu, and a_mu / a_delta = s_(mu - delta) (Macdonald, Symmetric
+    Functions and Hall Polynomials, I §3), so the quotient is
+    sum_mu [x^mu]g * s_(mu - delta), summed on integer numerators.  A g that
+    is not antisymmetric is not a_delta times a symmetric polynomial and
+    raises NotDivisible.
+    """
+    n = g.arity
+    if not g.is_antisymmetric():
+        raise NotDivisible(f"polynomial in {n} variables is not antisymmetric")
+    num, den = numerators(g.terms)
+    out: dict[tuple[int, ...], int] = {}
+    for mu, c in num.items():
+        if all(a > b for a, b in zip(mu, mu[1:])):
+            lam = Partition(tuple(m - (n - 1 - i) for i, m in enumerate(mu)))
+            accumulate(out, ((e, c * s.numerator) for e, s in schur_poly(lam).raw.terms.items()))
+    return MultiPoly._make(n, {e: Fraction(c, den) for e, c in out.items()}, g.names)
 
 
 def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, MultiPoly]:

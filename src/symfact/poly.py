@@ -231,7 +231,7 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
             return self.arity == other.arity and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self == MultiPoly.const(self.arity, other)
         return NotImplemented
 
@@ -511,11 +511,26 @@ class MultiPoly:
         k = self.arity if k is None else k
         if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= self.arity:
             raise PolyError(f"need 0 <= k <= arity {self.arity}, got k={k!r}")
+        return self._swaps_agree(k, symmetric=True)
+
+    def is_antisymmetric(self) -> bool:
+        """Every adjacent swap of slots negates the polynomial.
+
+        The same in-place lookup as :meth:`is_symmetric`, with the swapped
+        exponent's coefficient negated; a term with two equal exponents in
+        adjacent slots cannot occur.
+        """
+        return self._swaps_agree(self.arity, symmetric=False)
+
+    def _swaps_agree(self, k: int, symmetric: bool) -> bool:
         terms = self.terms
         for i in range(k - 1):
             for exp, c in terms.items():
                 a, b = exp[i], exp[i + 1]
-                if a != b and terms.get(exp[:i] + (b, a) + exp[i + 2 :]) != c:
+                if a == b:
+                    if not symmetric:
+                        return False
+                elif terms.get(exp[:i] + (b, a) + exp[i + 2 :]) != (c if symmetric else -c):
                     return False
         return True
 

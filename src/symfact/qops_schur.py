@@ -5,7 +5,9 @@ where phi is the unique combination of the powers z^(mu_j) (mu the shifted
 partition) divisible by (z-1)^(n-1) and normalized to value 1 at z = 1.
 The Hamiltonians are Euler-operator polynomials conjugated by the
 Vandermonde; the separating map has an exact differential-operator inverse
-built from K_n = prod_{i<j} (D_i - D_j).
+built from K_n = prod_{i<j} (D_i - D_j).  Both end on an antisymmetric
+polynomial, so the Vandermonde is read off its coefficients in the Schur
+basis (:func:`~symfact.bases.over_vandermonde`), not divided out.
 
 Q, the separating map and the lift are the shared spectral forms of
 ``symfact.spectral`` on the s basis.  Independent routes kept as
@@ -23,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import qops_monomial, spectral
-from .bases import restricted_schur, schur_poly, vandermonde
+from .bases import over_vandermonde, restricted_schur, schur_poly, vandermonde
 from .partitions import Partition, ShiftedPartition
 from .poly import (
     InvariantViolation,
@@ -154,12 +156,15 @@ def separated_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
 
 def apply_h(f: MultiPoly, j: int) -> MultiPoly:
     """Multiply by the Vandermonde, apply the Euler-operator elementary
-    symmetric polynomial, divide back out exactly."""
-    n = f.arity
-    vand = vandermonde(n)
-    g = qops_monomial.apply_h(f * vand, j)
+    symmetric polynomial, and read the Vandermonde back off.
+
+    The Euler operators keep f * a_delta antisymmetric, so the quotient is
+    read off the result's strictly decreasing exponents
+    (:func:`~symfact.bases.over_vandermonde`), not divided out.
+    """
+    g = qops_monomial.apply_h(f * vandermonde(f.arity), j)
     try:
-        return g.divide_exact(vand)
+        return over_vandermonde(g)
     except NotDivisible as exc:
         raise InvariantViolation("conjugated Hamiltonian left the symmetric ring") from exc
 
@@ -191,18 +196,18 @@ def separate(f: MultiPoly) -> MultiPoly:
 def separate_inverse(g: MultiPoly) -> MultiPoly:
     """Differential-operator inverse of the separating map.
 
-    Multiply by prod_k (x_k - 1)^(n-1), apply K_n, divide by the Vandermonde
-    exactly, and scale; sends prod_j q_lam(x_j) back to the normalized Schur
-    polynomial.  A nonzero division remainder means the input was not in the
-    image.
+    Multiply by prod_k (x_k - 1)^(n-1), apply K_n, which makes a symmetric
+    polynomial antisymmetric, read the Vandermonde off
+    (:func:`~symfact.bases.over_vandermonde`), and scale; sends
+    prod_j q_lam(x_j) back to the normalized Schur polynomial.  A K_n output
+    that is not antisymmetric means the input was not in the image.
     """
     n = g.arity
     h = g.rename(default_names("x", n))
     for k in range(n):
         h = h * (MultiPoly.variable(k, n) - 1) ** (n - 1)
-    h = apply_k(h)
     try:
-        h = h.divide_exact(vandermonde(n))
+        h = over_vandermonde(apply_k(h))
     except NotDivisible as exc:
         raise InvariantViolation("input is not in the image of the separating map") from exc
     delta_staircase = math.prod(math.factorial(i) for i in range(1, n))

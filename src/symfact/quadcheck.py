@@ -1,12 +1,13 @@
-"""Numerical verification of the integral forms of the Schur-case operators.
+"""Exact verification of the integral forms of the Schur-case operators.
 
 The delta constraint prod x_i = z prod y_i is always eliminated analytically
 (solve for the last variable, Jacobian 1/(x_1...x_{n-1})); what remains is a
-Laurent-polynomial integrand over an interleaved domain.  At n = 2 that
-integral is evaluated in closed form with exact rational arithmetic; at
-n = 3 the remaining two-dimensional integral is done by deterministic
-adaptive quadrature.  Floating point enters only at the final evaluation
-step.
+Laurent-polynomial integrand over an interleaved domain.  The integrand is
+antisymmetric, so no term integrates to a logarithm and the integral has a
+closed form in exact rational arithmetic: at n = 2 over one interval, at
+n = 3 as an iterated integral over the two pieces of the cell on either
+side of the hyperbola kink, where the eliminated variable's bound starts to
+cap the inner range.  Floating point enters only when a value is reported.
 
 The integral form of the Q-operator can be normalized with its (z-1)^(n-1)
 factor either multiplying or dividing, and only one choice reproduces the
@@ -63,7 +64,11 @@ class OrderedDomain:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value, a nonnegative error estimate, and the evaluation count."""
+    """A reported value, its error estimate and the work it took.
+
+    Every route is exact, so the error estimate is 0.0 and ``evaluations``
+    counts the integrand terms integrated in closed form.
+    """
 
     value: float
     error_estimate: float
@@ -78,6 +83,13 @@ def _vandermonde_value(values: tuple[Fraction, ...]) -> Fraction:
     return acc
 
 
+def _power_integral(e: int, lo: Fraction, hi: Fraction) -> Fraction:
+    """Integral of x^e over (lo, hi) for 0 < lo; x^-1 would give a logarithm."""
+    if e == -1:
+        raise InvariantViolation("diagonal term would integrate to a logarithm")
+    return (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
+
+
 def _exact_delta_integral_2d(p: MultiPoly, c: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     """Integral over (lo, hi) of p(x, c/x) / x for an antisymmetric p.
 
@@ -86,83 +98,58 @@ def _exact_delta_integral_2d(p: MultiPoly, c: Fraction, lo: Fraction, hi: Fracti
     """
     if p.arity != 2:
         raise PolyError("need a two-variable polynomial")
-    total = Fraction(0)
-    for (a, b), coeff in p.terms.items():
-        if a == b:
-            raise InvariantViolation("diagonal term would integrate to a logarithm")
-        e = a - b
-        total += coeff * c**b * (hi**e - lo**e) / e
-    return total
+    return sum(
+        (coeff * c**b * _power_integral(a - b - 1, lo, hi) for (a, b), coeff in p.terms.items()),
+        Fraction(0),
+    )
 
 
-def _adaptive_delta_integral_3d(
+def _exact_delta_integral_3d(
     p: MultiPoly,
     c: Fraction,
     outer: tuple[Fraction, Fraction],
     inner: tuple[Fraction, Fraction],
     tail_bound: Fraction | None,
-) -> QuadratureResult:
-    """Integrate p(x1, x2, c/(x1 x2)) / (x1 x2) over an interleaved cell.
+) -> Fraction:
+    """Integral of p(x1, x2, c/(x1 x2)) / (x1 x2) over an interleaved cell, exactly.
 
     Domain: outer[0] < x1 < outer[1], inner[0] < x2 < inner[1], and (when
     ``tail_bound`` is given) the eliminated variable above it, i.e.
-    x1 x2 < c / tail_bound.  The x1 range is split at the hyperbola kink so
-    each adaptive call sees a smooth integrand; subdivision is deterministic.
-    scipy is imported here, its only use, so importing symfact stays cheap.
+    x1 x2 < cap = c / tail_bound.  The x1 range is split at the hyperbola
+    kink x1 = cap / inner[1]: below it x2 spans the inner range, above it x2
+    stops at cap / x1.  A term x1^a x2^b x3^d becomes c^d x1^(a-d-1)
+    x2^(b-d-1), and on the capped piece its inner integral leaves powers
+    x1^(a-b-1) and x1^(a-d-1).  Antisymmetry rules out a = d, b = d and
+    a = b, so every antiderivative is a pure power and no logarithms occur.
     """
-    from scipy import integrate
-
     if p.arity != 3:
         raise PolyError("need a three-variable polynomial")
-    terms = []
-    for (a, b, d), coeff in p.terms.items():
-        if a == d or b == d:
-            raise InvariantViolation("diagonal term would integrate to a logarithm")
-        terms.append((a - d - 1, b - d - 1, float(coeff * c**d)))
-
-    evaluations = 0
-
-    def integrand(x2: float, x1: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return math.fsum(co * x1**e1 * x2**e2 for e1, e2, co in terms)
-
     a1, b1 = outer
     a2, b2 = inner
     if tail_bound is None:
-        cap = b1 * b2 + 1  # never binds: x1 x2 < b1 b2 on the cell
+        pieces = [(a1, b1, None)]
     else:
-        cap = c / tail_bound  # x1 * x2 must stay below this
-    hi1 = min(b1, cap / a2)
-    if hi1 <= a1:
-        return QuadratureResult(0.0, 0.0, 0)
-    kink = cap / b2
-    pieces: list[tuple[Fraction, Fraction, bool]] = []
-    if kink > a1:
-        pieces.append((a1, min(hi1, kink), True))  # full inner range
-    if kink < hi1:
-        pieces.append((max(a1, kink), hi1, False))  # hyperbola-capped range
-    total = 0.0
-    err = 0.0
-    capf = float(cap)
-    b2f = float(b2)
-    a2f = float(a2)
-    for lo, hi, full in pieces:
+        cap = c / tail_bound
+        hi1 = min(b1, cap / a2)
+        kink = cap / b2
+        pieces = [(a1, min(hi1, kink), None), (max(a1, kink), hi1, cap)]
+    total = Fraction(0)
+    for lo, hi, cap in pieces:
         if hi <= lo:
             continue
-        upper = (lambda x: b2f) if full else (lambda x: min(b2f, capf / x))
-        val, abserr = integrate.dblquad(
-            integrand, float(lo), float(hi), lambda x: a2f, upper,
-            epsabs=1e-13, epsrel=1e-13,
-        )
-        total += val
-        err += abserr
-    if err > max(1e-8, 1e-8 * abs(total)):
-        raise InvariantViolation(
-            f"adaptive quadrature did not converge: value {total}, "
-            f"error estimate {err}, {evaluations} evaluations"
-        )
-    return QuadratureResult(total, err, evaluations)
+        for (a, b, d), coeff in p.terms.items():
+            e1, e2 = a - d - 1, b - d - 1
+            if cap is None:  # x2 over the whole inner range
+                value = _power_integral(e1, lo, hi) * _power_integral(e2, a2, b2)
+            else:  # x2 from a2 up to cap / x1
+                if e2 == -1:
+                    raise InvariantViolation("diagonal term would integrate to a logarithm")
+                f2 = e2 + 1
+                value = (
+                    cap**f2 * _power_integral(e1 - f2, lo, hi) - a2**f2 * _power_integral(e1, lo, hi)
+                ) / f2
+            total += coeff * c**d * value
+    return total
 
 
 def box_integral(p: MultiPoly, bounds: list[tuple[Fraction, Fraction]]) -> Fraction:
@@ -183,7 +170,7 @@ def box_integral(p: MultiPoly, bounds: list[tuple[Fraction, Fraction]]) -> Fract
 
 def core_alternant_integral(
     lam: Partition, y, z, tail_constraint: bool = True
-) -> tuple[Fraction | float, Fraction, QuadratureResult]:
+) -> tuple[Fraction, Fraction, QuadratureResult]:
     """The prefactor-free heart of the Q_z theorem.
 
     Integrates the alternant of the shifted partition against the delta
@@ -200,20 +187,20 @@ def core_alternant_integral(
     return computed, oracle, result
 
 
-def _delta_integral(p: MultiPoly, dom: OrderedDomain) -> tuple[Fraction | float, QuadratureResult]:
-    """Integrate an antisymmetric polynomial against the delta constraint."""
+def _delta_integral(p: MultiPoly, dom: OrderedDomain) -> tuple[Fraction, QuadratureResult]:
+    """Integrate an antisymmetric polynomial against the delta constraint, exactly."""
     n = dom.n
     c = dom.delta_value()
     y = dom.y
     if n == 2:
         hi = min(y[1], c / y[1]) if dom.tail_constraint else y[1]
         value = _exact_delta_integral_2d(p, c, y[0], hi)
-        return value, QuadratureResult(float(value), 0.0, len(p.terms))
-    if n == 3:
+    elif n == 3:
         tail = y[2] if dom.tail_constraint else None
-        result = _adaptive_delta_integral_3d(p, c, (y[0], y[1]), (y[1], y[2]), tail)
-        return result.value, result
-    raise PolyError("delta-constrained integrals are implemented for n = 2, 3")
+        value = _exact_delta_integral_3d(p, c, (y[0], y[1]), (y[1], y[2]), tail)
+    else:
+        raise PolyError("delta-constrained integrals are implemented for n = 2, 3")
+    return value, QuadratureResult(float(value), 0.0, len(p.terms))
 
 
 @dataclass(frozen=True)
@@ -256,14 +243,10 @@ def integral_q(f: MultiPoly, z, y, tail_constraint: bool = True, tol: float = 1e
     raw, result = _delta_integral(integrand, dom)
     base = Fraction(math.factorial(n - 1)) / _vandermonde_value(dom.y)
     pole = (dom.z - 1) ** (n - 1)
-    if isinstance(raw, Fraction):
-        v_den = float(raw * base / pole)
-        v_num = float(raw * base * pole)
-    else:
-        v_den = raw * float(base / pole)
-        v_num = raw * float(base * pole)
-    den = QuadratureResult(v_den, result.error_estimate * abs(float(base / pole)), result.evaluations)
-    num = QuadratureResult(v_num, result.error_estimate * abs(float(base * pole)), result.evaluations)
+    v_den = float(raw * base / pole)
+    v_num = float(raw * base * pole)
+    den = QuadratureResult(v_den, 0.0, result.evaluations)
+    num = QuadratureResult(v_num, 0.0, result.evaluations)
     e_den = _rel_err(v_den, oracle)
     e_num = _rel_err(v_num, oracle)
     if e_den <= tol and not e_num <= tol:
@@ -280,11 +263,12 @@ def integral_q(f: MultiPoly, z, y, tail_constraint: bool = True, tol: float = 1e
 
 @dataclass(frozen=True)
 class IntegralCheck:
-    """One integral identity next to its exact oracle."""
+    """One integral identity next to its exact oracle; ``value`` is the exact integral."""
 
     computed: QuadratureResult
     oracle: Fraction
     rel_err: float
+    value: Fraction
 
 
 def integral_a(lam: Partition, k: int, z_k, ytilde) -> IntegralCheck:
@@ -322,24 +306,18 @@ def integral_a(lam: Partition, k: int, z_k, ytilde) -> IntegralCheck:
     c = z * math.prod(yt)
 
     if k == 1:
-        # the delta pins the single variable at z; no quadrature needed
+        # the delta pins the single variable at z; nothing to integrate
         value = prefactor * integrand.eval([z])
-        result = QuadratureResult(float(value), 0.0, 1)
-        return IntegralCheck(result, oracle, _rel_err(result.value, oracle))
-    if k == 2:
+    elif k == 2:
         hi = min(yt[0], c / yt[0])
-        raw = _exact_delta_integral_2d(integrand, c, Fraction(1), hi)
-        value = prefactor * raw
-        result = QuadratureResult(float(value), 0.0, len(integrand.terms))
-        return IntegralCheck(result, oracle, _rel_err(result.value, oracle))
-    if k == 3:
-        raw = _adaptive_delta_integral_3d(
-            integrand, c, (Fraction(1), yt[0]), (yt[0], yt[1]), yt[1]
-        )
-        value = raw.value * float(prefactor)
-        result = QuadratureResult(value, raw.error_estimate * abs(float(prefactor)), raw.evaluations)
-        return IntegralCheck(result, oracle, _rel_err(value, oracle))
-    raise PolyError("chain-link integrals are implemented for k <= 3")
+        value = prefactor * _exact_delta_integral_2d(integrand, c, Fraction(1), hi)
+    elif k == 3:
+        cell = (Fraction(1), yt[0]), (yt[0], yt[1])
+        value = prefactor * _exact_delta_integral_3d(integrand, c, *cell, yt[1])
+    else:
+        raise PolyError("chain-link integrals are implemented for k <= 3")
+    result = QuadratureResult(float(value), 0.0, len(integrand.terms))
+    return IntegralCheck(result, oracle, _rel_err(result.value, oracle), value)
 
 
 # -- lifting integral ---------------------------------------------------------

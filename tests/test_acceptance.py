@@ -3,8 +3,10 @@
 Each criterion prints one PASS/FAIL line (visible with ``pytest -s``).  The
 algebraic criteria are exact polynomial identities over rational arithmetic
 (zero tolerance); the quadrature criteria compare against exact oracles at
-1e-10 relative error for the closed-form n = 2 route and 1e-6 for the
-adaptive n = 3 route.
+1e-10 relative error for the n = 2 route and 1e-6 for the n = 3 route.  Both
+routes are exact closed forms (at n = 3 over the two pieces of the cell on
+either side of the hyperbola kink), so the tolerances only bound the
+reported floats.
 """
 
 import time

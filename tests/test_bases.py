@@ -21,13 +21,16 @@ from symfact.bases import (
     expand_with_tail,
     is_dominance_triangular,
     monomial_sym,
+    over_vandermonde,
     restricted_schur,
     schur_poly,
     schur_value_at_one,
     vandermonde,
 )
+from symfact import qops_monomial as qm
+from symfact import qops_schur as qs
 from symfact.partitions import Partition, dominance_leq, enumerate_partitions
-from symfact.poly import MultiPoly, NotSymmetric, det
+from symfact.poly import MultiPoly, NotDivisible, NotSymmetric, det
 
 
 def symmetrized_average(lam):
@@ -296,3 +299,59 @@ class TestExpansionWithTail:
         bump = MultiPoly(f.arity, {(1,) + (0,) * (f.arity - 1): 1})
         with pytest.raises(NotSymmetric, match=f"first {k} of {f.arity} slots"):
             expand_with_tail(f + bump, basis, k)
+
+
+@st.composite
+def symmetric_polys(draw, min_n=1):
+    """A random symmetric f in n <= 4 variables: a rational mix of basis elements."""
+    n = draw(st.integers(min_value=min_n, max_value=4))
+    lams = enumerate_partitions(3, n)
+    f = MultiPoly.zero(n)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lam = draw(st.sampled_from(lams))
+        f = f + basis_poly(draw(st.sampled_from(BASIS_TAGS)), lam).raw * draw(fractions_small)
+    return f
+
+
+class TestOverVandermonde:
+    """The read-off quotient against exact long division, the route it replaced."""
+
+    @given(symmetric_polys())
+    def test_recovers_the_symmetric_factor(self, f):
+        g = f * vandermonde(f.arity)
+        assert over_vandermonde(g) == f == g.divide_exact(vandermonde(f.arity))
+
+    @given(symmetric_polys(), st.integers(min_value=1, max_value=4))
+    def test_agrees_with_division_after_a_hamiltonian(self, f, j):
+        vand = vandermonde(f.arity)
+        g = qm.apply_h(f * vand, min(j, f.arity))
+        assert over_vandermonde(g) == g.divide_exact(vand)
+
+    @given(symmetric_polys())
+    def test_agrees_with_division_after_the_k_operator(self, f):
+        n = f.arity
+        h = f
+        for k in range(n):
+            h = h * (MultiPoly.variable(k, n) - 1) ** (n - 1)
+        g = qs.apply_k(h)
+        assert over_vandermonde(g) == g.divide_exact(vandermonde(n))
+
+    @given(symmetric_polys(min_n=2))
+    def test_symmetric_input_rejected(self, f):
+        g = f * f + 1  # symmetric, and nonzero at the origin
+        with pytest.raises(NotDivisible):
+            over_vandermonde(g)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_single_monomial_rejected(self, n):
+        with pytest.raises(NotDivisible):
+            over_vandermonde(MultiPoly(n, {tuple(range(n, 0, -1)): 1}))
+
+    @given(symmetric_polys(min_n=3))
+    def test_half_swapped_sum_rejected(self, f):
+        # antisymmetric under the first swap only: the others must be checked too
+        n = f.arity
+        m = MultiPoly(n, {(3, 1) + (0,) * (n - 2): 1})
+        g = f * vandermonde(n) + m - m.swap_slots(0, 1)
+        with pytest.raises(NotDivisible):
+            over_vandermonde(g)

@@ -19,15 +19,28 @@ def run(capsys, *argv):
     return code, out
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is only needed by the adaptive quadrature; a cold CLI call must not pay for it
+def _probe(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this symfact."""
     src = str(Path(symfact.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, symfact.cli; print('scipy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "False"
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    # a cold CLI call must not pay for a numerical library it never uses
+    assert _probe("import sys, symfact.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_quadrature_suite_leaves_scipy_and_numpy_unloaded():
+    # every delta integral, n = 3 included, is exact: no numerical library at all
+    probe = (
+        "import sys; from symfact import verify; "
+        "report = verify.run_suite('quadrature', 3, 3); "
+        "print(report['passed'], 'scipy' in sys.modules, 'numpy' in sys.modules)"
+    )
+    assert _probe(probe) == "True False False"
 
 
 class TestBasisCommand:

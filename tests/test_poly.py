@@ -194,6 +194,17 @@ class TestSubstitutionAndSlots:
         assert not x1.is_symmetric()
         assert x1.swap_slots(0, 1) == x2
 
+    def test_antisymmetry(self):
+        y1, y2 = xvars(2)
+        assert (y1 - y2).is_antisymmetric()
+        x1, x2, x3 = xvars(3)
+        assert not (x1 - x2).is_antisymmetric()  # not in the third slot
+        assert ((x1 - x2) * (x1 - x3) * (x2 - x3)).is_antisymmetric()
+        assert MultiPoly.zero(3).is_antisymmetric()
+        assert not (x1 + x2).is_antisymmetric()
+        assert not (x1 * x2).is_antisymmetric()  # equal exponents in adjacent slots
+        assert not (x1 - x2 + x3).is_antisymmetric()
+
     def test_is_symmetric_slot_count_bounds(self):
         f = MultiPoly(3, {(1, 1, 0): 1})
         assert f.is_symmetric(0) and f.is_symmetric(2) and not f.is_symmetric(3)
@@ -246,6 +257,29 @@ class TestScalarBoundary:
     def test_unipoly_from_json_is_strict(self, bad):
         with pytest.raises(PolyError):
             UniPoly.from_json(bad)
+
+    def test_equality_with_a_bool_answers(self):
+        assert not MultiPoly.one(1) == True  # noqa: E712
+        assert MultiPoly.one(1) != True  # noqa: E712
+        assert MultiPoly.zero(2) != False  # noqa: E712
+
+    def test_membership_among_bools_answers(self):
+        assert MultiPoly.one(1) not in [True]
+        assert MultiPoly.one(1) in [True, 1]
+
+    def test_unipoly_equality_with_a_bool_answers(self):
+        assert not UniPoly([1]) == False  # noqa: E712
+        assert UniPoly([1]) != True  # noqa: E712
+        assert UniPoly([1]) == 1
+
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_arithmetic_with_a_bool_raises(self, bad):
+        f = MultiPoly.one(1)
+        for op in (f.__add__, f.__sub__, f.__mul__):
+            with pytest.raises(PolyError):
+                op(bad)
+        with pytest.raises(PolyError):
+            UniPoly([1]) * bad
 
     def test_exact_scalars_accepted(self):
         f = MultiPoly(2, {(1, 1): F(1, 3), (0, 1): 2})

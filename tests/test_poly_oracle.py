@@ -1,8 +1,9 @@
 """The MultiPoly kernel against sympy.Poly, an implementation that shares no code with it.
 
 Arity 1-4, coefficients with denominators other than 1.  The UniPoly view
-is checked against univariate sympy.Poly, and schur_poly against sympy's own
-cancellation of the bialternant.  Also the invariant every kernel result
+is checked against univariate sympy.Poly, schur_poly against sympy's own
+cancellation of the bialternant, and the exact n = 3 delta integral against
+sympy's iterated integration.  Also the invariant every kernel result
 keeps: ``terms`` holds only nonzero Fraction values under int exponent tuples
 of length ``arity`` (the trusted constructor skips that check, so an int or
 float leaking out of an integer loop would show here).
@@ -12,14 +13,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
+from symfact import quadcheck as qc
 from symfact import spectral
-from symfact.bases import basis_poly, expand_with_tail, schur_poly
+from symfact.bases import basis_poly, expand_with_tail, schur_poly, vandermonde
 from symfact.partitions import Partition, enumerate_partitions
-from symfact.poly import MultiPoly, UniPoly, tensor_sum
+from symfact.poly import InvariantViolation, MultiPoly, UniPoly, tensor_sum
 from symfact.verify import BASES
 
 sympy = pytest.importorskip("sympy")
@@ -202,6 +204,92 @@ class TestSchurAgainstBialternant:
             mu = lam.shifted().parts
             alternant = sympy.Matrix(n, n, lambda i, j: xs[i] ** mu[j]).det(method="berkowitz")
             assert schur_poly(lam).raw.terms == terms_of(sympy.cancel(alternant / vandermonde), xs)
+
+
+@st.composite
+def delta_cells(draw, regime):
+    """(c, outer, inner, tail_bound): outer below inner, the cap c / tail_bound placed by regime.
+
+    The cap x1 x2 < c / tail_bound passes the cell's corner (a1, b2) at
+    a1 b2 and its top corner at b1 b2: a cap between a1 a2 and a1 b2 leaves
+    only the capped piece, one between a1 b2 and b1 b2 gives both pieces,
+    and one above b1 b2 only the uncapped piece.  A gap between the ranges
+    and a tail bound other than b2 matter: on an interleaved cell (b1 = a2,
+    tail bound b2) a misplaced kink or x1 bound changes the integral by a
+    region that antisymmetry makes worth 0, and the test would not see it.
+    """
+    step = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=6)
+    a1 = draw(step)
+    b1 = a1 + draw(step)
+    a2 = b1 + draw(st.one_of(st.just(Fraction(0)), step))
+    b2 = a2 + draw(step)
+    t = draw(st.fractions(min_value=Fraction(1, 9), max_value=Fraction(8, 9), max_denominator=9))
+    lo, hi = {
+        "capped": (a1 * a2, a1 * b2),
+        "both": (a1 * b2, b1 * b2),
+        "uncapped": (b1 * b2, 2 * b1 * b2),
+    }[regime]
+    tail_bound = draw(step)
+    return (lo + t * (hi - lo)) * tail_bound, (a1, b1), (a2, b2), tail_bound
+
+
+@st.composite
+def antisymmetric_3(draw):
+    """a_delta * f at n = 3 for a random rational mix f of Schur polynomials."""
+    f = MultiPoly.zero(3)
+    for lam in draw(st.lists(st.sampled_from(enumerate_partitions(2, 3)), min_size=1, max_size=3)):
+        f = f + schur_poly(lam).raw * draw(coefficients)
+    return vandermonde(3) * f
+
+
+def sympy_delta_integral(p: MultiPoly, c, outer, inner, tail_bound) -> Fraction:
+    """sympy's iterated integral of p(x1, x2, c/(x1 x2)) / (x1 x2) over the cell's pieces."""
+    x1, x2 = sympy.symbols("x1 x2", positive=True)
+    c, tail_bound = rational(c), tail_bound and rational(tail_bound)
+    (a1, b1), (a2, b2) = ((rational(lo), rational(hi)) for lo, hi in (outer, inner))
+    x3 = c / (x1 * x2)
+    expr = sympy.Add(
+        *(rational(k) * x1**a * x2**b * x3**d for (a, b, d), k in p.terms.items())
+    ) / (x1 * x2)
+
+    def integrate(f, x, lo, hi):  # term by term: sympy is much faster on one power
+        return sympy.Add(*(sympy.integrate(t, (x, lo, hi)) for t in sympy.Add.make_args(sympy.expand(f))))
+
+    pieces = [(a1, b1, b2)]  # (x1 from, x1 to, x2 upper bound)
+    if tail_bound is not None:
+        cap = c / tail_bound
+        top, kink = min(b1, cap / a2), cap / b2
+        pieces = [(a1, min(top, kink), b2), (max(a1, kink), top, cap / x1)]
+    total = sympy.Integer(0)
+    for lo, hi, upper in pieces:
+        if hi > lo:
+            total += integrate(integrate(expr, x2, a2, upper), x1, lo, hi)
+    assert total.is_Rational
+    return Fraction(int(total.p), int(total.q))
+
+
+class TestDeltaIntegralAgainstSympy:
+    @pytest.mark.parametrize("regime", ["capped", "both", "uncapped"])
+    @settings(max_examples=6)
+    @given(data=st.data())
+    def test_matches_sympy_on_each_piece(self, regime, data):
+        p = data.draw(antisymmetric_3())
+        cell = data.draw(delta_cells(regime))
+        assert qc._exact_delta_integral_3d(p, *cell) == sympy_delta_integral(p, *cell)
+
+    @settings(max_examples=6)
+    @given(antisymmetric_3(), delta_cells("both"))
+    def test_matches_sympy_without_a_tail_bound(self, p, cell):
+        cell = (*cell[:3], None)
+        assert qc._exact_delta_integral_3d(p, *cell) == sympy_delta_integral(p, *cell)
+
+    @pytest.mark.parametrize("planted", [(2, 0, 2), (0, 1, 1), (1, 1, 0)])
+    def test_planted_diagonal_term_raises(self, planted):
+        # a = d or b = d logs on every piece, a = b on the capped one
+        p = vandermonde(3) + MultiPoly(3, {planted: 1})
+        c = Fraction(5, 4) * 1 * 2 * 3  # z = 5/4 on the cell 1 < x1 < 2 < x2 < 3
+        with pytest.raises(InvariantViolation, match="logarithm"):
+            qc._exact_delta_integral_3d(p, c, (Fraction(1), Fraction(2)), (Fraction(2), Fraction(3)), Fraction(3))
 
 
 class TestResultTerms:

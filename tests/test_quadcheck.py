@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from symfact import quadcheck as qc
-from symfact.bases import schur_poly, vandermonde
+from symfact.bases import alternant, schur_poly, vandermonde
 from symfact.partitions import Partition
 from symfact.poly import MultiPoly, PolyError
 
@@ -42,12 +42,13 @@ class TestCoreAlternantIntegral:
             assert computed == oracle, parts
 
     def test_three_variables_adaptive(self):
+        # exact at n = 3 too: the cell's two pieces integrate in closed form
         computed, oracle, result = qc.core_alternant_integral(
             Partition((1, 0, 0)), (1, 2, 3), F(3, 2)
         )
-        assert oracle == F(-7, 4)
-        assert abs(computed - float(oracle)) <= 1e-6 * abs(float(oracle))
-        assert result.evaluations > 0
+        assert computed == oracle == F(-7, 4)
+        assert result.error_estimate == 0.0
+        assert result.evaluations == len(alternant((3, 1, 0), 3).terms)
 
     def test_deterministic(self):
         a = qc.core_alternant_integral(Partition((2, 1, 0)), (1, 2, 3), F(3, 2))
@@ -99,9 +100,10 @@ class TestChainLinkIntegral:
         assert chk.rel_err == 0
 
     def test_three_variable_links(self):
-        for k, tol in ((1, 0.0), (2, 1e-10), (3, 1e-6)):
+        for k, tol in ((1, 0.0), (2, 1e-10), (3, 0.0)):
             chk = qc.integral_a(Partition((1, 1, 0)), k, F(3, 2), (2, 3)[: k - 1])
             assert chk.rel_err <= tol, (k, chk)
+            assert chk.value == chk.oracle, (k, chk)
 
     def test_domain_validation(self):
         with pytest.raises(PolyError):
