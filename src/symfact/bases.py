@@ -27,7 +27,6 @@ from .poly import (
     accumulate,
     default_names,
     det,
-    numerators,
 )
 
 BASIS_TAGS = ("m", "E", "s")
@@ -166,13 +165,12 @@ def over_vandermonde(g: MultiPoly) -> MultiPoly:
     n = g.arity
     if not g.is_antisymmetric():
         raise NotDivisible(f"polynomial in {n} variables is not antisymmetric")
-    num, den = numerators(g.terms)
     out: dict[tuple[int, ...], int] = {}
-    for mu, c in num.items():
+    for mu, c in g.num.items():
         if all(a > b for a, b in zip(mu, mu[1:])):
             lam = Partition(tuple(m - (n - 1 - i) for i, m in enumerate(mu)))
-            accumulate(out, ((e, c * s.numerator) for e, s in schur_poly(lam).raw.terms.items()))
-    return MultiPoly._make(n, {e: Fraction(c, den) for e, c in out.items()}, g.names)
+            accumulate(out, ((e, c * s) for e, s in schur_poly(lam).raw.num.items()))
+    return MultiPoly._make(n, out, g.den, g.names)
 
 
 def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, MultiPoly]:
@@ -264,16 +262,14 @@ def expand_with_tail(f: MultiPoly, basis: str, k: int | None = None) -> dict[Par
         raise PolyError(f"need 0 <= k <= arity, got k={k}, arity={f.arity}")
     if not f.is_symmetric(k):
         raise NotSymmetric(f"input is not symmetric in its first {k} of {f.arity} slots")
-    num, den = numerators(f.terms)
+    den = f.den
     work: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for exp, c in num.items():
+    for exp, c in f.num.items():
         work.setdefault(exp[:k], {})[exp[k:]] = c
     tail_arity, tail_names = f.arity - k, f.names[k:]
 
     def tail_poly(tail: dict[tuple[int, ...], int]) -> MultiPoly:
-        return MultiPoly._make(
-            tail_arity, {t: Fraction(c, den) for t, c in tail.items()}, tail_names
-        )
+        return MultiPoly._make(tail_arity, tail, den, tail_names)
 
     coeffs: dict[Partition, MultiPoly] = {}
     if basis == "m":
@@ -288,10 +284,10 @@ def expand_with_tail(f: MultiPoly, basis: str, k: int | None = None) -> dict[Par
         lam = Partition(lead)
         tail = work.pop(lead)
         coeffs[lam] = tail_poly(tail)
-        basis_terms, basis_den = numerators(basis_poly(basis, lam).raw.terms)
-        if basis_den != 1:
+        element = basis_poly(basis, lam).raw
+        if element.den != 1:
             raise InvariantViolation(f"basis element {basis}{lam} has non-integer coefficients")
-        for hexp, hc in basis_terms.items():
+        for hexp, hc in element.num.items():
             if hexp == lead:
                 continue
             row = accumulate(work.setdefault(hexp, {}), ((t, -hc * tc) for t, tc in tail.items()))

@@ -164,9 +164,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("apply-q", parents=[common], help="apply the Q-operator")
     p.add_argument("--basis", choices=("m", "E", "s"), required=True)
-    p.add_argument("--lambda", dest="lam", metavar="PARTS")
     p.add_argument("--n", type=int)
-    p.add_argument("--input", help="polynomial JSON file, or - for stdin")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--lambda", dest="lam", metavar="PARTS")
+    source.add_argument("--input", help="polynomial JSON file, or - for stdin")
     p.set_defaults(func=cmd_apply_q)
 
     p = sub.add_parser("separate", parents=[common], help="factorize a basis polynomial")
@@ -176,9 +177,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("invert", parents=[common], help="apply the inverse separating map (Schur)")
-    p.add_argument("--lambda", dest="lam", metavar="PARTS")
     p.add_argument("--n", type=int)
-    p.add_argument("--input", help="z-block polynomial JSON file, or - for stdin")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--lambda", dest="lam", metavar="PARTS")
+    source.add_argument("--input", help="z-block polynomial JSON file, or - for stdin")
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("lift", parents=[common], help="add a variable to a basis polynomial")
@@ -203,9 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "lam", None) is None and getattr(args, "input", None) is None:
-        if args.command in ("apply-q", "invert"):
-            parser.error("provide --lambda or --input")
     try:
         return args.func(args)
     except PolyError as exc:

@@ -1,20 +1,22 @@
 """Exact polynomial arithmetic: one sparse multivariate kernel and its univariate view.
 
-Coefficients are `fractions.Fraction` everywhere; nothing in this module
-touches floating point.  A :class:`MultiPoly` maps exponent tuples to nonzero
-coefficients and carries display names for its variable slots.  The canonical
-term order for serialization and for exact division is graded reverse
-lexicographic (grevlex).
+Nothing in this module touches floating point.  A :class:`MultiPoly` stores
+its coefficients as integer numerators over one positive denominator, in
+reduced form (the denominator is coprime to the numerators' content), and
+carries display names for its variable slots.  ``terms``, the Fraction per
+exponent, is a view built on first use; serialization and printing read it.
+The canonical term order for serialization and for exact division is graded
+reverse lexicographic (grevlex).
 
 The public constructor validates its input: exponents are tuples of
 non-negative ints, coefficients (like evaluation points) are ints or
 Fractions, never floats or bools.  Results the kernel builds itself go
-through the trusted constructor :meth:`MultiPoly._make`, which takes a fresh
-dict of nonzero Fractions as it is.  The hot loops -- products, partial
-evaluation, and :func:`tensor_sum`, which the spectral operators use -- write
-their inputs as integer numerators over one common denominator
-(:func:`numerators`), multiply and add Python ints, and build each output
-Fraction once.  :func:`accumulate` is the one sparse add-and-drop-zeros loop.
+through the trusted constructors: :meth:`MultiPoly._make` reduces a fresh
+(numerators, denominator) pair and :meth:`MultiPoly._wrap` takes one already
+reduced, as slot surgery and negation leave it.  The hot loops -- products,
+partial evaluation, and :func:`tensor_sum`, which the spectral operators use
+-- multiply and add Python ints only.  :func:`accumulate` is the one sparse
+add-and-drop-zeros loop.
 
 :class:`UniPoly` is a dense view of a one-slot MultiPoly: its arithmetic,
 evaluation and checks are the kernel's, and it adds only the coefficient
@@ -27,11 +29,11 @@ import math
 import re
 from fractions import Fraction
 from operator import add, neg
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 Scalar = int | Fraction
-K = TypeVar("K", bound=Hashable)
+Pair = tuple[dict[Exponent, int], int]
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -61,6 +63,16 @@ def default_names(prefix: str, arity: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(arity))
 
 
+def _names(arity: int, names: Sequence[str] | None) -> tuple[str, ...]:
+    """Checked slot names: ``arity`` strings, x1..x_arity by default."""
+    if arity < 0:
+        raise PolyError("arity must be nonnegative")
+    names = default_names("x", arity) if names is None else tuple(names)
+    if len(names) != arity:
+        raise PolyError(f"{len(names)} names for arity {arity}")
+    return names
+
+
 def _scalar(value) -> Fraction:
     """An exact scalar: an int or a Fraction, never a float or a bool."""
     if type(value) is Fraction:
@@ -82,26 +94,27 @@ def accumulate(out: dict, pairs: Iterable[tuple[Hashable, object]]) -> dict:
     return out
 
 
-def numerators(coeffs: Mapping[K, Fraction]) -> tuple[dict[K, int], int]:
-    """Integer numerators of ``coeffs`` over the LCM of their denominators."""
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
+def _reduce(num: dict[Exponent, int], den: int) -> Pair:
+    """The pair over ``den > 0`` with the common factor of den and the numerators divided out."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            return {e: c // g for e, c in num.items()}, den // g
+    return num, den
 
 
-def tensor_sum(
-    groups: Iterable[Sequence[Mapping[Exponent, Fraction]]],
-) -> dict[Exponent, Fraction]:
-    """Terms of sum_g prod_i f_gi, the factors of a group in disjoint slots.
+def tensor_sum(groups: Iterable[Sequence[Pair]]) -> Pair:
+    """The reduced (numerators, denominator) pair of sum_g prod_i f_gi.
 
-    Each group is a sequence of term dicts; a product term's exponent is the
-    concatenation of its factors' exponents, in order.  The arithmetic runs
-    on integer numerators over one running common denominator.
+    Each group is a sequence of (numerators, denominator) pairs whose
+    factors sit in disjoint slots: a product term's exponent is the
+    concatenation of its factors' exponents, in order.  The sum runs over
+    one running common denominator.
     """
     out: dict[Exponent, int] = {}
     den = 1
     for factors in groups:
-        nums = [numerators(f) for f in factors]
-        d = math.prod(fd for _, fd in nums)
+        d = math.prod(fd for _, fd in factors)
         common = math.lcm(den, d)
         if common != den:
             scale = common // den
@@ -110,25 +123,28 @@ def tensor_sum(
         # the factors after the first, folded from the right; the empty
         # product starts at the group's scale to the common denominator
         rest: dict[Exponent, int] = {(): den // d}
-        for num, _ in reversed(nums[1:]):
+        for num, _ in reversed(factors[1:]):
             rest = {e1 + e2: c1 * c2 for e1, c1 in num.items() for e2, c2 in rest.items()}
         accumulate(
             out,
-            ((e1 + e2, c1 * c2) for e1, c1 in nums[0][0].items() for e2, c2 in rest.items()),
+            ((e1 + e2, c1 * c2) for e1, c1 in factors[0][0].items() for e2, c2 in rest.items()),
         )
-    return {e: Fraction(c, den) for e, c in out.items()}
+    return _reduce(out, den)
 
 
 class MultiPoly:
     """Immutable sparse polynomial in ``arity`` named slots.
 
-    ``terms`` maps exponent tuples (length = arity, entries >= 0) to nonzero
-    Fraction coefficients.  Variable names are display metadata: equality
-    compares arity and terms only, so a polynomial in ``(x1, x2)`` equals the
-    same polynomial relabelled ``(z1, z2)``.
+    ``num`` maps exponent tuples (length = arity, entries >= 0) to nonzero
+    int numerators over the positive int ``den``; the pair is reduced, so
+    ``gcd(den, *num.values()) == 1`` and zero is ``({}, 1)``.  ``terms`` is
+    the same polynomial as nonzero Fraction coefficients, built on first use
+    and cached.  Variable names are display metadata: equality compares
+    arity and the pair only, so a polynomial in ``(x1, x2)`` equals the same
+    polynomial relabelled ``(z1, z2)``.
     """
 
-    __slots__ = ("arity", "terms", "names")
+    __slots__ = ("arity", "num", "den", "names", "_terms")
 
     def __init__(
         self,
@@ -136,13 +152,7 @@ class MultiPoly:
         terms: Mapping[Exponent, Scalar] | Iterable[tuple[Exponent, Scalar]] = (),
         names: Sequence[str] | None = None,
     ):
-        if arity < 0:
-            raise PolyError("arity must be nonnegative")
-        if names is None:
-            names = default_names("x", arity)
-        names = tuple(names)
-        if len(names) != arity:
-            raise PolyError(f"{len(names)} names for arity {arity}")
+        names = _names(arity, names)
         items = terms.items() if isinstance(terms, Mapping) else terms
 
         def checked(exp, coeff) -> tuple[Exponent, Fraction]:
@@ -154,34 +164,61 @@ class MultiPoly:
             return exp, _scalar(coeff)
 
         clean = accumulate({}, (checked(exp, coeff) for exp, coeff in items))
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "names", names)
+        # over the LCM of the denominators the pair is already reduced: a
+        # prime's top power in the LCM divides some term's denominator in
+        # full, and that term's numerator is coprime to it
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._init(arity, num, den, names, clean)
+
+    def _init(self, arity, num, den, names, terms):
+        setattr_ = object.__setattr__
+        setattr_(self, "arity", arity)
+        setattr_(self, "num", num)
+        setattr_(self, "den", den)
+        setattr_(self, "names", names)
+        setattr_(self, "_terms", terms)
+
+    @classmethod
+    def _wrap(
+        cls, arity: int, num: dict[Exponent, int], den: int, names: tuple[str, ...]
+    ) -> "MultiPoly":
+        """Trusted constructor for a reduced pair the kernel built itself.
+
+        ``num`` must be a dict no one else mutates, with valid exponents and
+        only nonzero int values, reduced against the positive int ``den``;
+        ``names`` a tuple of ``arity`` strings.  Nothing is validated or
+        copied.
+        """
+        self = object.__new__(cls)
+        self._init(arity, num, den, names, None)
+        return self
 
     @classmethod
     def _make(
-        cls, arity: int, terms: dict[Exponent, Fraction], names: tuple[str, ...]
+        cls, arity: int, num: dict[Exponent, int], den: int, names: tuple[str, ...]
     ) -> "MultiPoly":
-        """Trusted constructor for dicts the kernel built itself.
-
-        ``terms`` must be a dict no one else mutates, with valid exponents
-        and only nonzero Fraction values; ``names`` a tuple of ``arity``
-        strings.  Nothing is validated or copied.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "names", names)
-        return self
+        """Trusted constructor as :meth:`_wrap`, for a pair that may still share a factor."""
+        return cls._wrap(arity, *_reduce(num, den), names)
 
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """Nonzero Fraction coefficients by exponent (built once, then cached)."""
+        terms = self._terms
+        if terms is None:
+            den = self.den
+            terms = {e: Fraction(c, den) for e, c in self.num.items()}
+            object.__setattr__(self, "_terms", terms)
+        return terms
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, arity: int, names: Sequence[str] | None = None) -> "MultiPoly":
-        return cls(arity, (), names)
+        return cls._wrap(arity, {}, 1, _names(arity, names))
 
     @classmethod
     def const(cls, arity: int, value: Scalar, names: Sequence[str] | None = None) -> "MultiPoly":
@@ -189,31 +226,31 @@ class MultiPoly:
 
     @classmethod
     def one(cls, arity: int, names: Sequence[str] | None = None) -> "MultiPoly":
-        return cls.const(arity, 1, names)
+        return cls._wrap(arity, {(0,) * arity: 1}, 1, _names(arity, names))
 
     @classmethod
     def variable(cls, slot: int, arity: int, names: Sequence[str] | None = None) -> "MultiPoly":
         if not 0 <= slot < arity:
             raise PolyError(f"slot {slot} out of range for arity {arity}")
         exp = tuple(1 if i == slot else 0 for i in range(arity))
-        return cls(arity, {exp: Fraction(1)}, names)
+        return cls._wrap(arity, {exp: 1}, 1, _names(arity, names))
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.num), default=0)
 
     def leading_exp(self, order: str = "grevlex") -> Exponent:
         if self.is_zero:
             raise PolyError("zero polynomial has no leading term")
         if order == "grevlex":
-            return max(self.terms, key=grevlex_key)
+            return max(self.num, key=grevlex_key)
         if order == "lex":
-            return max(self.terms)
+            return max(self.num)
         raise PolyError(f"unknown order {order!r}")
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
@@ -224,19 +261,20 @@ class MultiPoly:
         """The value of a constant polynomial (raises if nonconstant)."""
         if self.is_zero:
             return Fraction(0)
-        if len(self.terms) == 1 and (0,) * self.arity in self.terms:
-            return self.terms[(0,) * self.arity]
+        origin = (0,) * self.arity
+        if len(self.num) == 1 and origin in self.num:
+            return Fraction(self.num[origin], self.den)
         raise PolyError("polynomial is not constant")
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
-            return self.arity == other.arity and self.terms == other.terms
+            return self.arity == other.arity and self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self == MultiPoly.const(self.arity, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash((self.arity, self.den, frozenset(self.num.items())))
 
     # -- ring operations ---------------------------------------------------
 
@@ -244,28 +282,29 @@ class MultiPoly:
         if self.arity != other.arity:
             raise PolyError(f"arity mismatch: {self.arity} vs {other.arity}")
 
-    def __add__(self, other) -> "MultiPoly":
+    def _add(self, other, sign: int) -> "MultiPoly":
+        """self + sign * other over the LCM of the two denominators."""
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.arity, other, self.names)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_arity(other)
-        out = accumulate(dict(self.terms), other.terms.items())
-        return MultiPoly._make(self.arity, out, self.names)
+        den = math.lcm(self.den, other.den)
+        s1, s2 = den // self.den, sign * (den // other.den)
+        out = dict(self.num) if s1 == 1 else {e: c * s1 for e, c in self.num.items()}
+        accumulate(out, other.num.items() if s2 == 1 else ((e, c * s2) for e, c in other.num.items()))
+        return MultiPoly._make(self.arity, out, den, self.names)
+
+    def __add__(self, other) -> "MultiPoly":
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._make(self.arity, {e: -c for e, c in self.terms.items()}, self.names)
+        return MultiPoly._wrap(self.arity, {e: -c for e, c in self.num.items()}, self.den, self.names)
 
     def __sub__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.arity, other, self.names)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check_arity(other)
-        out = accumulate(dict(self.terms), ((e, -c) for e, c in other.terms.items()))
-        return MultiPoly._make(self.arity, out, self.names)
+        return self._add(other, -1)
 
     def __rsub__(self, other) -> "MultiPoly":
         return (-self) + other
@@ -275,27 +314,23 @@ class MultiPoly:
             c = _scalar(other)
             if not c:
                 return MultiPoly.zero(self.arity, self.names)
-            out = {e: k * c for e, k in self.terms.items()}
-            return MultiPoly._make(self.arity, out, self.names)
+            p = c.numerator
+            out = {e: k * p for e, k in self.num.items()}
+            return MultiPoly._make(self.arity, out, self.den * c.denominator, self.names)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_arity(other)
-        if not (self.terms and other.terms):
+        if not (self.num and other.num):
             return MultiPoly.zero(self.arity, self.names)
-        num1, den1 = numerators(self.terms)
-        num2, den2 = numerators(other.terms)
         out = accumulate(
             {},
             (
                 (tuple(map(add, e1, e2)), c1 * c2)
-                for e1, c1 in num1.items()
-                for e2, c2 in num2.items()
+                for e1, c1 in self.num.items()
+                for e2, c2 in other.num.items()
             ),
         )
-        den = den1 * den2
-        return MultiPoly._make(
-            self.arity, {e: Fraction(c, den) for e, c in out.items()}, self.names
-        )
+        return MultiPoly._make(self.arity, out, self.den * other.den, self.names)
 
     __rmul__ = __mul__
 
@@ -326,8 +361,8 @@ class MultiPoly:
         self._check_arity(den)
         if den.is_zero:
             raise PolyError("division by zero polynomial")
-        rem, rem_den = numerators(self.terms)
-        d_terms, d_den = numerators(den.terms)
+        rem = dict(self.num)
+        d_terms = den.num
         d_exp = den.leading_exp()
         d_lead = d_terms[d_exp]
         quot: dict[Exponent, int] = {}
@@ -349,9 +384,10 @@ class MultiPoly:
             accumulate(
                 rem, ((tuple(map(add, shift, e2)), -c * c2) for e2, c2 in d_terms.items())
             )
-        out_den = scale * rem_den
+        # scale * self.num = quot * den.num, so self / den = quot * den.den / (scale * self.den)
+        d_den = den.den
         return MultiPoly._make(
-            self.arity, {e: Fraction(c * d_den, out_den) for e, c in quot.items()}, self.names
+            self.arity, {e: c * d_den for e, c in quot.items()}, scale * self.den, self.names
         )
 
     # -- evaluation and substitution ----------------------------------------
@@ -374,9 +410,9 @@ class MultiPoly:
         vals = {s: _scalar(v) for s, v in assignments.items()}
         keep = [i for i in range(self.arity) if i not in vals]
         names = tuple(self.names[i] for i in keep)
-        if not self.terms:
-            return MultiPoly._make(len(keep), {}, names)
-        num, den = numerators(self.terms)
+        if not self.num:
+            return MultiPoly._wrap(len(keep), {}, 1, names)
+        num, den = self.num, self.den
         scaled = []
         for s, v in vals.items():
             if v != 1:
@@ -388,8 +424,7 @@ class MultiPoly:
             for s, p, q, top in scaled:
                 c *= p ** exp[s] * q ** (top - exp[s])
             pairs.append((tuple(map(exp.__getitem__, keep)), c))
-        out = accumulate({}, pairs)
-        return MultiPoly._make(len(keep), {e: Fraction(c, den) for e, c in out.items()}, names)
+        return MultiPoly._make(len(keep), accumulate({}, pairs), den, names)
 
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Exact composition: replace slot i by ``images[i]``.
@@ -399,7 +434,7 @@ class MultiPoly:
         if len(images) != self.arity:
             raise PolyError("need one image per slot")
         if not images:
-            return MultiPoly(0, {(): self.constant()} if self.terms else ())
+            return MultiPoly.const(0, self.constant())
         target = images[0].arity
         names = images[0].names
         for g in images:
@@ -407,7 +442,7 @@ class MultiPoly:
                 raise PolyError("images must share one arity")
         powers: list[dict[int, MultiPoly]] = [{} for _ in images]
         result = MultiPoly.zero(target, names)
-        for exp, c in self.terms.items():
+        for exp, c in self.num.items():
             term = MultiPoly.const(target, c, names)
             for i, e in enumerate(exp):
                 if not e:
@@ -417,7 +452,7 @@ class MultiPoly:
                     cache[e] = images[i] ** e
                 term = term * cache[e]
             result = result + term
-        return result
+        return result * Fraction(1, self.den)
 
     # -- differential operators ----------------------------------------------
 
@@ -425,30 +460,29 @@ class MultiPoly:
         """Formal partial derivative in one slot."""
         if not 0 <= slot < self.arity:
             raise PolyError(f"slot {slot} out of range")
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
+        out: dict[Exponent, int] = {}
+        for exp, c in self.num.items():
             e = exp[slot]
             if not e:
                 continue
             new = list(exp)
             new[slot] = e - 1
             out[tuple(new)] = c * e
-        return MultiPoly._make(self.arity, out, self.names)
+        return MultiPoly._make(self.arity, out, self.den, self.names)
 
     def euler(self, slot: int) -> "MultiPoly":
         """Degree-grading derivation x d/dx on one slot."""
         if not 0 <= slot < self.arity:
             raise PolyError(f"slot {slot} out of range")
-        return MultiPoly._make(
-            self.arity,
-            {e: c * e[slot] for e, c in self.terms.items() if e[slot]},
-            self.names,
-        )
+        out = {e: c * e[slot] for e, c in self.num.items() if e[slot]}
+        return MultiPoly._make(self.arity, out, self.den, self.names)
 
     def scale_terms(self, weight: Callable[[Exponent], Scalar]) -> "MultiPoly":
         """Multiply each term's coefficient by a function of its exponent."""
-        scaled = ((e, c * _scalar(weight(e))) for e, c in self.terms.items())
-        return MultiPoly._make(self.arity, {e: c for e, c in scaled if c}, self.names)
+        weights = [(e, c, _scalar(weight(e))) for e, c in self.num.items()]
+        lcm = math.lcm(*(w.denominator for _, _, w in weights))
+        out = {e: c * w.numerator * (lcm // w.denominator) for e, c, w in weights if w}
+        return MultiPoly._make(self.arity, out, self.den * lcm, self.names)
 
     # -- slot surgery --------------------------------------------------------
 
@@ -461,9 +495,10 @@ class MultiPoly:
         if len(new_names) != extra:
             raise PolyError("need one name per new slot")
         pad = (0,) * extra
-        return MultiPoly._make(
+        return MultiPoly._wrap(
             self.arity + extra,
-            {e + pad: c for e, c in self.terms.items()},
+            {e + pad: c for e, c in self.num.items()},
+            self.den,
             self.names + tuple(new_names),
         )
 
@@ -471,9 +506,10 @@ class MultiPoly:
         """Insert a fresh slot before position ``pos``."""
         if not 0 <= pos <= self.arity:
             raise PolyError(f"position {pos} out of range")
-        return MultiPoly._make(
+        return MultiPoly._wrap(
             self.arity + 1,
-            {e[:pos] + (0,) + e[pos:]: c for e, c in self.terms.items()},
+            {e[:pos] + (0,) + e[pos:]: c for e, c in self.num.items()},
+            self.den,
             self.names[:pos] + (name,) + self.names[pos:],
         )
 
@@ -487,8 +523,8 @@ class MultiPoly:
         source = [0] * self.arity  # slot p of the image reads slot source[p]
         for i, p in enumerate(perm):
             source[p] = i
-        out = {tuple(map(exp.__getitem__, source)): c for exp, c in self.terms.items()}
-        return MultiPoly._make(self.arity, out, tuple(names))
+        out = {tuple(map(exp.__getitem__, source)): c for exp, c in self.num.items()}
+        return MultiPoly._wrap(self.arity, out, self.den, tuple(names))
 
     def swap_slots(self, i: int, j: int) -> "MultiPoly":
         perm = list(range(self.arity))
@@ -499,7 +535,7 @@ class MultiPoly:
         names = tuple(names)
         if len(names) != self.arity:
             raise PolyError(f"{len(names)} names for arity {self.arity}")
-        return MultiPoly._make(self.arity, self.terms, names)
+        return MultiPoly._wrap(self.arity, self.num, self.den, names)
 
     def is_symmetric(self, k: int | None = None) -> bool:
         """Symmetry under permutations of the first ``k`` slots (default all).
@@ -523,14 +559,14 @@ class MultiPoly:
         return self._swaps_agree(self.arity, symmetric=False)
 
     def _swaps_agree(self, k: int, symmetric: bool) -> bool:
-        terms = self.terms
+        num = self.num
         for i in range(k - 1):
-            for exp, c in terms.items():
+            for exp, c in num.items():
                 a, b = exp[i], exp[i + 1]
                 if a == b:
                     if not symmetric:
                         return False
-                elif terms.get(exp[:i] + (b, a) + exp[i + 2 :]) != (c if symmetric else -c):
+                elif num.get(exp[:i] + (b, a) + exp[i + 2 :]) != (c if symmetric else -c):
                     return False
         return True
 
@@ -698,7 +734,7 @@ class UniPoly:
 
     @property
     def degree(self) -> int:
-        return max((d for (d,) in self.poly.terms), default=-1)
+        return max((d for (d,) in self.poly.num), default=-1)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -750,8 +786,11 @@ class UniPoly:
 
     def as_multipoly(self, arity: int, slot: int, names: Sequence[str] | None = None) -> MultiPoly:
         """Embed into a multivariate ring, powers going to one slot."""
+        if not 0 <= slot < arity:
+            raise PolyError(f"slot {slot} out of range for arity {arity}")
         pad = (0,) * slot, (0,) * (arity - slot - 1)
-        return MultiPoly(arity, {pad[0] + e + pad[1]: c for e, c in self.terms.items()}, names)
+        num = {pad[0] + e + pad[1]: c for e, c in self.poly.num.items()}
+        return MultiPoly._wrap(arity, num, self.poly.den, _names(arity, names))
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]

@@ -174,8 +174,8 @@ def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:
             if (j, e) not in powers:
                 powers[(j, e)] = _chain_image(j, k, n) ** e
             image = image * powers[(j, e)]
-        groups.append((image.terms, tail.terms))
-    return MultiPoly._make(f.arity, tensor_sum(groups), f.names)
+        groups.append(((image.num, image.den), (tail.num, tail.den)))
+    return MultiPoly._wrap(f.arity, *tensor_sum(groups), f.names)
 
 
 def separate_via_q(f: MultiPoly) -> MultiPoly:

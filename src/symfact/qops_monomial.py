@@ -31,7 +31,6 @@ from .poly import (
     UniPoly,
     accumulate,
     default_names,
-    numerators,
 )
 
 
@@ -73,12 +72,8 @@ def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPol
     n = f.arity if n_x is None else n_x
     if not 1 <= n <= f.arity:
         raise PolyError("n_x out of range")
-    num, den = numerators(f.terms)
-    out = accumulate({}, ((exp + (exp[j],), c) for exp, c in num.items() for j in range(n)))
-    den *= n
-    return MultiPoly._make(
-        f.arity + 1, {e: Fraction(c, den) for e, c in out.items()}, f.names + (z_name,)
-    )
+    out = accumulate({}, ((exp + (exp[j],), c) for exp, c in f.num.items() for j in range(n)))
+    return MultiPoly._make(f.arity + 1, out, f.den * n, f.names + (z_name,))
 
 
 def apply_projector(f: MultiPoly, j: int, k: int) -> MultiPoly:
@@ -88,8 +83,8 @@ def apply_projector(f: MultiPoly, j: int, k: int) -> MultiPoly:
     if k > f.arity:
         raise PolyError("projector index exceeds arity")
     sj, sk = j - 1, k - 1
-    out = accumulate({}, ((exp[:sk] + (exp[sj],) + exp[k:], c) for exp, c in f.terms.items()))
-    return MultiPoly._make(f.arity, out, f.names)
+    out = accumulate({}, ((exp[:sk] + (exp[sj],) + exp[k:], c) for exp, c in f.num.items()))
+    return MultiPoly._make(f.arity, out, f.den, f.names)
 
 
 def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:

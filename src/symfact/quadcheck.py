@@ -200,7 +200,7 @@ def _delta_integral(p: MultiPoly, dom: OrderedDomain) -> tuple[Fraction, Quadrat
         value = _exact_delta_integral_3d(p, c, (y[0], y[1]), (y[1], y[2]), tail)
     else:
         raise PolyError("delta-constrained integrals are implemented for n = 2, 3")
-    return value, QuadratureResult(float(value), 0.0, len(p.terms))
+    return value, QuadratureResult(float(value), 0.0, len(p.num))
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,7 @@ def integral_a(lam: Partition, k: int, z_k, ytilde) -> IntegralCheck:
         value = prefactor * _exact_delta_integral_3d(integrand, c, *cell, yt[1])
     else:
         raise PolyError("chain-link integrals are implemented for k <= 3")
-    result = QuadratureResult(float(value), 0.0, len(integrand.terms))
+    result = QuadratureResult(float(value), 0.0, len(integrand.num))
     return IntegralCheck(result, oracle, _rel_err(result.value, oracle), value)
 
 
@@ -338,7 +338,7 @@ def integral_q0prime(f: MultiPoly, y) -> tuple[Fraction, QuadratureResult]:
     integrand = vandermonde(n - 1) * f
     raw = box_integral(integrand, [(yy[i], yy[i + 1]) for i in range(n - 1)])
     value = raw * (-1) ** (n - 1) * math.factorial(n - 1) / _vandermonde_value(yy)
-    return value, QuadratureResult(float(value), 0.0, len(integrand.terms))
+    return value, QuadratureResult(float(value), 0.0, len(integrand.num))
 
 
 # -- determinant identities ----------------------------------------------------

@@ -37,15 +37,11 @@ def diagonal_q(
     is sum_lam b_lam(x) * tail_lam * q_lam(z).
     """
     n = f.arity if n_x is None else n_x
-    out = tensor_sum(
-        (
-            basis_poly(basis, lam).raw.terms,
-            tail.terms,
-            q_poly(lam).terms,
-        )
+    num, den = tensor_sum(
+        tuple((p.num, p.den) for p in (basis_poly(basis, lam).raw, tail, q_poly(lam).poly))
         for lam, tail in expand_with_tail(f, basis, n).items()
     )
-    return MultiPoly._make(f.arity + 1, out, f.names + (z_name,))
+    return MultiPoly._wrap(f.arity + 1, num, den, f.names + (z_name,))
 
 
 def separate(f: MultiPoly, basis: str, q_poly: QPoly) -> MultiPoly:

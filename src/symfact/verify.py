@@ -29,7 +29,7 @@ from .bases import (
     schur_value_at_one,
 )
 from .partitions import enumerate_partitions
-from .poly import InvariantViolation, MultiPoly, NotDivisible, UniPoly
+from .poly import InvariantViolation, MultiPoly, NotDivisible, PolyError, UniPoly
 from .spectral import eigen_product
 
 SUITES = ("eigen", "chain", "inverse", "ode", "lifting", "quadrature", "all")
@@ -506,6 +506,8 @@ def run_suite(name: str, max_weight: int = 4, n: int = 3, seed: int = 0) -> dict
     """Run one named suite (or all of them) at a single variable count."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    if max_weight < 0 or n < 1:
+        raise PolyError("need max_weight >= 0 and n >= 1")
     params = {"max_weight": max_weight, "n": n, "seed": seed}
     if name == "all":
         rep = Reporter()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import symfact
-from symfact import cli
+from symfact import cli, verify
 from symfact.poly import MultiPoly
 
 
@@ -227,3 +227,34 @@ class TestInputBoundary:
     def test_missing_input_file(self, capsys, tmp_path):
         code = cli.main(["apply-q", "--basis", "s", "--input", str(tmp_path / "absent.json")])
         self.assert_input_error(code, capsys.readouterr().err, "cannot read")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("quadrature", "--n", "-3"),
+            ("quadrature", "--n", "2", "--max-weight", "-1"),
+            *(("verify", "--suite", suite, "--n", "0") for suite in verify.SUITES),
+            *(("verify", "--suite", suite, "--max-weight", "-1") for suite in verify.SUITES),
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_empty_sweep_is_an_input_error(self, capsys, argv):
+        # no suite passes vacuously on a sweep with nothing in it
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        self.assert_input_error(code, captured.err, "need max_weight >= 0 and n >= 1")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("invert", "--lambda", "2,1", "--input", "nothere.json"),
+            ("apply-q", "--basis", "s", "--lambda", "2,1", "--input", "-"),
+        ],
+        ids=["invert", "apply-q"],
+    )
+    def test_lambda_and_input_exclude_each_other(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(list(argv))
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err

@@ -3,13 +3,17 @@
 Arity 1-4, coefficients with denominators other than 1.  The UniPoly view
 is checked against univariate sympy.Poly, schur_poly against sympy's own
 cancellation of the bialternant, and the exact n = 3 delta integral against
-sympy's iterated integration.  Also the invariant every kernel result
-keeps: ``terms`` holds only nonzero Fraction values under int exponent tuples
-of length ``arity`` (the trusted constructor skips that check, so an int or
-float leaking out of an integer loop would show here).
+sympy's iterated integration.  Also the invariants every kernel result
+keeps, which the trusted constructors do not check: the stored
+(numerators, denominator) pair is reduced, with nonzero int numerators under
+int exponent tuples of length ``arity`` over a positive denominator, and
+``terms`` is exactly that pair as Fractions.  A pair left unreduced would
+make equal polynomials compare unequal, so equality and hashing are checked
+across routes that build the same polynomial.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,9 +23,9 @@ from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact import quadcheck as qc
 from symfact import spectral
-from symfact.bases import basis_poly, expand_with_tail, schur_poly, vandermonde
+from symfact.bases import basis_poly, expand_with_tail, over_vandermonde, schur_poly, vandermonde
 from symfact.partitions import Partition, enumerate_partitions
-from symfact.poly import InvariantViolation, MultiPoly, UniPoly, tensor_sum
+from symfact.poly import InvariantViolation, MultiPoly, UniPoly, default_names, tensor_sum
 from symfact.verify import BASES
 
 sympy = pytest.importorskip("sympy")
@@ -74,10 +78,14 @@ def terms_of(expr, symbols) -> dict:
 def assert_kernel_terms(f: MultiPoly):
     assert isinstance(f, MultiPoly)
     assert len(f.names) == f.arity
-    for exp, c in f.terms.items():
+    assert type(f.den) is int and f.den > 0
+    assert math.gcd(f.den, *f.num.values()) == 1  # reduced; zero is ({}, 1)
+    for exp, c in f.num.items():
         assert type(exp) is tuple and len(exp) == f.arity
         assert all(type(e) is int and e >= 0 for e in exp)
-        assert type(c) is Fraction and c != 0
+        assert type(c) is int and c != 0
+    assert f.terms == {e: Fraction(c, f.den) for e, c in f.num.items()}
+    assert all(type(c) is Fraction for c in f.terms.values())
 
 
 class TestAgainstSympy:
@@ -94,7 +102,9 @@ class TestAgainstSympy:
         # sum_g a_g(x1, x2) * b_g(x3): the b factor's slot is renamed to x3
         x1, x3 = gens(1)[0], gens(3)[2]
         expr = sympy.Add(*(to_expr(a) * to_expr(b).xreplace({x1: x3}) for a, b in groups))
-        assert tensor_sum((a.terms, b.terms) for a, b in groups) == terms_of(expr, gens(3))
+        num, den = tensor_sum(((a.num, a.den), (b.num, b.den)) for a, b in groups)
+        assert den > 0 and math.gcd(den, *num.values()) == 1
+        assert {e: Fraction(c, den) for e, c in num.items()} == terms_of(expr, gens(3))
 
     @given(poly_pairs(max_terms=3, max_exp=2))
     def test_divide_exact_by_a_factor(self, pair):
@@ -308,6 +318,37 @@ class TestResultTerms:
             assert_kernel_terms(r)
         assert type(f.eval([c] * f.arity)) is Fraction
 
+    @given(polys(), coefficients)
+    def test_public_constructor(self, f, c):
+        for r in (f, MultiPoly(f.arity, f.terms), MultiPoly.const(f.arity, c), MultiPoly.one(2)):
+            assert_kernel_terms(r)
+        assert_kernel_terms(UniPoly([c, 0, 2 * c]).poly)
+
+    @given(poly_pairs(max_terms=3, max_exp=2), polys(1, 3, 2), coefficients)
+    def test_equal_by_different_routes(self, pair, h, c):
+        f, g = pair
+        reverse = list(range(f.arity))[::-1]
+        routes = [
+            (f + g) - g, g + f - g, -(-f), (f * c) * (1 / c), (f * 6) * Fraction(1, 6),
+            f * MultiPoly.one(f.arity), f.permute(reverse).permute(reverse),
+            MultiPoly(f.arity, f.terms), MultiPoly(f.arity, f.terms, default_names("y", f.arity)),
+            f.extend(1).partial_eval({f.arity: c}), f.insert_slot(0, "t").partial_eval({0: 1}),
+            f.scale_terms(lambda e: Fraction(sum(e) + 1, 3)).scale_terms(lambda e: Fraction(3, sum(e) + 1)),
+        ]
+        if not g.is_zero:
+            routes.append((f * g).divide_exact(g))
+        for r in routes:
+            assert r == f and hash(r) == hash(f)
+        if not f.is_zero:  # same numerators over another denominator
+            assert f * Fraction(1, 2) != f and f * 2 != f
+        assert f * g == g * f and hash(f * g) == hash(g * f)
+        assert f * (g + 1) == f * g + f and hash(f * (g + 1)) == hash(f * g + f)
+        # the univariate view: an embedding read back, a product divided back
+        u = UniPoly.of(h)
+        assert u.as_multipoly(2, 1).partial_eval({0: 1}) == h
+        if not u.is_zero:
+            assert (u * u).divide_exact(u) == u and hash((u * u).divide_exact(u)) == hash(u)
+
     @pytest.mark.parametrize("basis", ["m", "E", "s"])
     def test_spectral_loops(self, basis):
         lams = [Partition((2, 1, 0)), Partition((1, 1, 1)), Partition((3, 0, 0))]
@@ -318,5 +359,6 @@ class TestResultTerms:
         results = [g, *expand_with_tail(g, basis, 3).values(), qe.apply_a(f, 3, 3)]
         results += [qm.apply_q(f), qm.apply_projector(f, 1, 3)]
         results.append(spectral.separate_via_q(f, qm.apply_q))
+        results.append(over_vandermonde(vandermonde(3) * f))
         for r in results:
             assert_kernel_terms(r)

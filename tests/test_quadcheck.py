@@ -41,7 +41,7 @@ class TestCoreAlternantIntegral:
             )
             assert computed == oracle, parts
 
-    def test_three_variables_adaptive(self):
+    def test_three_variables_exact(self):
         # exact at n = 3 too: the cell's two pieces integrate in closed form
         computed, oracle, result = qc.core_alternant_integral(
             Partition((1, 0, 0)), (1, 2, 3), F(3, 2)
