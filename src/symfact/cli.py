@@ -144,12 +144,24 @@ def cmd_quadrature(args) -> int:
     return _emit_report(report, args.format)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors reach :func:`main` as input errors.
+
+    argparse would print a usage block and its own error line; raising
+    PolyError instead gives every input error the same one ``error: ...``
+    line and exit code 2.  Subparsers are built from the same class.
+    """
+
+    def error(self, message: str):
+        raise PolyError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symfact",
         description="exact symmetric-polynomial bases and their factorizing operators",
     )
@@ -203,9 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except PolyError as exc:
         print(f"error: {exc}", file=sys.stderr)

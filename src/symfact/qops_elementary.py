@@ -131,6 +131,11 @@ def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPol
     return spectral.diagonal_q(f, "E", q_poly, n_x, z_name)
 
 
+def apply_rho0_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:
+    """rho_0 after :func:`apply_q`, as one step: the first ``n_x`` slots set to 1."""
+    return spectral.rho0_diagonal_q(f, "E", q_poly, n_x, z_name)
+
+
 @lru_cache(maxsize=None)
 def _chain_image(j: int, k: int, n: int) -> MultiPoly:
     """Image of e_j of the first k variables under the k-th chain link.
@@ -179,8 +184,8 @@ def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:
 
 
 def separate_via_q(f: MultiPoly) -> MultiPoly:
-    """rho_0 composed with n spectral Q's, output in z_1..z_n."""
-    return spectral.separate_via_q(f, apply_q)
+    """rho_0 composed with n spectral Q's, output in z_1..z_n; the last Q fused with rho_0."""
+    return spectral.separate_via_q(f, apply_q, apply_rho0_q)
 
 
 def separate_via_chain(f: MultiPoly) -> MultiPoly:

@@ -44,23 +44,45 @@ def q_poly(lam: Partition) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def apply_h(f: MultiPoly, j: int, n: int | None = None) -> MultiPoly:
-    """j-th elementary symmetric polynomial in the Euler operators."""
-    n = f.arity if n is None else n
-    if not 1 <= j <= n:
-        raise PolyError(f"need 1 <= j <= n, got j={j}")
-    acc = MultiPoly.zero(f.arity, f.names)
-    for subset in itertools.combinations(range(n), j):
-        g = f
-        for slot in subset:
-            g = g.euler(slot)
-        acc = acc + g
-    return acc
+def apply_h(f: MultiPoly, j: int) -> MultiPoly:
+    """j-th elementary symmetric polynomial in the Euler operators x_i d/dx_i.
+
+    The Euler operators scale x^a by its exponents, so H_j maps x^a to
+    e_j(a) x^a: one pass over the integer numerators, with e_j(a) built by
+    the recurrence e_k(a_1..a_i) = e_k(a_1..a_(i-1)) + a_i e_(k-1)(a_1..a_(i-1)).
+    """
+    if not 1 <= j <= f.arity:
+        raise PolyError(f"need 1 <= j <= arity, got j={j}")
+
+    def e_j(exp: tuple[int, ...]) -> int:
+        e = [1] + [0] * j
+        for a in exp:
+            if a:
+                for k in range(j, 0, -1):
+                    e[k] += a * e[k - 1]
+        return e[j]
+
+    out = {exp: c * w for exp, c in f.num.items() if (w := e_j(exp))}
+    return MultiPoly._make(f.arity, out, f.den, f.names)
 
 
 def h_eigenvalue(lam: Partition, j: int) -> Fraction:
     """Eigenvalue of H_j on m_lam: e_j of the parts."""
     return Fraction(sum(math.prod(s) for s in itertools.combinations(lam.parts, j)))
+
+
+def _substitution_average(f: MultiPoly, n_x: int | None, z_name: str, drop: bool) -> MultiPoly:
+    """(1/n) sum_j f(..., z x_j, ...) over the first n slots, new z slot last.
+
+    With ``drop`` the first n slots are then set to 1 (dropped): x^a t goes
+    to (1/n) sum_j t z^(a_j).
+    """
+    n = f.arity if n_x is None else n_x
+    if not 1 <= n <= f.arity:
+        raise PolyError("n_x out of range")
+    start = n if drop else 0  # the first slot the result keeps
+    out = accumulate({}, ((exp[start:] + (exp[j],), c) for exp, c in f.num.items() for j in range(n)))
+    return MultiPoly._make(f.arity - start + 1, out, f.den * n, f.names[start:] + (z_name,))
 
 
 def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:
@@ -69,11 +91,12 @@ def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPol
     Well defined on any polynomial, symmetric or not.  ``n_x`` restricts the
     average to the leading slots when trailing slots hold earlier z's.
     """
-    n = f.arity if n_x is None else n_x
-    if not 1 <= n <= f.arity:
-        raise PolyError("n_x out of range")
-    out = accumulate({}, ((exp + (exp[j],), c) for exp, c in f.num.items() for j in range(n)))
-    return MultiPoly._make(f.arity + 1, out, f.den * n, f.names + (z_name,))
+    return _substitution_average(f, n_x, z_name, drop=False)
+
+
+def apply_rho0_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:
+    """rho_0 after :func:`apply_q`, as one step: the first ``n_x`` slots set to 1."""
+    return _substitution_average(f, n_x, z_name, drop=True)
 
 
 def apply_projector(f: MultiPoly, j: int, k: int) -> MultiPoly:
@@ -122,7 +145,7 @@ def rho(f: MultiPoly, k: int) -> MultiPoly:
 
 def separate_via_q(f: MultiPoly) -> MultiPoly:
     """rho_0 composed with n substitution-average Q's, output in z_1..z_n."""
-    return spectral.separate_via_q(f, apply_q)
+    return spectral.separate_via_q(f, apply_q, apply_rho0_q)
 
 
 def separate(f: MultiPoly) -> MultiPoly:

@@ -130,6 +130,14 @@ def _apply_big_z(num: UniPoly, order: int, n: int) -> tuple[UniPoly, int]:
     return z * (num.derivative() * zm1 + num * (n - 1 - order)), order + 1
 
 
+def z_powers(q: UniPoly, n: int) -> list[tuple[UniPoly, int]]:
+    """Z^0 q .. Z^n q for Z = z (d/dz + (n-1)/(z-1)), as numerator/pole-order pairs."""
+    powers: list[tuple[UniPoly, int]] = [(q, 0)]
+    for _ in range(n):
+        powers.append(_apply_big_z(*powers[-1], n))
+    return powers
+
+
 def separated_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
     """Numerator of [Z^n + sum_k (-1)^k h_k Z^(n-k)] q over (z-1)^n.
 
@@ -138,12 +146,15 @@ def separated_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
     pairs.  A polynomial q satisfies lam's separated equation iff the
     returned numerator is the zero polynomial.
     """
+    return residual_of_powers(lam, z_powers(q_poly(lam) if q is None else q, lam.n))
+
+
+def residual_of_powers(lam: Partition, powers: list[tuple[UniPoly, int]]) -> UniPoly:
+    """:func:`separated_residual` of the q whose :func:`z_powers` are given.
+
+    The powers depend on q and n only, so one list serves every lam of that n.
+    """
     n = lam.n
-    if q is None:
-        q = q_poly(lam)
-    powers: list[tuple[UniPoly, int]] = [(q, 0)]
-    for _ in range(n):
-        powers.append(_apply_big_z(*powers[-1], n))
     h = [h_eigenvalue(lam, k) for k in range(1, n + 1)]
     zm1 = UniPoly([-1, 1])
     num, order = powers[n]

@@ -345,28 +345,38 @@ def integral_q0prime(f: MultiPoly, y) -> tuple[Fraction, QuadratureResult]:
 
 
 def det_fractions(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix by fraction-free elimination."""
+    """Exact determinant of a rational matrix by fraction-free elimination.
+
+    Each row is scaled to integers by the LCM of its denominators; integer
+    Bareiss elimination with row pivoting then divides every update exactly
+    by the previous pivot, and the last pivot over the product of the row
+    scales is the determinant.
+    """
     n = len(matrix)
-    m = [list(map(Fraction, row)) for row in matrix]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in matrix):
         raise PolyError("matrix is not square")
-    sign = 1
-    det = Fraction(1)
-    for col in range(n):
+    scale = 1
+    m = []
+    for row in matrix:
+        row = [v if type(v) is Fraction else Fraction(v) for v in row]
+        s = math.lcm(*(v.denominator for v in row))
+        scale *= s
+        m.append([v.numerator * (s // v.denominator) for v in row])
+    sign, prev = 1, 1
+    for col in range(n - 1):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             sign = -sign
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for cc in range(col, n):
-                    m[r][cc] -= factor * m[col][cc]
-    return det * sign
+        p, top = m[col][col], m[col]
+        for row in m[col + 1 :]:
+            a = row[col]
+            for c in range(col + 1, n):
+                row[c] = (row[c] * p - a * top[c]) // prev
+        prev = p
+    return Fraction(sign * m[-1][-1], scale) if n else Fraction(1)
 
 
 def matrix_identity_check(k: int, t: list[list[Scalar]]) -> bool:

@@ -5,6 +5,11 @@ eigenvalue polynomial q_lam(z), a separating map sending the normalized
 basis element to prod_j q_lam(z_j), and a lift that appends a zero part.
 Q, the separating map and the lift take the basis tag (and, where needed,
 the basis's ``q_poly``) and work through :func:`symfact.bases.expand_with_tail`.
+
+The rho-Q route S_n = rho_0 Q_{z_1}...Q_{z_n} runs n-1 Q's and then one
+fused step rho_0 Q_{z_1}, which never builds the last Q's output in the x's
+only to set them to 1: on a diagonal basis it is
+sum_lam b_lam(1..1) * tail_lam * q_lam(z_1) (:func:`rho0_diagonal_q`).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import Callable
 
 from .bases import basis_poly, expand_in_basis, expand_with_tail
 from .partitions import Partition
-from .poly import MultiPoly, UniPoly, default_names, tensor_sum
+from .poly import MultiPoly, Pair, UniPoly, default_names, tensor_sum
 
 QPoly = Callable[[Partition], UniPoly]
 
@@ -27,6 +32,16 @@ def eigen_product(q: UniPoly, n: int) -> MultiPoly:
     return acc
 
 
+def _tensor_sum(
+    f: MultiPoly, basis: str, q_poly: QPoly, n: int, head: Callable[[MultiPoly], Pair]
+) -> Pair:
+    """The pair of sum_lam head(b_lam) * tail_lam * q_lam(z), f expanded in its first n slots."""
+    return tensor_sum(
+        (head(basis_poly(basis, lam).raw), *((p.num, p.den) for p in (tail, q_poly(lam).poly)))
+        for lam, tail in expand_with_tail(f, basis, n).items()
+    )
+
+
 def diagonal_q(
     f: MultiPoly, basis: str, q_poly: QPoly, n_x: int | None = None, z_name: str = "z"
 ) -> MultiPoly:
@@ -37,11 +52,21 @@ def diagonal_q(
     is sum_lam b_lam(x) * tail_lam * q_lam(z).
     """
     n = f.arity if n_x is None else n_x
-    num, den = tensor_sum(
-        tuple((p.num, p.den) for p in (basis_poly(basis, lam).raw, tail, q_poly(lam).poly))
-        for lam, tail in expand_with_tail(f, basis, n).items()
-    )
+    num, den = _tensor_sum(f, basis, q_poly, n, lambda b: (b.num, b.den))
     return MultiPoly._wrap(f.arity + 1, num, den, f.names + (z_name,))
+
+
+def rho0_diagonal_q(
+    f: MultiPoly, basis: str, q_poly: QPoly, n_x: int | None = None, z_name: str = "z"
+) -> MultiPoly:
+    """rho_0 after :func:`diagonal_q`, as one step: the first ``n_x`` slots set to 1.
+
+    The result is sum_lam b_lam(1..1) * tail_lam * q_lam(z) in the trailing
+    slots and the new z slot; b_lam(1..1) is read off b_lam's own numerators.
+    """
+    n = f.arity if n_x is None else n_x
+    num, den = _tensor_sum(f, basis, q_poly, n, lambda b: ({(): sum(b.num.values())}, b.den))
+    return MultiPoly._wrap(f.arity - n + 1, num, den, f.names[n:] + (z_name,))
 
 
 def separate(f: MultiPoly, basis: str, q_poly: QPoly) -> MultiPoly:
@@ -63,11 +88,17 @@ def lift(f: MultiPoly, basis: str) -> MultiPoly:
     return acc
 
 
-def separate_via_q(f: MultiPoly, apply_q: Callable[..., MultiPoly]) -> MultiPoly:
-    """rho_0 composed with n Q's (one basis's ``apply_q``), output in z_1..z_n."""
+def separate_via_q(
+    f: MultiPoly, apply_q: Callable[..., MultiPoly], apply_rho0_q: Callable[..., MultiPoly]
+) -> MultiPoly:
+    """rho_0 composed with n Q's of one basis, output in z_1..z_n.
+
+    ``apply_q`` runs Q_{z_n}..Q_{z_2}; the last Q and rho_0 are the one fused
+    step ``apply_rho0_q``, both called as (h, n_x=n, z_name=...).
+    """
     n = f.arity
     h = f
-    for i in range(n, 0, -1):
+    for i in range(n, 1, -1):
         h = apply_q(h, n_x=n, z_name=f"z{i}")
-    h = h.partial_eval({i: 1 for i in range(n)})
+    h = apply_rho0_q(h, n_x=n, z_name="z1")
     return h.permute(list(range(n - 1, -1, -1)))

@@ -1,5 +1,7 @@
 from hypothesis import HealthCheck, settings, strategies as st
 
+from symfact.bases import BASIS_TAGS, basis_poly
+from symfact.partitions import enumerate_partitions
 from symfact.poly import MultiPoly
 
 settings.register_profile(
@@ -46,3 +48,38 @@ def multipoly_triples(draw, max_terms=3, max_exp=2):
 @st.composite
 def points_for(draw, arity):
     return [draw(fractions_small) for _ in range(arity)]
+
+
+def outer(head, tail):
+    """head(x) tail(t) in the slots (x..., t...)."""
+    return MultiPoly(
+        head.arity + tail.arity,
+        {h + t: hc * tc for h, hc in head.terms.items() for t, tc in tail.terms.items()},
+    )
+
+
+@st.composite
+def head_symmetric(draw):
+    """(basis, head slots k, f): f symmetric in its first k slots, 0-2 tail slots."""
+    basis = draw(st.sampled_from(BASIS_TAGS))
+    k = draw(st.integers(min_value=1, max_value=3))
+    tail_slots = draw(st.integers(min_value=0, max_value=2))
+    lams = enumerate_partitions(3, k)
+    f = MultiPoly.zero(k + tail_slots)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        head = basis_poly(draw(st.sampled_from(BASIS_TAGS)), draw(st.sampled_from(lams))).raw
+        texp = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(tail_slots))
+        f = f + outer(head, MultiPoly(tail_slots, {texp: draw(fractions_small)}))
+    return basis, k, f
+
+
+@st.composite
+def symmetric_polys(draw, min_n=1, max_n=4):
+    """A random symmetric f in min_n..max_n variables: a rational mix of basis elements."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    lams = enumerate_partitions(3, n)
+    f = MultiPoly.zero(n)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lam = draw(st.sampled_from(lams))
+        f = f + basis_poly(draw(st.sampled_from(BASIS_TAGS)), lam).raw * draw(fractions_small)
+    return f

@@ -8,9 +8,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import fractions_small
+from conftest import head_symmetric, outer, symmetric_polys
 from symfact.bases import (
-    BASIS_TAGS,
     SymExpansion,
     alternant,
     basis_poly,
@@ -249,29 +248,6 @@ class TestExpansion:
         }
 
 
-def outer(head, tail):
-    """head(x) tail(t) in the slots (x..., t...)."""
-    return MultiPoly(
-        head.arity + tail.arity,
-        {h + t: hc * tc for h, hc in head.terms.items() for t, tc in tail.terms.items()},
-    )
-
-
-@st.composite
-def head_symmetric(draw):
-    """(basis, head slots k, f): f symmetric in its first k slots, 0-2 tail slots."""
-    basis = draw(st.sampled_from(BASIS_TAGS))
-    k = draw(st.integers(min_value=1, max_value=3))
-    tail_slots = draw(st.integers(min_value=0, max_value=2))
-    lams = enumerate_partitions(3, k)
-    f = MultiPoly.zero(k + tail_slots)
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        head = basis_poly(draw(st.sampled_from(BASIS_TAGS)), draw(st.sampled_from(lams))).raw
-        texp = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(tail_slots))
-        f = f + outer(head, MultiPoly(tail_slots, {texp: draw(fractions_small)}))
-    return basis, k, f
-
-
 class TestExpansionWithTail:
     @given(head_symmetric())
     def test_reconstructs(self, case):
@@ -299,18 +275,6 @@ class TestExpansionWithTail:
         bump = MultiPoly(f.arity, {(1,) + (0,) * (f.arity - 1): 1})
         with pytest.raises(NotSymmetric, match=f"first {k} of {f.arity} slots"):
             expand_with_tail(f + bump, basis, k)
-
-
-@st.composite
-def symmetric_polys(draw, min_n=1):
-    """A random symmetric f in n <= 4 variables: a rational mix of basis elements."""
-    n = draw(st.integers(min_value=min_n, max_value=4))
-    lams = enumerate_partitions(3, n)
-    f = MultiPoly.zero(n)
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        lam = draw(st.sampled_from(lams))
-        f = f + basis_poly(draw(st.sampled_from(BASIS_TAGS)), lam).raw * draw(fractions_small)
-    return f
 
 
 class TestOverVandermonde:

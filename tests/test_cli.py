@@ -114,9 +114,8 @@ class TestApplyQCommand:
         assert result.eval([1, 1, 1]) == 2  # q(1) = 1 on each component
 
     def test_requires_lambda_or_input(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["apply-q", "--basis", "m"])
-        assert err.value.code == 2
+        code = cli.main(["apply-q", "--basis", "m"])
+        TestInputBoundary.assert_input_error(code, capsys.readouterr().err, "--lambda --input")
 
 
 class TestInvertAndLift:
@@ -254,7 +253,27 @@ class TestInputBoundary:
         ids=["invert", "apply-q"],
     )
     def test_lambda_and_input_exclude_each_other(self, capsys, argv):
+        code = cli.main(list(argv))
+        self.assert_input_error(code, capsys.readouterr().err, "not allowed with argument")
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (("basis", "--lambda", "2,1", "--n", "2"), "arguments are required: --kind"),
+            (("basis", "--kind", "m", "--lambda", "2,1", "--n", "x"), "invalid int value: 'x'"),
+            (("verify", "--suite", "all", "--bogus", "1"), "unrecognized arguments: --bogus 1"),
+        ],
+        ids=["missing-required-flag", "non-integer-n", "unknown-flag"],
+    )
+    def test_usage_error(self, capsys, argv, fragment):
+        # argparse's own errors take the same one-line form as every other input error
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        self.assert_input_error(code, captured.err, fragment)
+
+    def test_help_is_unchanged(self, capsys):
         with pytest.raises(SystemExit) as err:
-            cli.main(list(argv))
-        assert err.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
+            cli.main(["basis", "--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: symfact basis")

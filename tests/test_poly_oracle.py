@@ -358,7 +358,8 @@ class TestResultTerms:
         g = spectral.diagonal_q(f, basis, BASES[basis].q_poly)
         results = [g, *expand_with_tail(g, basis, 3).values(), qe.apply_a(f, 3, 3)]
         results += [qm.apply_q(f), qm.apply_projector(f, 1, 3)]
-        results.append(spectral.separate_via_q(f, qm.apply_q))
+        results += [spectral.rho0_diagonal_q(g, basis, BASES[basis].q_poly, 3), qm.apply_rho0_q(g, 3)]
+        results.append(spectral.separate_via_q(f, qm.apply_q, qm.apply_rho0_q))
         results.append(over_vandermonde(vandermonde(3) * f))
         for r in results:
             assert_kernel_terms(r)

@@ -1,18 +1,33 @@
 """Monomial-basis operator suite: frozen examples plus sweep identities."""
 
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import multipolys
 from symfact import qops_monomial as qm
 from symfact import spectral
 from symfact.bases import monomial_sym
 from symfact.partitions import Partition, enumerate_partitions
-from symfact.poly import MultiPoly, UniPoly
+from symfact.poly import MultiPoly, PolyError, UniPoly
 
 
 def mbar(*parts):
     return monomial_sym(Partition(parts)).normalized
+
+
+def subset_loop_h(f: MultiPoly, j: int) -> MultiPoly:
+    """H_j as a sum over the j-subsets of slots of the composed Euler operators."""
+    acc = MultiPoly.zero(f.arity, f.names)
+    for subset in itertools.combinations(range(f.arity), j):
+        g = f
+        for slot in subset:
+            g = g.euler(slot)
+        acc = acc + g
+    return acc
 
 
 class TestHamiltonians:
@@ -27,9 +42,6 @@ class TestHamiltonians:
 
     def test_per_term_eigenvalue_oracle(self):
         # independent oracle: H_j scales x^a by the elementary symmetric e_j(a)
-        import itertools
-        import math
-
         f = MultiPoly(3, {(3, 1, 0): F(2, 3), (1, 1, 1): -1, (0, 0, 2): 5})
         for j in (1, 2, 3):
             oracle = MultiPoly(
@@ -40,6 +52,20 @@ class TestHamiltonians:
                 },
             )
             assert qm.apply_h(f, j) == oracle
+
+    @given(st.integers(min_value=1, max_value=4).flatmap(lambda a: multipolys(arity=a)))
+    def test_matches_subset_loop(self, f):
+        # non-symmetric input, rational coefficients: the same reduced pair and names
+        for j in range(1, f.arity + 1):
+            got, want = qm.apply_h(f, j), subset_loop_h(f, j)
+            assert (got.num, got.den, got.names) == (want.num, want.den, want.names)
+            assert math.gcd(got.den, *got.num.values()) == 1
+
+    def test_j_out_of_range(self):
+        f = MultiPoly(2, {(1, 0): 1})
+        for j in (0, 3):
+            with pytest.raises(PolyError):
+                qm.apply_h(f, j)
 
     def test_commutators_vanish(self):
         f = MultiPoly(3, {(2, 1, 0): 1, (1, 1, 1): F(1, 2)})

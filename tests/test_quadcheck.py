@@ -4,11 +4,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import fractions_small
 from symfact import quadcheck as qc
 from symfact.bases import alternant, schur_poly, vandermonde
 from symfact.partitions import Partition
-from symfact.poly import MultiPoly, PolyError
+from symfact.poly import MultiPoly, PolyError, det
 
 
 class TestDomain:
@@ -176,3 +178,21 @@ class TestDeterminantIdentities:
     def test_fraction_determinant(self):
         assert qc.det_fractions([[F(1), F(2)], [F(3), F(4)]]) == -2
         assert qc.det_fractions([[F(1), F(2)], [F(2), F(4)]]) == 0
+        # zero pivots that need a row swap
+        assert qc.det_fractions([[F(0), F(1)], [F(1), F(0)]]) == -1
+        assert qc.det_fractions([[0, 0, F(1, 2)], [0, F(1, 3), 0], [F(1, 5), 0, 0]]) == F(-1, 30)
+        with pytest.raises(PolyError):
+            qc.det_fractions([[F(1), F(2)]])
+
+    @given(st.data())
+    def test_fraction_determinant_matches_cofactor_det(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        entry = st.just(F(0)) | fractions_small
+        m = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        if n > 1 and data.draw(st.booleans()):
+            # singular: one row a rational multiple of another
+            i, k = data.draw(st.permutations(range(n)))[:2]
+            c = data.draw(fractions_small)
+            m[i] = [c * v for v in m[k]]
+        want = det([[MultiPoly.const(0, v) for v in row] for row in m]).constant()
+        assert qc.det_fractions(m) == want

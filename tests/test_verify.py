@@ -2,7 +2,9 @@
 
 import pytest
 
+from symfact import qops_monomial as qm
 from symfact import verify
+from symfact.poly import MultiPoly
 
 
 def test_unknown_suite_rejected():
@@ -46,3 +48,14 @@ def test_random_symmetric_is_symmetric():
 
     f = verify.random_symmetric(3, 4, random.Random(0), basis="s")
     assert f.is_symmetric()
+
+
+def test_commutator_check_sees_operators_that_do_not_commute():
+    # the check reads H_k f from the images list, so a mixed-up index would pass vacuously
+    f = MultiPoly(2, {(2, 1): 1, (0, 3): 2})
+
+    def skewed(g, j):  # x1 d/dx1 and d/dx1 do not commute
+        return g.euler(0) if j == 1 else g.diff(0)
+
+    assert not verify._h_commute([skewed(f, 1), skewed(f, 2)], skewed)
+    assert verify._h_commute([qm.apply_h(f, j) for j in (1, 2)], qm.apply_h)
