@@ -4,10 +4,12 @@ The delta constraint prod x_i = z prod y_i is always eliminated analytically
 (solve for the last variable, Jacobian 1/(x_1...x_{n-1})); what remains is a
 Laurent-polynomial integrand over an interleaved domain.  The integrand is
 antisymmetric, so no term integrates to a logarithm and the integral has a
-closed form in exact rational arithmetic: at n = 2 over one interval, at
-n = 3 as an iterated integral over the two pieces of the cell on either
-side of the hyperbola kink, where the eliminated variable's bound starts to
-cap the inner range.  Floating point enters only when a value is reported.
+closed form in exact rational arithmetic: at n = 1 the delta pins the one
+variable, at n = 2 it is one interval, and at n = 3 an iterated integral
+over the two pieces of the cell on either side of the hyperbola kink, where
+the eliminated variable's bound starts to cap the inner range.  Every value
+is a ``Fraction`` and is compared with its oracle by exact equality; inputs
+are ints or Fractions, never floats or bools.
 
 The integral form of the Q-operator can be normalized with its (z-1)^(n-1)
 factor either multiplying or dividing, and only one choice reproduces the
@@ -24,13 +26,13 @@ from fractions import Fraction
 from . import qops_schur
 from .bases import alternant, schur_poly, vandermonde
 from .partitions import Partition
-from .poly import InvariantViolation, MultiPoly, PolyError
+from .poly import InvariantViolation, MultiPoly, PolyError, _scalar
 
 Scalar = int | Fraction
 
 
 def _as_fractions(values) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+    return tuple(_scalar(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,8 @@ class OrderedDomain:
     tail_constraint: bool = True
 
     def __post_init__(self):
+        if any(type(v) is not Fraction for v in (*self.y, self.z)):
+            raise PolyError("domain bounds and z must be Fractions")
         if any(b <= a for a, b in zip(self.y, self.y[1:])):
             raise PolyError("bounds must be strictly increasing")
         if self.y[0] <= 0:
@@ -64,14 +68,9 @@ class OrderedDomain:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """A reported value, its error estimate and the work it took.
+    """An exact integral and the number of integrand terms integrated in closed form."""
 
-    Every route is exact, so the error estimate is 0.0 and ``evaluations``
-    counts the integrand terms integrated in closed form.
-    """
-
-    value: float
-    error_estimate: float
+    value: Fraction
     evaluations: int
 
 
@@ -84,7 +83,7 @@ def _vandermonde_value(values: tuple[Fraction, ...]) -> Fraction:
 
 
 def _power_integral(e: int, lo: Fraction, hi: Fraction) -> Fraction:
-    """Integral of x^e over (lo, hi) for 0 < lo; x^-1 would give a logarithm."""
+    """Integral of x^e over (lo, hi); x^-1 would give a logarithm, other negative e need 0 < lo."""
     if e == -1:
         raise InvariantViolation("diagonal term would integrate to a logarithm")
     return (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
@@ -158,10 +157,7 @@ def box_integral(p: MultiPoly, bounds: list[tuple[Fraction, Fraction]]) -> Fract
         raise PolyError("need one bound pair per slot")
     total = Fraction(0)
     for exp, coeff in p.terms.items():
-        factor = coeff
-        for (lo, hi), a in zip(bounds, exp):
-            factor *= (hi ** (a + 1) - lo ** (a + 1)) / (a + 1)
-        total += factor
+        total += coeff * math.prod(_power_integral(a, lo, hi) for (lo, hi), a in zip(bounds, exp))
     return total
 
 
@@ -177,30 +173,32 @@ def core_alternant_integral(
     constraint over the interleaved domain; the exact right-hand side is
     alternant(y) * phi(z).  Returns (computed, oracle, result record).
     """
-    dom = OrderedDomain(_as_fractions(y), Fraction(z), tail_constraint)
+    dom = OrderedDomain(_as_fractions(y), _scalar(z), tail_constraint)
     n = dom.n
     if lam.n != n:
         raise PolyError("partition length must match the number of bounds")
     a_mu = alternant(lam.shifted().parts, n)
     oracle = a_mu.eval(dom.y) * qops_schur.phi_data(lam).phi.eval(dom.z)
-    computed, result = _delta_integral(a_mu, dom)
-    return computed, oracle, result
+    result = _delta_integral(a_mu, dom)
+    return result.value, oracle, result
 
 
-def _delta_integral(p: MultiPoly, dom: OrderedDomain) -> tuple[Fraction, QuadratureResult]:
+def _delta_integral(p: MultiPoly, dom: OrderedDomain) -> QuadratureResult:
     """Integrate an antisymmetric polynomial against the delta constraint, exactly."""
     n = dom.n
     c = dom.delta_value()
     y = dom.y
-    if n == 2:
+    if n == 1:  # the delta pins the single variable at c; nothing to integrate
+        value = p.eval([c])
+    elif n == 2:
         hi = min(y[1], c / y[1]) if dom.tail_constraint else y[1]
         value = _exact_delta_integral_2d(p, c, y[0], hi)
     elif n == 3:
         tail = y[2] if dom.tail_constraint else None
         value = _exact_delta_integral_3d(p, c, (y[0], y[1]), (y[1], y[2]), tail)
     else:
-        raise PolyError("delta-constrained integrals are implemented for n = 2, 3")
-    return value, QuadratureResult(float(value), 0.0, len(p.num))
+        raise PolyError("delta-constrained integrals are implemented for n <= 3")
+    return QuadratureResult(value, len(p.num))
 
 
 @dataclass(frozen=True)
@@ -215,47 +213,30 @@ class PrefactorAdjudication:
     denominator: QuadratureResult
     numerator: QuadratureResult
     oracle: Fraction
-    rel_err_denominator: float
-    rel_err_numerator: float
     convention: str
 
 
-def _rel_err(value: float, oracle: Fraction) -> float:
-    o = float(oracle)
-    if o == 0.0:
-        return abs(value)
-    return abs(value - o) / abs(o)
-
-
-def integral_q(f: MultiPoly, z, y, tail_constraint: bool = True, tol: float = 1e-6) -> PrefactorAdjudication:
+def integral_q(f: MultiPoly, z, y, tail_constraint: bool = True) -> PrefactorAdjudication:
     """Evaluate [Q_z f](y) by the delta-constrained integral, both conventions.
 
     The spectral operator supplies the exact oracle; exactly one prefactor
-    convention must match it (choose z != 2 so the two differ).
+    convention must equal it (choose z != 2 so the two differ), otherwise
+    the convention is ``ambiguous``.
     """
-    dom = OrderedDomain(_as_fractions(y), Fraction(z), tail_constraint)
+    dom = OrderedDomain(_as_fractions(y), _scalar(z), tail_constraint)
     n = dom.n
     if f.arity != n:
         raise PolyError("polynomial arity must match the number of bounds")
     spectral = qops_schur.apply_q(f)
     oracle = spectral.eval(list(dom.y) + [dom.z])
-    integrand = vandermonde(n) * f
-    raw, result = _delta_integral(integrand, dom)
+    raw = _delta_integral(vandermonde(n) * f, dom)
     base = Fraction(math.factorial(n - 1)) / _vandermonde_value(dom.y)
     pole = (dom.z - 1) ** (n - 1)
-    v_den = float(raw * base / pole)
-    v_num = float(raw * base * pole)
-    den = QuadratureResult(v_den, 0.0, result.evaluations)
-    num = QuadratureResult(v_num, 0.0, result.evaluations)
-    e_den = _rel_err(v_den, oracle)
-    e_num = _rel_err(v_num, oracle)
-    if e_den <= tol and not e_num <= tol:
-        convention = "denominator"
-    elif e_num <= tol and not e_den <= tol:
-        convention = "numerator"
-    else:
-        convention = "ambiguous"
-    return PrefactorAdjudication(den, num, oracle, e_den, e_num, convention)
+    den = QuadratureResult(raw.value * base / pole, raw.evaluations)
+    num = QuadratureResult(raw.value * base * pole, raw.evaluations)
+    matches = (den.value == oracle, num.value == oracle)
+    convention = {(True, False): "denominator", (False, True): "numerator"}.get(matches, "ambiguous")
+    return PrefactorAdjudication(den, num, oracle, convention)
 
 
 # -- A_k integral ------------------------------------------------------------
@@ -263,12 +244,10 @@ def integral_q(f: MultiPoly, z, y, tail_constraint: bool = True, tol: float = 1e
 
 @dataclass(frozen=True)
 class IntegralCheck:
-    """One integral identity next to its exact oracle; ``value`` is the exact integral."""
+    """One integral identity next to its exact oracle."""
 
     computed: QuadratureResult
     oracle: Fraction
-    rel_err: float
-    value: Fraction
 
 
 def integral_a(lam: Partition, k: int, z_k, ytilde) -> IntegralCheck:
@@ -282,14 +261,10 @@ def integral_a(lam: Partition, k: int, z_k, ytilde) -> IntegralCheck:
     n = lam.n
     if not 1 <= k <= n:
         raise PolyError(f"need 1 <= k <= n, got k={k}")
-    yt = _as_fractions(ytilde)
-    if len(yt) != k - 1:
+    dom = OrderedDomain((Fraction(1), *_as_fractions(ytilde)), _scalar(z_k))
+    if dom.n != k:
         raise PolyError("need k-1 interleaving bounds")
-    if any(b <= a for a, b in zip((Fraction(1),) + yt, yt)):
-        raise PolyError("bounds must be strictly increasing and above 1")
-    z = Fraction(z_k)
-    if z <= 1:
-        raise PolyError("the delta support requires z_k > 1")
+    yt, z = dom.y[1:], dom.z
     sbar = schur_poly(lam).normalized
     f = sbar.partial_eval({i: 1 for i in range(k, n)})
     oracle = sbar.eval(list(yt) + [1] * (n - k + 1)) * qops_schur.q_poly(lam).eval(z)
@@ -303,21 +278,8 @@ def integral_a(lam: Partition, k: int, z_k, ytilde) -> IntegralCheck:
     integrand = vandermonde(k) * f
     for j in range(k):
         integrand = integrand * (MultiPoly.variable(j, k) - 1) ** (n - k)
-    c = z * math.prod(yt)
-
-    if k == 1:
-        # the delta pins the single variable at z; nothing to integrate
-        value = prefactor * integrand.eval([z])
-    elif k == 2:
-        hi = min(yt[0], c / yt[0])
-        value = prefactor * _exact_delta_integral_2d(integrand, c, Fraction(1), hi)
-    elif k == 3:
-        cell = (Fraction(1), yt[0]), (yt[0], yt[1])
-        value = prefactor * _exact_delta_integral_3d(integrand, c, *cell, yt[1])
-    else:
-        raise PolyError("chain-link integrals are implemented for k <= 3")
-    result = QuadratureResult(float(value), 0.0, len(integrand.num))
-    return IntegralCheck(result, oracle, _rel_err(result.value, oracle), value)
+    raw = _delta_integral(integrand, dom)
+    return IntegralCheck(QuadratureResult(prefactor * raw.value, raw.evaluations), oracle)
 
 
 # -- lifting integral ---------------------------------------------------------
@@ -338,7 +300,7 @@ def integral_q0prime(f: MultiPoly, y) -> tuple[Fraction, QuadratureResult]:
     integrand = vandermonde(n - 1) * f
     raw = box_integral(integrand, [(yy[i], yy[i + 1]) for i in range(n - 1)])
     value = raw * (-1) ** (n - 1) * math.factorial(n - 1) / _vandermonde_value(yy)
-    return value, QuadratureResult(float(value), 0.0, len(integrand.num))
+    return value, QuadratureResult(value, len(integrand.num))
 
 
 # -- determinant identities ----------------------------------------------------
@@ -358,7 +320,7 @@ def det_fractions(matrix: list[list[Fraction]]) -> Fraction:
     scale = 1
     m = []
     for row in matrix:
-        row = [v if type(v) is Fraction else Fraction(v) for v in row]
+        row = [_scalar(v) for v in row]
         s = math.lcm(*(v.denominator for v in row))
         scale *= s
         m.append([v.numerator * (s // v.denominator) for v in row])
@@ -388,7 +350,7 @@ def matrix_identity_check(k: int, t: list[list[Scalar]]) -> bool:
     column of ones restored at position k.
     """
     n = len(t)
-    rows = [[Fraction(v) for v in row] for row in t]
+    rows = [[_scalar(v) for v in row] for row in t]
     if any(len(row) != n - 1 for row in rows):
         raise PolyError("need n rows and n-1 columns")
     if not 1 <= k <= n:

@@ -393,34 +393,34 @@ def suite_lifting(max_weight: int, n: int, rng: random.Random) -> Reporter:
 # -- quadrature: integral identities against exact oracles --------------------------
 
 
-def _quad_record(rep: Reporter, identity: str, n: int, lam, params: dict, oracle, result: qc.QuadratureResult, rel_err: float, tol: float, convention: str | None = None):
+def _quad_record(rep: Reporter, identity: str, n: int, lam, params: dict, computed: Fraction, oracle: Fraction, convention: str | None = None):
+    """Pass when ``computed == oracle`` exactly; ``computed`` and ``relErr`` are floats rendered for reading."""
+    rel_err = abs(computed - oracle) / abs(oracle) if oracle else abs(computed)
     entry = {
         "identity": identity,
         "n": n,
         "lambda": list(lam.parts) if lam is not None else None,
         "params": params,
         "oracle": str(oracle),
-        "computed": result.value,
-        "relErr": rel_err,
+        "computed": float(computed),
+        "relErr": float(rel_err),
         "convention": convention,
     }
-    rep.record(f"{identity} n={n} lambda={entry['lambda']} {params}", rel_err <= tol, **entry)
+    rep.record(f"{identity} n={n} lambda={entry['lambda']} {params}", computed == oracle, **entry)
 
 
 def suite_quadrature(max_weight: int, n: int, rng: random.Random) -> Reporter:
     rep = Reporter()
     if n in (2, 3):
-        tol = 1e-10 if n == 2 else 1e-6
         lam_sweep = [lam for lam in enumerate_partitions(min(max_weight, 3), n)]
         y = tuple(Fraction(i + 1) for i in range(n))
         zs = (Fraction(3, 2), Fraction(7, 4))
         for lam in lam_sweep:
             for z in zs:
-                computed, oracle, result = qc.core_alternant_integral(lam, y, z)
-                rel = qc._rel_err(float(computed), oracle)
+                computed, oracle, _ = qc.core_alternant_integral(lam, y, z)
                 _quad_record(
                     rep, "delta-constrained alternant integral", n, lam,
-                    {"y": [str(v) for v in y], "z": str(z)}, oracle, result, rel, tol,
+                    {"y": [str(v) for v in y], "z": str(z)}, computed, oracle,
                 )
         # prefactor adjudication for the Q integral
         conventions = set()
@@ -429,14 +429,13 @@ def suite_quadrature(max_weight: int, n: int, rng: random.Random) -> Reporter:
         for lam in lam_sweep:
             for yy in ys:
                 for z in zs:
-                    adj = qc.integral_q(schur_poly(lam).normalized, z, yy, tol=tol)
+                    adj = qc.integral_q(schur_poly(lam).normalized, z, yy)
                     triples += 1
                     conventions.add(adj.convention)
                     _quad_record(
                         rep, "Q integral (adjudicated prefactor)", n, lam,
                         {"y": [str(v) for v in yy], "z": str(z)},
-                        adj.oracle, adj.denominator, adj.rel_err_denominator, tol,
-                        convention=adj.convention,
+                        adj.denominator.value, adj.oracle, convention=adj.convention,
                     )
         rep.record(
             f"prefactor adjudication consistent over {triples} triples n={n}",
@@ -463,19 +462,14 @@ def suite_quadrature(max_weight: int, n: int, rng: random.Random) -> Reporter:
                 _quad_record(
                     rep, "chain-link integral vs restriction identity", n, lam,
                     {"k": k, "ytilde": [str(v) for v in yt], "z_k": "3/2"},
-                    chk.oracle, chk.computed, chk.rel_err, tol,
+                    chk.computed.value, chk.oracle,
                 )
         # lifting integrals (exact box integration)
         for lam_short in enumerate_partitions(min(max_weight, 3), n - 1):
             f = schur_poly(lam_short).normalized
-            value, result = qc.integral_q0prime(f, y)
-            lifted = lam_short.with_trailing_zero()
-            oracle = schur_poly(lifted).normalized.eval(y)
-            rel = qc._rel_err(float(value), oracle)
-            _quad_record(
-                rep, "lifting integral", n, lam_short,
-                {"y": [str(v) for v in y]}, oracle, result, rel, 1e-12,
-            )
+            value, _ = qc.integral_q0prime(f, y)
+            oracle = schur_poly(lam_short.with_trailing_zero()).normalized.eval(y)
+            _quad_record(rep, "lifting integral", n, lam_short, {"y": [str(v) for v in y]}, value, oracle)
     # determinant identities (exact, any n >= 2)
     if n >= 2:
         ok_border = True

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,28 @@ def _probe(code: str) -> str:
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.strip()
+
+
+def _readme_commands() -> list[str]:
+    """The single-line ``symfact ...`` examples of README's "Command line" block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("symfact ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_block_has_commands():
+    assert len(README_COMMANDS) >= 8
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_runs(capsys, line):
+    # the piped `echo ... | symfact` line reads stdin; TestApplyQCommand covers --input -
+    code, out = run(capsys, *shlex.split(line)[1:])
+    assert code == 0 and out
 
 
 def test_import_leaves_scipy_unloaded():
