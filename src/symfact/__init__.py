@@ -4,8 +4,7 @@ Three bases (monomial sums, elementary-symmetric products, Schur functions)
 over exact rational coefficients, a one-parameter family of commuting
 Q-operators diagonal on each, separating maps that send basis elements to
 products of univariate polynomials, lifting operators that add a variable,
-and numerical verification of the integral forms of the Schur-case
-operators.
+and exact verification of the integral forms of the Schur-case operators.
 """
 
 from .partitions import Partition, ShiftedPartition, dominance_leq, enumerate_partitions

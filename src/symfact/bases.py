@@ -3,10 +3,12 @@
 Monomial sums m, products of elementary symmetric polynomials E, and Schur
 functions s (built as the bialternant: the alternant, written as its
 permutation sum, divided exactly by the Vandermonde).  Every basis element
-also comes in a normalized form with value 1 at the all-ones point.  Any
-other antisymmetric polynomial is divided by the Vandermonde without
-division: :func:`over_vandermonde` reads its coefficients off in the Schur
-basis.
+also comes in a normalized form with value 1 at the all-ones point.
+:func:`expand_in_basis` writes a symmetric polynomial as coordinates over
+one basis, and :func:`combine` is the one sum of basis elements that takes
+coordinates back.  Any other antisymmetric polynomial is divided by the
+Vandermonde without division: :func:`over_vandermonde` reads its
+coefficients off in the Schur basis.
 """
 
 from __future__ import annotations
@@ -104,11 +106,6 @@ def elementary_generating(n: int) -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
-def elementary_power(j: int, p: int, n: int) -> MultiPoly:
-    return elementary_sym(j, n) ** p
-
-
-@lru_cache(maxsize=None)
 def elementary_product(lam: Partition) -> NormalizedBasisPoly:
     """E_lam = prod_j e_j^(lam_j - lam_{j+1}), with value prod C(n,j)^(...)."""
     n = lam.n
@@ -117,7 +114,7 @@ def elementary_product(lam: Partition) -> NormalizedBasisPoly:
     for j in range(1, n + 1):
         mult = lam.diff(j, j + 1)
         if mult:
-            raw = raw * elementary_power(j, mult, n)
+            raw = raw * elementary_sym(j, n) ** mult
             value *= Fraction(math.comb(n, j)) ** mult
     return NormalizedBasisPoly(raw, value, raw * (1 / value))
 
@@ -158,19 +155,19 @@ def over_vandermonde(g: MultiPoly) -> MultiPoly:
     An antisymmetric g is sum_mu [x^mu]g * a_mu over its strictly decreasing
     exponents mu, and a_mu / a_delta = s_(mu - delta) (Macdonald, Symmetric
     Functions and Hall Polynomials, I §3), so the quotient is
-    sum_mu [x^mu]g * s_(mu - delta), summed on integer numerators.  A g that
-    is not antisymmetric is not a_delta times a symmetric polynomial and
-    raises NotDivisible.
+    sum_mu [x^mu]g * s_(mu - delta), built by :func:`combine` in g's slot
+    names.  A g that is not antisymmetric is not a_delta times a symmetric
+    polynomial and raises NotDivisible.
     """
     n = g.arity
     if not g.is_antisymmetric():
         raise NotDivisible(f"polynomial in {n} variables is not antisymmetric")
-    out: dict[tuple[int, ...], int] = {}
-    for mu, c in g.num.items():
-        if all(a > b for a, b in zip(mu, mu[1:])):
-            lam = Partition(tuple(m - (n - 1 - i) for i, m in enumerate(mu)))
-            accumulate(out, ((e, c * s) for e, s in schur_poly(lam).raw.num.items()))
-    return MultiPoly._make(n, out, g.den, g.names)
+    coeffs = {
+        Partition(tuple(m - (n - 1 - i) for i, m in enumerate(mu))): Fraction(c, g.den)
+        for mu, c in g.num.items()
+        if all(a > b for a, b in zip(mu, mu[1:]))
+    }
+    return combine("s", n, coeffs).rename(g.names)
 
 
 def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, MultiPoly]:
@@ -216,31 +213,29 @@ def basis_poly(basis: str, lam: Partition) -> NormalizedBasisPoly:
     raise PolyError(f"unknown basis tag {basis!r}")
 
 
-@dataclass(frozen=True)
-class SymExpansion:
-    """Coefficients of a symmetric polynomial over one (raw) basis."""
+def _integer_element(basis: str, lam: Partition) -> dict[tuple[int, ...], int]:
+    """The numerators of the raw basis element b_lam, which has integer coefficients."""
+    element = basis_poly(basis, lam).raw
+    if element.den != 1:
+        raise InvariantViolation(f"basis element {basis}{lam} has non-integer coefficients")
+    return element.num
 
-    basis: str
-    n: int
-    coeffs: dict[Partition, Fraction]
 
-    def reconstruct(self) -> MultiPoly:
-        acc = MultiPoly.zero(self.n)
-        for lam, c in self.coeffs.items():
-            acc = acc + basis_poly(self.basis, lam).raw * c
-        return acc
+def combine(basis: str, n: int, coeffs: dict[Partition, Fraction]) -> MultiPoly:
+    """sum_lam c_lam b_lam over the raw basis elements in n variables.
 
-    def sorted_items(self) -> list[tuple[Partition, Fraction]]:
-        return sorted(self.coeffs.items(), key=lambda t: (t[0].weight(), tuple(-p for p in t[0].parts)))
-
-    def to_json(self) -> dict:
-        return {
-            "basis": self.basis,
-            "n": self.n,
-            "coeffs": [
-                {"lambda": lam.to_json(), "c": str(c)} for lam, c in self.sorted_items()
-            ],
-        }
+    The inverse of :func:`expand_in_basis`.  The raw basis elements have
+    integer coefficients, so the sum runs on integer numerators over the
+    common denominator of the c_lam.
+    """
+    if any(lam.n != n for lam in coeffs):
+        raise PolyError(f"every partition must have length n={n}")
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    out: dict[tuple[int, ...], int] = {}
+    for lam, c in coeffs.items():
+        scale = c.numerator * (den // c.denominator)
+        accumulate(out, ((e, scale * b) for e, b in _integer_element(basis, lam).items()))
+    return MultiPoly._make(n, out, den, default_names("x", n))
 
 
 def expand_with_tail(f: MultiPoly, basis: str, k: int | None = None) -> dict[Partition, MultiPoly]:
@@ -284,10 +279,7 @@ def expand_with_tail(f: MultiPoly, basis: str, k: int | None = None) -> dict[Par
         lam = Partition(lead)
         tail = work.pop(lead)
         coeffs[lam] = tail_poly(tail)
-        element = basis_poly(basis, lam).raw
-        if element.den != 1:
-            raise InvariantViolation(f"basis element {basis}{lam} has non-integer coefficients")
-        for hexp, hc in element.num.items():
+        for hexp, hc in _integer_element(basis, lam).items():
             if hexp == lead:
                 continue
             row = accumulate(work.setdefault(hexp, {}), ((t, -hc * tc) for t, tc in tail.items()))
@@ -296,20 +288,12 @@ def expand_with_tail(f: MultiPoly, basis: str, k: int | None = None) -> dict[Par
     return coeffs
 
 
-def expand_in_basis(f: MultiPoly, basis: str) -> SymExpansion:
-    """Write a symmetric polynomial exactly over one of the three bases."""
-    coeffs = expand_with_tail(f, basis)
-    return SymExpansion(basis, f.arity, {lam: c.constant() for lam, c in coeffs.items()})
-
-
-def schur_in_monomials(lam: Partition) -> SymExpansion:
-    """Monomial-basis expansion of a Schur polynomial (for triangularity checks)."""
-    return expand_in_basis(schur_poly(lam).raw, "m")
+def expand_in_basis(f: MultiPoly, basis: str) -> dict[Partition, Fraction]:
+    """The coordinates c_lam of a symmetric f over one raw basis: f = sum_lam c_lam b_lam."""
+    return {lam: c.constant() for lam, c in expand_with_tail(f, basis).items()}
 
 
 def is_dominance_triangular(lam: Partition) -> bool:
     """Schur-in-m support lies weakly below lam with leading coefficient 1."""
-    exp = schur_in_monomials(lam)
-    if exp.coeffs.get(lam) != 1:
-        return False
-    return all(dominance_leq(nu, lam) for nu in exp.coeffs)
+    coeffs = expand_in_basis(schur_poly(lam).raw, "m")
+    return coeffs.get(lam) == 1 and all(dominance_leq(nu, lam) for nu in coeffs)

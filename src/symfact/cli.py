@@ -16,6 +16,7 @@ from . import verify
 from .bases import basis_poly
 from .partitions import Partition
 from .poly import InvariantViolation, MultiPoly, PolyError
+from .spectral import eigen_product
 
 
 def _dump(obj) -> str:
@@ -87,7 +88,7 @@ def cmd_apply_q(args) -> int:
 def cmd_separate(args) -> int:
     lam = _parse_partition(args.lam, args.n)
     q = verify.BASES[args.basis].q_poly(lam)
-    product = verify.eigen_product(q, lam.n)
+    product = eigen_product(q, lam.n)
     out = {"q": q.to_json(), "product": product.to_json()}
     if args.format == "table":
         print("q(z) =", q.pretty())
@@ -100,7 +101,7 @@ def cmd_separate(args) -> int:
 def cmd_invert(args) -> int:
     if args.lam is not None:
         lam = _parse_partition(args.lam, args.n)
-        g = verify.eigen_product(qs.q_poly(lam), lam.n)
+        g = eigen_product(qs.q_poly(lam), lam.n)
         result = qs.separate_inverse(g)
     else:
         g = _read_poly(args.input)

@@ -93,10 +93,6 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
     return True
 
 
-def staircase(n: int) -> tuple[int, ...]:
-    return tuple(range(n - 1, -1, -1))
-
-
 def partitions_of_weight(w: int, n: int) -> Iterator[Partition]:
     """Partitions of weight exactly w and length n, descending lex order."""
 

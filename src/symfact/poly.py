@@ -241,18 +241,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.num
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.num), default=0)
-
-    def leading_exp(self, order: str = "grevlex") -> Exponent:
-        if self.is_zero:
-            raise PolyError("zero polynomial has no leading term")
-        if order == "grevlex":
-            return max(self.num, key=grevlex_key)
-        if order == "lex":
-            return max(self.num)
-        raise PolyError(f"unknown order {order!r}")
-
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in descending grevlex order (the serialization order)."""
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
@@ -363,7 +351,7 @@ class MultiPoly:
             raise PolyError("division by zero polynomial")
         rem = dict(self.num)
         d_terms = den.num
-        d_exp = den.leading_exp()
+        d_exp = max(d_terms, key=grevlex_key)
         d_lead = d_terms[d_exp]
         quot: dict[Exponent, int] = {}
         scale = 1
@@ -390,7 +378,7 @@ class MultiPoly:
             self.arity, {e: c * d_den for e, c in quot.items()}, scale * self.den, self.names
         )
 
-    # -- evaluation and substitution ----------------------------------------
+    # -- evaluation ----------------------------------------------------------
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.arity:
@@ -425,34 +413,6 @@ class MultiPoly:
                 c *= p ** exp[s] * q ** (top - exp[s])
             pairs.append((tuple(map(exp.__getitem__, keep)), c))
         return MultiPoly._make(len(keep), accumulate({}, pairs), den, names)
-
-    def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Exact composition: replace slot i by ``images[i]``.
-
-        All images must share one arity; the result lives in that arity.
-        """
-        if len(images) != self.arity:
-            raise PolyError("need one image per slot")
-        if not images:
-            return MultiPoly.const(0, self.constant())
-        target = images[0].arity
-        names = images[0].names
-        for g in images:
-            if g.arity != target:
-                raise PolyError("images must share one arity")
-        powers: list[dict[int, MultiPoly]] = [{} for _ in images]
-        result = MultiPoly.zero(target, names)
-        for exp, c in self.num.items():
-            term = MultiPoly.const(target, c, names)
-            for i, e in enumerate(exp):
-                if not e:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    cache[e] = images[i] ** e
-                term = term * cache[e]
-            result = result + term
-        return result * Fraction(1, self.den)
 
     # -- differential operators ----------------------------------------------
 

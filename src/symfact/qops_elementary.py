@@ -14,11 +14,12 @@ separating map (``separate``) and the rho-Q composition (``separate_via_q``).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 from . import spectral
-from .bases import elementary_power, elementary_sym, expand_in_basis, expand_with_tail
+from .bases import combine, elementary_sym, expand_in_basis, expand_with_tail
 from .partitions import Partition
 from .poly import InvariantViolation, MultiPoly, PolyError, UniPoly, default_names, tensor_sum
 
@@ -30,27 +31,23 @@ def _eps_names(n: int) -> tuple[str, ...]:
 def to_eps(f: MultiPoly) -> MultiPoly:
     """Rewrite a symmetric polynomial as a polynomial in eps_1..eps_n."""
     n = f.arity
-    expn = expand_in_basis(f, "E")
     terms = {}
-    for lam, c in expn.coeffs.items():
+    for lam, c in expand_in_basis(f, "E").items():
         exp = tuple(lam.diff(j, j + 1) for j in range(1, n + 1))
         terms[exp] = c
     return MultiPoly(n, terms, _eps_names(n))
 
 
-def from_eps(p: MultiPoly, n: int | None = None) -> MultiPoly:
-    """Substitute eps_j <- e_j(x), recovering the symmetric polynomial."""
-    n = p.arity if n is None else n
-    if p.arity != n:
-        raise PolyError("eps polynomial arity must equal n")
-    acc = MultiPoly.zero(n)
-    for exp, c in p.terms.items():
-        term = MultiPoly.const(n, c)
-        for j, e in enumerate(exp, start=1):
-            if e:
-                term = term * elementary_power(j, e, n)
-        acc = acc + term
-    return acc
+def from_eps(p: MultiPoly) -> MultiPoly:
+    """Substitute eps_j <- e_j(x), recovering the symmetric polynomial.
+
+    The eps monomial with exponents (k_1..k_n) is E_lam with
+    lam_i = k_i + ... + k_n.
+    """
+    coeffs = {
+        Partition(tuple(itertools.accumulate(reversed(exp)))[::-1]): c for exp, c in p.terms.items()
+    }
+    return combine("E", p.arity, coeffs)
 
 
 def apply_h(f: MultiPoly, j: int) -> MultiPoly:
@@ -58,7 +55,7 @@ def apply_h(f: MultiPoly, j: int) -> MultiPoly:
     n = f.arity
     if not 1 <= j <= n:
         raise PolyError(f"need 1 <= j <= n, got j={j}")
-    return from_eps(to_eps(f).euler(j - 1), n)
+    return from_eps(to_eps(f).euler(j - 1))
 
 
 def h_eigenvalue(lam: Partition, j: int) -> Fraction:
@@ -189,11 +186,8 @@ def separate_via_q(f: MultiPoly) -> MultiPoly:
 
 
 def separate_via_chain(f: MultiPoly) -> MultiPoly:
-    n = f.arity
-    g = f
-    for k in range(n, 0, -1):
-        g = apply_a(g, k, n)
-    return g.rename(default_names("z", n))
+    """The A-chain of :func:`apply_a` links, output in z_1..z_n."""
+    return spectral.separate_via_chain(f, apply_a)
 
 
 def separate(f: MultiPoly) -> MultiPoly:

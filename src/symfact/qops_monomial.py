@@ -154,16 +154,12 @@ def separate(f: MultiPoly) -> MultiPoly:
     Runs the triangular A-chain and checks it against the rho-Q composition;
     any disagreement raises.
     """
-    n = f.arity
     if not f.is_symmetric():
         raise NotSymmetric("separation needs a symmetric polynomial")
-    g = f
-    for k in range(n, 0, -1):
-        g = apply_a(g, k, n)
-    g = g.rename(default_names("z", n))
+    g = spectral.separate_via_chain(f, apply_a)
     if g != separate_via_q(f):
         raise InvariantViolation(
-            f"separation routes disagree [m] n={n}: A-chain vs rho-Q composition"
+            f"separation routes disagree [m] n={f.arity}: A-chain vs rho-Q composition"
         )
     return g
 
@@ -183,7 +179,4 @@ def lift(f: MultiPoly) -> MultiPoly:
 
 def separation_residual(lam: Partition) -> UniPoly:
     """Apply prod_j (z d/dz - lam_j) to the eigenvalue polynomial."""
-    p = q_poly(lam)
-    for part in lam.parts:
-        p = p.euler() - p * part
-    return p
+    return spectral.euler_residual(q_poly(lam), lam.parts)

@@ -111,10 +111,7 @@ def q_via_restricted_determinant(lam: Partition) -> UniPoly:
 
 def phi_ode_residual(lam: Partition) -> UniPoly:
     """Apply prod_j (z d/dz - mu_j) to phi; must vanish."""
-    p = phi_data(lam).phi
-    for m in lam.shifted().parts:
-        p = p.euler() - p * m
-    return p
+    return spectral.euler_residual(phi_data(lam).phi, lam.shifted().parts)
 
 
 def h_eigenvalue(lam: Partition, j: int) -> Fraction:

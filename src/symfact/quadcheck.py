@@ -57,6 +57,8 @@ class OrderedDomain:
             raise PolyError("bounds must be positive")
         if self.z <= 1:
             raise PolyError("the delta support requires z > 1")
+        if len(self.y) > 3:
+            raise PolyError("delta-constrained integrals are implemented for n <= 3")
 
     @property
     def n(self) -> int:
@@ -193,11 +195,9 @@ def _delta_integral(p: MultiPoly, dom: OrderedDomain) -> QuadratureResult:
     elif n == 2:
         hi = min(y[1], c / y[1]) if dom.tail_constraint else y[1]
         value = _exact_delta_integral_2d(p, c, y[0], hi)
-    elif n == 3:
+    else:  # n == 3, the largest domain OrderedDomain admits
         tail = y[2] if dom.tail_constraint else None
         value = _exact_delta_integral_3d(p, c, (y[0], y[1]), (y[1], y[2]), tail)
-    else:
-        raise PolyError("delta-constrained integrals are implemented for n <= 3")
     return QuadratureResult(value, len(p.num))
 
 
@@ -261,10 +261,11 @@ def integral_a(lam: Partition, k: int, z_k, ytilde) -> IntegralCheck:
     n = lam.n
     if not 1 <= k <= n:
         raise PolyError(f"need 1 <= k <= n, got k={k}")
-    dom = OrderedDomain((Fraction(1), *_as_fractions(ytilde)), _scalar(z_k))
-    if dom.n != k:
+    yt = _as_fractions(ytilde)
+    if len(yt) != k - 1:
         raise PolyError("need k-1 interleaving bounds")
-    yt, z = dom.y[1:], dom.z
+    dom = OrderedDomain((Fraction(1), *yt), _scalar(z_k))
+    z = dom.z
     sbar = schur_poly(lam).normalized
     f = sbar.partial_eval({i: 1 for i in range(k, n)})
     oracle = sbar.eval(list(yt) + [1] * (n - k + 1)) * qops_schur.q_poly(lam).eval(z)

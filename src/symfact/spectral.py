@@ -5,6 +5,9 @@ eigenvalue polynomial q_lam(z), a separating map sending the normalized
 basis element to prod_j q_lam(z_j), and a lift that appends a zero part.
 Q, the separating map and the lift take the basis tag (and, where needed,
 the basis's ``q_poly``) and work through :func:`symfact.bases.expand_with_tail`.
+The two separation routes are driven here too: the rho-Q composition
+(:func:`separate_via_q`) and the A-chain (:func:`separate_via_chain`), each
+given one basis's operators.
 
 The rho-Q route S_n = rho_0 Q_{z_1}...Q_{z_n} runs n-1 Q's and then one
 fused step rho_0 Q_{z_1}, which never builds the last Q's output in the x's
@@ -14,9 +17,9 @@ sum_lam b_lam(1..1) * tail_lam * q_lam(z_1) (:func:`rho0_diagonal_q`).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
-from .bases import basis_poly, expand_in_basis, expand_with_tail
+from .bases import basis_poly, combine, expand_in_basis, expand_with_tail
 from .partitions import Partition
 from .poly import MultiPoly, Pair, UniPoly, default_names, tensor_sum
 
@@ -73,19 +76,18 @@ def separate(f: MultiPoly, basis: str, q_poly: QPoly) -> MultiPoly:
     """Separating map: each component c b_lam goes to c b_lam(1..1) prod_j q_lam(z_j)."""
     n = f.arity
     acc = MultiPoly.zero(n, default_names("z", n))
-    for lam, c in expand_in_basis(f, basis).coeffs.items():
+    for lam, c in expand_in_basis(f, basis).items():
         acc = acc + eigen_product(q_poly(lam), n) * (c * basis_poly(basis, lam).value_at_one)
     return acc
 
 
 def lift(f: MultiPoly, basis: str) -> MultiPoly:
     """Variable-adding operator: normalized b_lam goes to normalized b_(lam, 0)."""
-    acc = MultiPoly.zero(f.arity + 1)
-    for lam, c in expand_in_basis(f, basis).coeffs.items():
-        short = basis_poly(basis, lam)
-        full = basis_poly(basis, lam.with_trailing_zero())
-        acc = acc + full.raw * (c * short.value_at_one / full.value_at_one)
-    return acc
+    coeffs = {}
+    for lam, c in expand_in_basis(f, basis).items():
+        long = lam.with_trailing_zero()
+        coeffs[long] = c * basis_poly(basis, lam).value_at_one / basis_poly(basis, long).value_at_one
+    return combine(basis, f.arity + 1, coeffs)
 
 
 def separate_via_q(
@@ -102,3 +104,23 @@ def separate_via_q(
         h = apply_q(h, n_x=n, z_name=f"z{i}")
     h = apply_rho0_q(h, n_x=n, z_name="z1")
     return h.permute(list(range(n - 1, -1, -1)))
+
+
+def separate_via_chain(f: MultiPoly, apply_a: Callable[[MultiPoly, int, int], MultiPoly]) -> MultiPoly:
+    """The A-chain of one basis, output in z_1..z_n.
+
+    ``apply_a(g, k, n)`` is the k-th chain link; the links run k = n down to
+    1, and each leaves z_k in slot k.
+    """
+    n = f.arity
+    g = f
+    for k in range(n, 0, -1):
+        g = apply_a(g, k, n)
+    return g.rename(default_names("z", n))
+
+
+def euler_residual(p: UniPoly, exponents: Iterable[int]) -> UniPoly:
+    """prod_j (z d/dz - a_j) applied to p: zero iff p is a combination of the z^(a_j)."""
+    for a in exponents:
+        p = p.euler() - p * a
+    return p

@@ -168,21 +168,6 @@ class TestEulerAndEval:
 
 
 class TestSubstitutionAndSlots:
-    def test_scale_one_slot(self):
-        # f(x1, x2) = x1 x2 with x1 -> z x1 picks up one factor of z
-        f = MultiPoly(2, {(1, 1): 1})
-        names3 = ("x1", "x2", "z")
-        images = [
-            MultiPoly(3, {(1, 0, 1): 1}, names3),
-            MultiPoly(3, {(0, 1, 0): 1}, names3),
-        ]
-        assert f.substitute(images) == MultiPoly(3, {(1, 1, 1): 1}, names3)
-
-    @given(multipolys(arity=2, max_terms=3, max_exp=2))
-    def test_identity_images(self, f):
-        images = [MultiPoly.variable(i, 2) for i in range(2)]
-        assert f.substitute(images) == f
-
     def test_partial_eval_drops_slots(self):
         f = MultiPoly(3, {(1, 2, 1): 2, (0, 1, 0): 1})
         g = f.partial_eval({1: F(1, 2)})

@@ -133,14 +133,6 @@ class TestAgainstSympy:
         kept = [x for i, x in enumerate(xs) if i not in values]
         assert f.partial_eval(values).terms == terms_of(expr, kept)
 
-    @given(polys(max_terms=3, max_exp=2), st.integers(1, 3), st.data())
-    def test_substitute(self, f, target, data):
-        images = [data.draw(polys(target, 3, 2)) for _ in range(f.arity)]
-        xs, ys = gens(f.arity), sympy.symbols(f"y1:{target + 1}")
-        image_exprs = [to_expr(g).xreplace(dict(zip(gens(target), ys))) for g in images]
-        expr = to_expr(f).xreplace(dict(zip(xs, image_exprs)))
-        assert f.substitute(images).terms == terms_of(expr, ys)
-
     @given(polys(), st.data())
     def test_permute(self, f, data):
         perm = data.draw(st.permutations(range(f.arity)))

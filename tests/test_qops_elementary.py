@@ -91,10 +91,7 @@ class TestEigenvaluePolynomial:
     def test_matches_restriction_oracle(self):
         for lam in enumerate_partitions(5, 3):
             restricted = ebar(*lam.parts).partial_eval({1: 1, 2: 1})
-            coeffs = [F(0)] * (restricted.total_degree() + 1)
-            for (e,), c in restricted.terms.items():
-                coeffs[e] = c
-            assert qe.q_poly(lam) == UniPoly(coeffs)
+            assert qe.q_poly(lam) == UniPoly.of(restricted)
 
     def test_ode_residual_vanishes(self):
         for lam in enumerate_partitions(6, 4):

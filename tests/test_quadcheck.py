@@ -30,6 +30,26 @@ class TestDomain:
         dom = qc.OrderedDomain((F(1), F(2)), F(3, 2))
         assert dom.delta_value() == 3
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: qc.integral_a(Partition((1, 0, 0, 0)), 4, F(3, 2), (2, 3, 4)),
+            lambda: qc.integral_q(MultiPoly.one(4), F(3, 2), (1, 2, 3, 4)),
+            lambda: qc.core_alternant_integral(Partition((1, 0, 0, 0)), (1, 2, 3, 4), F(3, 2)),
+        ],
+        ids=["integral_a", "integral_q", "core_alternant_integral"],
+    )
+    def test_four_variables_rejected_before_anything_is_built(self, monkeypatch, call):
+        def build(*_args, **_kwargs):
+            raise AssertionError("built an integrand or oracle for a domain with no closed form")
+
+        for name in ("schur_poly", "vandermonde", "alternant"):
+            monkeypatch.setattr(qc, name, build)
+        for name in ("apply_q", "phi_data", "q_poly"):
+            monkeypatch.setattr(qc.qops_schur, name, build)
+        with pytest.raises(PolyError, match="implemented for n <= 3"):
+            call()
+
 
 class TestCoreAlternantIntegral:
     def test_hand_value_two_variables(self):
@@ -189,6 +209,8 @@ class TestChainLinkIntegral:
     def test_domain_validation(self):
         with pytest.raises(PolyError):
             qc.integral_a(Partition((1, 0)), 2, F(1, 2), (3,))  # z <= 1
+        with pytest.raises(PolyError, match="need k-1 interleaving bounds"):
+            qc.integral_a(Partition((1, 0, 0)), 3, F(3, 2), (2, 3, 4))
 
 
 class TestLiftingIntegral:
