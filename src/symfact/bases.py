@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .partitions import Partition, dominance_leq
 from .poly import (
@@ -34,8 +34,7 @@ from .poly import (
 BASIS_TAGS = ("m", "E", "s")
 
 
-@dataclass(frozen=True)
-class NormalizedBasisPoly:
+class NormalizedBasisPoly(NamedTuple):
     """A basis polynomial together with its value at (1,...,1)."""
 
     raw: MultiPoly

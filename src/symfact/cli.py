@@ -11,12 +11,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from . import qops_schur as qs
-from . import verify
-from .bases import basis_poly
+from .bases import BASIS_TAGS, basis_poly
 from .partitions import Partition
 from .poly import InvariantViolation, MultiPoly, PolyError
 from .spectral import eigen_product
+
+# verify.SUITES, repeated so that parsing a command never imports verify
+_SUITES = ("eigen", "chain", "inverse", "ode", "lifting", "quadrature", "all")
+
+
+def _ops(basis: str):
+    """The operator module of one basis tag; only that module is imported."""
+    if basis == "m":
+        from . import qops_monomial as ops
+    elif basis == "E":
+        from . import qops_elementary as ops
+    else:
+        from . import qops_schur as ops
+    return ops
 
 
 def _dump(obj) -> str:
@@ -36,7 +48,7 @@ def _parse_partition(text: str, n: int | None = None) -> Partition:
     return lam
 
 
-def _read_poly(path: str) -> MultiPoly:
+def _read_poly(path: str, n: int | None) -> MultiPoly:
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -49,7 +61,10 @@ def _read_poly(path: str) -> MultiPoly:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise PolyError(f"malformed JSON in {path}: {exc}") from exc
-    return MultiPoly.from_json(data)
+    p = MultiPoly.from_json(data)
+    if n is not None and p.arity != n:
+        raise PolyError(f"input polynomial has {p.arity} variables, expected {n}")
+    return p
 
 
 def _emit_poly(p: MultiPoly, fmt: str):
@@ -67,14 +82,14 @@ def cmd_basis(args) -> int:
 
 
 def cmd_apply_q(args) -> int:
-    ops = verify.BASES[args.basis]
+    ops = _ops(args.basis)
     if args.lam is not None:
         lam = _parse_partition(args.lam, args.n)
         f = basis_poly(args.basis, lam).normalized
         q = ops.q_poly(lam)
         out = {"eigenvalue": q.to_json(), "result": ops.apply_q(f).to_json()}
     else:
-        f = _read_poly(args.input)
+        f = _read_poly(args.input, args.n)
         out = {"result": ops.apply_q(f).to_json()}
     if args.format == "table":
         if "eigenvalue" in out:
@@ -87,7 +102,7 @@ def cmd_apply_q(args) -> int:
 
 def cmd_separate(args) -> int:
     lam = _parse_partition(args.lam, args.n)
-    q = verify.BASES[args.basis].q_poly(lam)
+    q = _ops(args.basis).q_poly(lam)
     product = eigen_product(q, lam.n)
     out = {"q": q.to_json(), "product": product.to_json()}
     if args.format == "table":
@@ -99,12 +114,13 @@ def cmd_separate(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    qs = _ops("s")
     if args.lam is not None:
         lam = _parse_partition(args.lam, args.n)
         g = eigen_product(qs.q_poly(lam), lam.n)
         result = qs.separate_inverse(g)
     else:
-        g = _read_poly(args.input)
+        g = _read_poly(args.input, args.n)
         try:
             result = qs.separate_inverse(g)
         except InvariantViolation as exc:
@@ -120,7 +136,7 @@ def cmd_invert(args) -> int:
 def cmd_lift(args) -> int:
     lam = _parse_partition(args.lam)
     f = basis_poly(args.basis, lam).normalized
-    _emit_poly(verify.BASES[args.basis].lift(f), args.format)
+    _emit_poly(_ops(args.basis).lift(f), args.format)
     return 0
 
 
@@ -136,11 +152,15 @@ def _emit_report(report: dict, fmt: str) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     report = verify.run_suite(args.suite, max_weight=args.max_weight, n=args.n, seed=args.seed)
     return _emit_report(report, args.format)
 
 
 def cmd_quadrature(args) -> int:
+    from . import verify
+
     report = verify.run_suite("quadrature", max_weight=args.max_weight, n=args.n, seed=args.seed)
     return _emit_report(report, args.format)
 
@@ -157,7 +177,43 @@ class _Parser(argparse.ArgumentParser):
         raise PolyError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_BASIS = ("--basis", {"choices": BASIS_TAGS, "required": True})
+_LAMBDA = ("--lambda", {"dest": "lam", "required": True, "metavar": "PARTS"})
+_N = ("--n", {"type": int})
+
+
+def _source(what: str) -> list:
+    """``--lambda`` or ``--input``, exactly one of them."""
+    return [("--lambda", {"dest": "lam", "metavar": "PARTS"}), ("--input", {"help": f"{what}, or - for stdin"})]
+
+
+# name, help, handler, and the (flag, options) of each argument in help order;
+# a list of them is a required group of mutually exclusive flags
+_COMMANDS = (
+    ("basis", "print a basis polynomial", cmd_basis, [
+        ("--kind", {"choices": BASIS_TAGS, "required": True}),
+        _LAMBDA,
+        ("--n", {"type": int, "required": True}),
+        ("--normalized", {"action": "store_true"}),
+    ]),
+    ("apply-q", "apply the Q-operator", cmd_apply_q, [_BASIS, _N, _source("polynomial JSON file")]),
+    ("separate", "factorize a basis polynomial", cmd_separate, [_BASIS, _LAMBDA, _N]),
+    ("invert", "apply the inverse separating map (Schur)", cmd_invert, [_N, _source("z-block polynomial JSON file")]),
+    ("lift", "add a variable to a basis polynomial", cmd_lift, [_BASIS, _LAMBDA]),
+    ("verify", "run a verification suite", cmd_verify, [
+        ("--suite", {"choices": _SUITES, "required": True}),
+        ("--max-weight", {"type": int, "default": 4}),
+        ("--n", {"type": int, "default": 3}),
+    ]),
+    ("quadrature", "run the integral-identity suite", cmd_quadrature, [
+        ("--max-weight", {"type": int, "default": 3}),
+        ("--n", {"type": int, "default": 2}),
+    ]),
+)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser; with ``command`` naming one, only that subcommand is built."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
@@ -167,57 +223,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact symmetric-polynomial bases and their factorizing operators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("basis", parents=[common], help="print a basis polynomial")
-    p.add_argument("--kind", choices=("m", "E", "s"), required=True)
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--normalized", action="store_true")
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("apply-q", parents=[common], help="apply the Q-operator")
-    p.add_argument("--basis", choices=("m", "E", "s"), required=True)
-    p.add_argument("--n", type=int)
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--lambda", dest="lam", metavar="PARTS")
-    source.add_argument("--input", help="polynomial JSON file, or - for stdin")
-    p.set_defaults(func=cmd_apply_q)
-
-    p = sub.add_parser("separate", parents=[common], help="factorize a basis polynomial")
-    p.add_argument("--basis", choices=("m", "E", "s"), required=True)
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
-    p.add_argument("--n", type=int)
-    p.set_defaults(func=cmd_separate)
-
-    p = sub.add_parser("invert", parents=[common], help="apply the inverse separating map (Schur)")
-    p.add_argument("--n", type=int)
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--lambda", dest="lam", metavar="PARTS")
-    source.add_argument("--input", help="z-block polynomial JSON file, or - for stdin")
-    p.set_defaults(func=cmd_invert)
-
-    p = sub.add_parser("lift", parents=[common], help="add a variable to a basis polynomial")
-    p.add_argument("--basis", choices=("m", "E", "s"), required=True)
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p.add_argument("--suite", choices=verify.SUITES, required=True)
-    p.add_argument("--max-weight", type=int, default=4)
-    p.add_argument("--n", type=int, default=3)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("quadrature", parents=[common], help="run the integral-identity suite")
-    p.add_argument("--max-weight", type=int, default=3)
-    p.add_argument("--n", type=int, default=2)
-    p.set_defaults(func=cmd_quadrature)
-
+    for name, help_text, func, arguments in [c for c in _COMMANDS if c[0] == command] or _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for argument in arguments:
+            if isinstance(argument, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag, options in argument:
+                    group.add_argument(flag, **options)
+            else:
+                flag, options = argument
+                p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except PolyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,19 +6,54 @@ significant, since the lifting operators change the number of variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .poly import PolyError
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class _Parts:
+    """An immutable tuple of parts, equal only to an instance of its own class."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...]):
+        object.__setattr__(self, "parts", parts)
+        self._validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.parts,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(parts={self.parts!r})"
+
+    @property
+    def n(self) -> int:
+        return len(self.parts)
+
+    def to_json(self) -> list[int]:
+        return list(self.parts)
+
+
+class Partition(_Parts):
     """Weakly decreasing tuple of nonnegative integers, fixed length."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.parts:
             raise PolyError("partition must have length >= 1")
         if any(type(p) is not int or p < 0 for p in self.parts):
@@ -26,9 +61,17 @@ class Partition:
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise PolyError(f"parts must be weakly decreasing: {self.parts}")
 
-    @property
-    def n(self) -> int:
-        return len(self.parts)
+    def __lt__(self, other):
+        return self.parts < other.parts if other.__class__ is Partition else NotImplemented
+
+    def __le__(self, other):
+        return self.parts <= other.parts if other.__class__ is Partition else NotImplemented
+
+    def __gt__(self, other):
+        return self.parts > other.parts if other.__class__ is Partition else NotImplemented
+
+    def __ge__(self, other):
+        return self.parts >= other.parts if other.__class__ is Partition else NotImplemented
 
     def weight(self) -> int:
         return sum(self.parts)
@@ -51,31 +94,20 @@ class Partition:
     def with_trailing_zero(self) -> "Partition":
         return Partition(self.parts + (0,))
 
-    def to_json(self) -> list[int]:
-        return list(self.parts)
-
     def __repr__(self):
         return f"Partition{self.parts}"
 
 
-@dataclass(frozen=True)
-class ShiftedPartition:
+class ShiftedPartition(_Parts):
     """Strictly decreasing exponent vector mu = lambda + staircase."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _validate(self):
         if any(a <= b for a, b in zip(self.parts, self.parts[1:])):
             raise PolyError(f"shifted parts must be strictly decreasing: {self.parts}")
         if any(p < 0 for p in self.parts):
             raise PolyError(f"shifted parts must be nonnegative: {self.parts}")
-
-    @property
-    def n(self) -> int:
-        return len(self.parts)
-
-    def to_json(self) -> list[int]:
-        return list(self.parts)
 
 
 def dominance_leq(mu: Partition, lam: Partition) -> bool:

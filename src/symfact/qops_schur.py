@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import qops_monomial, spectral
 from .bases import over_vandermonde, restricted_schur, schur_poly, vandermonde
@@ -36,8 +36,7 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class PhiData:
+class PhiData(NamedTuple):
     """Shifted exponents mu, interpolation weights c_j, and phi = sum c_j z^mu_j."""
 
     mu: ShiftedPartition

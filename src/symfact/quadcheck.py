@@ -20,8 +20,8 @@ adjudicates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import qops_schur
 from .bases import alternant, schur_poly, vandermonde
@@ -35,7 +35,6 @@ def _as_fractions(values) -> tuple[Fraction, ...]:
     return tuple(_scalar(v) for v in values)
 
 
-@dataclass(frozen=True)
 class OrderedDomain:
     """Interleaved domain 0 < y_1 < x_1 < y_2 < ... < x_{n-1} < y_n < x_n.
 
@@ -44,21 +43,24 @@ class OrderedDomain:
     which the suite checks rather than assumes).
     """
 
-    y: tuple[Fraction, ...]
-    z: Fraction
-    tail_constraint: bool = True
+    __slots__ = ("y", "z", "tail_constraint")
 
-    def __post_init__(self):
-        if any(type(v) is not Fraction for v in (*self.y, self.z)):
+    def __init__(self, y: tuple[Fraction, ...], z: Fraction, tail_constraint: bool = True):
+        if not y:
+            raise PolyError("the domain needs at least one bound")
+        if any(type(v) is not Fraction for v in (*y, z)):
             raise PolyError("domain bounds and z must be Fractions")
-        if any(b <= a for a, b in zip(self.y, self.y[1:])):
+        if any(b <= a for a, b in zip(y, y[1:])):
             raise PolyError("bounds must be strictly increasing")
-        if self.y[0] <= 0:
+        if y[0] <= 0:
             raise PolyError("bounds must be positive")
-        if self.z <= 1:
+        if z <= 1:
             raise PolyError("the delta support requires z > 1")
-        if len(self.y) > 3:
+        if len(y) > 3:
             raise PolyError("delta-constrained integrals are implemented for n <= 3")
+        self.y = y
+        self.z = z
+        self.tail_constraint = tail_constraint
 
     @property
     def n(self) -> int:
@@ -68,8 +70,7 @@ class OrderedDomain:
         return self.z * math.prod(self.y)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """An exact integral and the number of integrand terms integrated in closed form."""
 
     value: Fraction
@@ -201,19 +202,19 @@ def _delta_integral(p: MultiPoly, dom: OrderedDomain) -> QuadratureResult:
     return QuadratureResult(value, len(p.num))
 
 
-@dataclass(frozen=True)
-class PrefactorAdjudication:
+class PrefactorAdjudication(NamedTuple):
     """Both prefactor conventions for the Q-operator integral, judged by the oracle.
 
     The position of the (z-1)^(n-1) factor names each convention:
     ``denominator`` is (n-1)! / ((z-1)^(n-1) Delta(y)), ``numerator`` is
-    (n-1)! (z-1)^(n-1) / Delta(y).
+    (n-1)! (z-1)^(n-1) / Delta(y).  A QuadratureResult comes last, as in
+    every tuple an integral entry point returns.
     """
 
-    denominator: QuadratureResult
-    numerator: QuadratureResult
     oracle: Fraction
     convention: str
+    denominator: QuadratureResult
+    numerator: QuadratureResult
 
 
 def integral_q(f: MultiPoly, z, y, tail_constraint: bool = True) -> PrefactorAdjudication:
@@ -236,18 +237,17 @@ def integral_q(f: MultiPoly, z, y, tail_constraint: bool = True) -> PrefactorAdj
     num = QuadratureResult(raw.value * base * pole, raw.evaluations)
     matches = (den.value == oracle, num.value == oracle)
     convention = {(True, False): "denominator", (False, True): "numerator"}.get(matches, "ambiguous")
-    return PrefactorAdjudication(den, num, oracle, convention)
+    return PrefactorAdjudication(oracle, convention, den, num)
 
 
 # -- A_k integral ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegralCheck:
-    """One integral identity next to its exact oracle."""
+class IntegralCheck(NamedTuple):
+    """One integral identity: its exact oracle, then the computed result."""
 
-    computed: QuadratureResult
     oracle: Fraction
+    computed: QuadratureResult
 
 
 def integral_a(lam: Partition, k: int, z_k, ytilde) -> IntegralCheck:
@@ -280,7 +280,7 @@ def integral_a(lam: Partition, k: int, z_k, ytilde) -> IntegralCheck:
     for j in range(k):
         integrand = integrand * (MultiPoly.variable(j, k) - 1) ** (n - k)
     raw = _delta_integral(integrand, dom)
-    return IntegralCheck(QuadratureResult(prefactor * raw.value, raw.evaluations), oracle)
+    return IntegralCheck(oracle, QuadratureResult(prefactor * raw.value, raw.evaluations))
 
 
 # -- lifting integral ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line contract: JSON shapes, exit codes, byte stability."""
 
+import argparse
 import json
 import os
 import shlex
@@ -54,6 +55,49 @@ def test_readme_command_runs(capsys, line):
 def test_import_leaves_scipy_unloaded():
     # a cold CLI call must not pay for a numerical library it never uses
     assert _probe("import sys, symfact.cli; print('scipy' in sys.modules)") == "False"
+
+
+_HEAVY = ("symfact.verify", "symfact.quadcheck", "dataclasses", "inspect")
+
+
+def _loaded(code: str) -> list[str]:
+    """symfact's operator modules and the heavy modules loaded after ``code``."""
+    probe = (
+        f"import sys; {code}; "
+        f"print('loaded:', *sorted(m for m in sys.modules if m.startswith('symfact.qops_') or m in {_HEAVY!r}))"
+    )
+    return _probe(probe).rpartition("loaded:")[2].split()
+
+
+def test_import_leaves_the_verification_stack_unloaded():
+    # a cold call pays only for what its own command runs
+    assert _loaded("import symfact.cli") == []
+
+
+def test_verify_import_leaves_dataclasses_unloaded():
+    loaded = _loaded("import symfact.verify")
+    assert "symfact.verify" in loaded and "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_basis_command_loads_no_operator_module():
+    assert _loaded("import symfact.cli as c; c.main(['basis', '--kind', 'm', '--lambda', '2,0', '--n', '2'])") == []
+
+
+@pytest.mark.parametrize(
+    "basis, modules",
+    [("m", ["qops_monomial"]), ("E", ["qops_elementary"]), ("s", ["qops_monomial", "qops_schur"])],
+)
+def test_operator_command_loads_only_its_basis_module(basis, modules):
+    # qops_schur builds on qops_monomial; nothing loads qops_elementary but E
+    code = f"import symfact.cli as c; c.main(['apply-q', '--basis', {basis!r}, '--lambda', '1,0', '--n', '2'])"
+    assert _loaded(code) == [f"symfact.{m}" for m in modules]
+
+
+def test_suite_choices_are_verify_suites():
+    parser = cli._build_parser("verify")
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    (suite,) = (a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == verify.SUITES
 
 
 def test_quadrature_suite_leaves_scipy_and_numpy_unloaded():
@@ -226,6 +270,8 @@ class TestInputBoundary:
             (APPLY_Q, _poly([{"e": [1], "c": "1"}]), "non-negative integers"),
             (APPLY_Q, _poly([{"e": [1, 1], "c": "1"}, {"e": [1, 1], "c": "2"}]), "appears twice"),
             (INVERT, _poly([{"e": [1, 0], "c": "1"}], ("z1", "z2")), "not in the image"),
+            (APPLY_Q + ("--n", "5"), _poly([{"e": [1, 0], "c": "1"}]), "has 2 variables, expected 5"),
+            (INVERT + ("--n", "3"), _poly([{"e": [1, 0], "c": "1"}], ("z1", "z2")), "has 2 variables, expected 3"),
         ],
         ids=[
             "zero-denominator",
@@ -237,6 +283,8 @@ class TestInputBoundary:
             "exponent-length",
             "repeated-exponent",
             "not-in-image",
+            "apply-q-n-differs",
+            "invert-n-differs",
         ],
     )
     def test_stdin_input_error(self, capsys, monkeypatch, argv, stdin, fragment):

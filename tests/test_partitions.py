@@ -1,11 +1,14 @@
 """Partitions: weight, dominance, staircase shift, enumeration."""
 
 import itertools
+import pickle
 
 import pytest
 
+from symfact import bases
 from symfact.partitions import (
     Partition,
+    ShiftedPartition,
     dominance_leq,
     enumerate_partitions,
     partitions_of_weight,
@@ -103,3 +106,39 @@ def test_enumeration_order_is_by_weight_then_desc_lex():
 
 def test_partitions_of_weight_exact():
     assert [p.parts for p in partitions_of_weight(3, 2)] == [(3, 0), (2, 1)]
+
+
+class TestValueSemantics:
+    """Partitions are immutable values: cache keys, sort keys, readable reprs."""
+
+    def test_equal_only_within_a_class(self):
+        assert Partition((2, 1)) == Partition((2, 1))
+        assert Partition((2, 1)) != ShiftedPartition((2, 1))
+        assert ShiftedPartition((2, 1)) != (2, 1)
+
+    def test_equal_parts_hash_equal_and_order_is_by_parts(self):
+        sweep = enumerate_partitions(6, 4)
+        rebuilt = [Partition(tuple(lam.parts)) for lam in sweep]
+        assert [hash(a) for a in sweep] == [hash(b) for b in rebuilt]
+        assert [lam.parts for lam in sorted(sweep)] == sorted(lam.parts for lam in sweep)
+        assert len(set(sweep + rebuilt)) == len(sweep)
+
+    def test_repr(self):
+        assert repr(Partition((2, 1, 0))) == "Partition(2, 1, 0)"
+        assert repr(ShiftedPartition((3, 1, 0))) == "ShiftedPartition(parts=(3, 1, 0))"
+
+    def test_parts_cannot_be_assigned(self):
+        for value in (Partition((2, 1)), ShiftedPartition((2, 1))):
+            with pytest.raises(AttributeError):
+                value.parts = (3, 0)
+            with pytest.raises(AttributeError):
+                del value.parts
+            assert value.parts == (2, 1)
+            assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_basis_caches_hit_on_a_rebuilt_partition(self):
+        first = bases.schur_poly(Partition((2, 1, 0)))
+        hits = bases.schur_poly.cache_info().hits
+        again = bases.schur_poly(Partition(tuple([2, 1, 0])))
+        assert again is first
+        assert bases.schur_poly.cache_info().hits == hits + 1

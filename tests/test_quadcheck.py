@@ -22,6 +22,10 @@ class TestDomain:
             qc.OrderedDomain((F(-1), F(1)), F(2))
         with pytest.raises(PolyError):
             qc.OrderedDomain((F(1), F(2)), F(1))  # needs z > 1
+        with pytest.raises(PolyError, match="at least one bound"):
+            qc.OrderedDomain((), F(2))
+        with pytest.raises(PolyError, match="at least one bound"):
+            qc.core_alternant_integral(Partition((0,)), (), 2)
         for y, z in (((1.0, F(2)), F(3, 2)), ((F(1), F(2)), 1.5), ((F(1), 2), F(3, 2))):
             with pytest.raises(PolyError, match="must be Fractions"):
                 qc.OrderedDomain(y, z)  # ints too: an int bound would take negative powers in floats
