@@ -237,54 +237,101 @@ def combine(basis: str, n: int, coeffs: dict[Partition, Fraction]) -> MultiPoly:
     return MultiPoly._make(n, out, den, default_names("x", n))
 
 
+def _is_partition(exp: tuple[int, ...]) -> bool:
+    return all(a >= b for a, b in zip(exp, exp[1:]))
+
+
+@lru_cache(maxsize=None)
+def _orbit(mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct permutations of the exponent vector mu: the monomials of m_mu."""
+    return tuple(set(itertools.permutations(mu)))
+
+
+class OrbitForm(NamedTuple):
+    """A polynomial symmetric in its first k (head) slots, in m-coordinates.
+
+    Only the exponents whose head is weakly decreasing are kept: num[mu + t]
+    / den is the coefficient of m_mu(head) * t, so each head orbit is one row
+    instead of up to k! monomials.  ``names`` are the slots of the whole
+    polynomial.  :meth:`of` checks the symmetry once, where a polynomial
+    enters; ``num`` is never mutated, and the pair is reduced whenever the
+    whole polynomial's is.
+    """
+
+    k: int
+    num: dict[tuple[int, ...], int]
+    den: int
+    names: tuple[str, ...]
+
+    @classmethod
+    def of(cls, f: MultiPoly, k: int | None = None) -> "OrbitForm":
+        """f in m-coordinates over its first k slots (default all); f must be symmetric there."""
+        k = f.arity if k is None else k
+        if not 0 <= k <= f.arity:
+            raise PolyError(f"need 0 <= k <= arity, got k={k}, arity={f.arity}")
+        if not f.is_symmetric(k):
+            raise NotSymmetric(f"input is not symmetric in its first {k} of {f.arity} slots")
+        return cls(k, {e: c for e, c in f.num.items() if _is_partition(e[:k])}, f.den, f.names)
+
+    def to_poly(self) -> MultiPoly:
+        """The whole polynomial: each row spread over its head orbit."""
+        k = self.k
+        num = {p + e[k:]: c for e, c in self.num.items() for p in _orbit(e[:k])}
+        return MultiPoly._wrap(len(self.names), num, self.den, self.names)
+
+
+@lru_cache(maxsize=None)
+def m_coordinates(basis: str, lam: Partition) -> dict[tuple[int, ...], int]:
+    """The raw b_lam over the m basis: its integer coefficients at partition exponents."""
+    return {e: c for e, c in _integer_element(basis, lam).items() if _is_partition(e)}
+
+
+def expand_orbits(o: OrbitForm, basis: str) -> dict[Partition, dict[tuple[int, ...], int]]:
+    """Expand an orbit form over one basis in its head: {lam: tail numerators over o.den}.
+
+    m: the rows themselves.  E and s: repeatedly strip the lex-greatest head
+    partition, which pins the basis element (both bases are monic in lex
+    order), subtracting that element's m-coordinates times its tail;
+    dominance triangularity makes this terminate.  The basis elements have
+    integer coefficients, so the reduction stays on integer numerators.
+    """
+    if basis not in BASIS_TAGS:
+        raise PolyError(f"unknown basis tag {basis!r}")
+    k = o.k
+    work: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for exp, c in o.num.items():
+        work.setdefault(exp[:k], {})[exp[k:]] = c
+    if basis == "m":
+        return {Partition(head): tail for head, tail in work.items()}
+    coeffs = {}
+    while work:
+        lead = max(work)
+        tail = work.pop(lead)
+        lam = Partition(lead)
+        coeffs[lam] = tail
+        for mu, hc in m_coordinates(basis, lam).items():
+            if mu == lead:
+                continue
+            row = accumulate(work.setdefault(mu, {}), ((t, -hc * tc) for t, tc in tail.items()))
+            if not row:
+                del work[mu]
+    return coeffs
+
+
 def expand_with_tail(f: MultiPoly, basis: str, k: int | None = None) -> dict[Partition, MultiPoly]:
     """Expand f over one basis in its first k (head) slots.
 
     The slots after the head (the tail, holding earlier z's) ride along: the
     coefficient of each partition is a polynomial in the tail slots.  f must
-    be symmetric in the head slots.  m: group monomials by their sorted head
-    exponent.  E and s: repeatedly strip the lex-greatest head exponent,
-    which is weakly decreasing and pins the basis element (both bases are
-    monic in lex order); dominance triangularity makes this terminate.  The
-    basis elements have integer coefficients, so the reduction runs on f's
-    integer numerators over one common denominator.
+    be symmetric in the head slots; the expansion runs on its
+    :class:`OrbitForm` (:func:`expand_orbits`).
     """
-    k = f.arity if k is None else k
-    if basis not in BASIS_TAGS:
-        raise PolyError(f"unknown basis tag {basis!r}")
-    if not 0 <= k <= f.arity:
-        raise PolyError(f"need 0 <= k <= arity, got k={k}, arity={f.arity}")
-    if not f.is_symmetric(k):
-        raise NotSymmetric(f"input is not symmetric in its first {k} of {f.arity} slots")
-    den = f.den
-    work: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for exp, c in f.num.items():
-        work.setdefault(exp[:k], {})[exp[k:]] = c
-    tail_arity, tail_names = f.arity - k, f.names[k:]
-
-    def tail_poly(tail: dict[tuple[int, ...], int]) -> MultiPoly:
-        return MultiPoly._make(tail_arity, tail, den, tail_names)
-
-    coeffs: dict[Partition, MultiPoly] = {}
-    if basis == "m":
-        for head, tail in work.items():
-            if all(a >= b for a, b in zip(head, head[1:])):
-                coeffs[Partition(head)] = tail_poly(tail)
-        return coeffs
-    while work:
-        lead = max(work)
-        if any(a < b for a, b in zip(lead, lead[1:])):
-            raise InvariantViolation("lex-leading monomial of a symmetric poly not sorted")
-        lam = Partition(lead)
-        tail = work.pop(lead)
-        coeffs[lam] = tail_poly(tail)
-        for hexp, hc in _integer_element(basis, lam).items():
-            if hexp == lead:
-                continue
-            row = accumulate(work.setdefault(hexp, {}), ((t, -hc * tc) for t, tc in tail.items()))
-            if not row:
-                del work[hexp]
-    return coeffs
+    o = OrbitForm.of(f, k)
+    tail_arity, tail_names = f.arity - o.k, f.names[o.k :]
+    return {
+        lam: MultiPoly._make(tail_arity, tail, o.den, tail_names)
+        for lam, tail in expand_orbits(o, basis).items()
+    }
 
 
 def expand_in_basis(f: MultiPoly, basis: str) -> dict[Partition, Fraction]:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import spectral
-from .bases import combine, elementary_sym, expand_in_basis, expand_with_tail
+from .bases import OrbitForm, combine, elementary_sym, expand_in_basis, expand_orbits
 from .partitions import Partition
 from .poly import InvariantViolation, MultiPoly, PolyError, UniPoly, default_names, tensor_sum
 
@@ -63,26 +63,32 @@ def h_eigenvalue(lam: Partition, j: int) -> Fraction:
     return Fraction(lam.diff(j, j + 1))
 
 
-def h_explicit_value(f: MultiPoly, j: int, point: list[Fraction]) -> Fraction:
-    """The same operator as an explicit first-order form, at one point.
+def h_explicit_values(f: MultiPoly, j: int, points: list[list[Fraction]]) -> list[Fraction]:
+    """The same operator as an explicit first-order form, at each of the points.
 
     e_j(x) sum_i (-x_i)^(n-j) / prod_{m != i} (x_m - x_i) * df/dx_i evaluated
-    at a point with pairwise distinct coordinates (exact rationals).
+    at points with pairwise distinct coordinates (exact rationals); f is
+    differentiated once for all of them.
     """
     n = f.arity
     if not 1 <= j <= n:
         raise PolyError(f"need 1 <= j <= n, got j={j}")
-    pt = [Fraction(v) for v in point]
-    if len(set(pt)) != n:
-        raise PolyError("point must have pairwise distinct coordinates")
-    total = Fraction(0)
-    for i in range(n):
-        denom = Fraction(1)
-        for m in range(n):
-            if m != i:
-                denom *= pt[m] - pt[i]
-        total += (-pt[i]) ** (n - j) / denom * f.diff(i).eval(pt)
-    return elementary_sym(j, n).eval(pt) * total
+    derivatives = [f.diff(i) for i in range(n)]
+    e_j = elementary_sym(j, n)
+    values = []
+    for point in points:
+        pt = [Fraction(v) for v in point]
+        if len(set(pt)) != n:
+            raise PolyError("point must have pairwise distinct coordinates")
+        total = Fraction(0)
+        for i, df in enumerate(derivatives):
+            denom = Fraction(1)
+            for m in range(n):
+                if m != i:
+                    denom *= pt[m] - pt[i]
+            total += (-pt[i]) ** (n - j) / denom * df.eval(pt)
+        values.append(e_j.eval(pt) * total)
+    return values
 
 
 @lru_cache(maxsize=None)
@@ -128,11 +134,6 @@ def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPol
     return spectral.diagonal_q(f, "E", q_poly, n_x, z_name)
 
 
-def apply_rho0_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:
-    """rho_0 after :func:`apply_q`, as one step: the first ``n_x`` slots set to 1."""
-    return spectral.rho0_diagonal_q(f, "E", q_poly, n_x, z_name)
-
-
 @lru_cache(maxsize=None)
 def _chain_image(j: int, k: int, n: int) -> MultiPoly:
     """Image of e_j of the first k variables under the k-th chain link.
@@ -155,6 +156,34 @@ def _chain_image(j: int, k: int, n: int) -> MultiPoly:
     return embed(j) * u + embed(j - 1) * v
 
 
+@lru_cache(maxsize=None)
+def _link_image(lam: Partition, k: int, n: int) -> OrbitForm:
+    """The k-th link's image of E_lam (lam of length k), prod_j A_k(e_j)^(lam_j - lam_(j+1)).
+
+    In orbit form over the k-1 x's, with z_k as its one tail slot.
+    """
+    image = MultiPoly.one(k)
+    for j in range(1, k + 1):
+        e = lam.diff(j, j + 1)
+        if e:
+            image = image * _chain_image(j, k, n) ** e
+    return OrbitForm.of(image, k - 1)
+
+
+def _link(o: OrbitForm, k: int, n: int) -> OrbitForm:
+    """The k-th chain link in orbit coordinates: E_lam(head) * tail goes to A_k(E_lam) * tail.
+
+    The input's head is its first k slots; the output's head is the first
+    k-1, slot k holds z_k, and the later slots ride along.
+    """
+    num, den = tensor_sum(
+        ((image.num, image.den), (tail, o.den))
+        for lam, tail in expand_orbits(o, "E").items()
+        for image in (_link_image(lam, k, n),)
+    )
+    return OrbitForm(k - 1, num, den, o.names)
+
+
 def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:
     """Chain link: substitute the two-term rule into the e-coordinates.
 
@@ -165,29 +194,27 @@ def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:
         raise PolyError(f"need 1 <= k <= n, got k={k}")
     if f.arity < k:
         raise PolyError("polynomial must have at least k slots")
-    powers: dict[tuple[int, int], MultiPoly] = {}
-    groups = []
-    for lam, tail in expand_with_tail(f, "E", k).items():
-        image = MultiPoly.one(k)
-        for j in range(1, k + 1):
-            e = lam.diff(j, j + 1)
-            if not e:
-                continue
-            if (j, e) not in powers:
-                powers[(j, e)] = _chain_image(j, k, n) ** e
-            image = image * powers[(j, e)]
-        groups.append(((image.num, image.den), (tail.num, tail.den)))
-    return MultiPoly._wrap(f.arity, *tensor_sum(groups), f.names)
+    return _link(OrbitForm.of(f, k), k, n).to_poly()
 
 
 def separate_via_q(f: MultiPoly) -> MultiPoly:
-    """rho_0 composed with n spectral Q's, output in z_1..z_n; the last Q fused with rho_0."""
-    return spectral.separate_via_q(f, apply_q, apply_rho0_q)
+    """rho_0 composed with n spectral Q's, output in z_1..z_n; the last Q fused with rho_0.
+
+    Symmetry is checked once, on entry; the steps run on the orbit form.
+    """
+    q = partial(spectral.orbit_q, basis="E", q_poly=q_poly)
+    rho0_q = partial(spectral.rho0_orbit_q, basis="E", q_poly=q_poly)
+    return spectral.separate_via_q(OrbitForm.of(f), f.arity, q, rho0_q)
 
 
 def separate_via_chain(f: MultiPoly) -> MultiPoly:
-    """The A-chain of :func:`apply_a` links, output in z_1..z_n."""
-    return spectral.separate_via_chain(f, apply_a)
+    """The A-chain, output in z_1..z_n.
+
+    Symmetry is checked once, on entry; the links (:func:`apply_a` is one)
+    run on the orbit form.
+    """
+    n = f.arity
+    return spectral.separate_via_chain(OrbitForm.of(f), n, _link).to_poly().rename(default_names("z", n))
 
 
 def separate(f: MultiPoly) -> MultiPoly:

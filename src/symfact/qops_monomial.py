@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import spectral
 from .partitions import Partition
@@ -145,7 +145,8 @@ def rho(f: MultiPoly, k: int) -> MultiPoly:
 
 def separate_via_q(f: MultiPoly) -> MultiPoly:
     """rho_0 composed with n substitution-average Q's, output in z_1..z_n."""
-    return spectral.separate_via_q(f, apply_q, apply_rho0_q)
+    n = f.arity
+    return spectral.separate_via_q(f, n, partial(apply_q, n_x=n), partial(apply_rho0_q, n_x=n))
 
 
 def separate(f: MultiPoly) -> MultiPoly:
@@ -156,7 +157,8 @@ def separate(f: MultiPoly) -> MultiPoly:
     """
     if not f.is_symmetric():
         raise NotSymmetric("separation needs a symmetric polynomial")
-    g = spectral.separate_via_chain(f, apply_a)
+    n = f.arity
+    g = spectral.separate_via_chain(f, n, apply_a).rename(default_names("z", n))
     if g != separate_via_q(f):
         raise InvariantViolation(
             f"separation routes disagree [m] n={f.arity}: A-chain vs rho-Q composition"

@@ -4,10 +4,12 @@ The eigenvalue polynomial of the Q-operator is (n-1)! phi(z) / (z-1)^(n-1),
 where phi is the unique combination of the powers z^(mu_j) (mu the shifted
 partition) divisible by (z-1)^(n-1) and normalized to value 1 at z = 1.
 The Hamiltonians are Euler-operator polynomials conjugated by the
-Vandermonde; the separating map has an exact differential-operator inverse
-built from K_n = prod_{i<j} (D_i - D_j).  Both end on an antisymmetric
-polynomial, so the Vandermonde is read off its coefficients in the Schur
-basis (:func:`~symfact.bases.over_vandermonde`), not divided out.
+Vandermonde: ``apply_h`` reads the Schur coefficients of f off
+[x^(lam + delta)](f a_delta) without building f a_delta.  The separating
+map has an exact differential-operator inverse built from
+K_n = prod_{i<j} (D_i - D_j), which ends on an antisymmetric polynomial, so
+the Vandermonde is read off its coefficients in the Schur basis
+(:func:`~symfact.bases.over_vandermonde`), not divided out.
 
 Q, the separating map and the lift are the shared spectral forms of
 ``symfact.spectral`` on the s basis.  Independent routes kept as
@@ -22,15 +24,17 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 from typing import NamedTuple
 
-from . import qops_monomial, spectral
-from .bases import over_vandermonde, restricted_schur, schur_poly, vandermonde
-from .partitions import Partition, ShiftedPartition
+from . import spectral
+from .bases import combine, over_vandermonde, restricted_schur, schur_poly, vandermonde
+from .partitions import Partition, ShiftedPartition, partitions_of_weight
 from .poly import (
     InvariantViolation,
     MultiPoly,
     NotDivisible,
+    PolyError,
     UniPoly,
     default_names,
 )
@@ -126,12 +130,17 @@ def _apply_big_z(num: UniPoly, order: int, n: int) -> tuple[UniPoly, int]:
     return z * (num.derivative() * zm1 + num * (n - 1 - order)), order + 1
 
 
-def z_powers(q: UniPoly, n: int) -> list[tuple[UniPoly, int]]:
-    """Z^0 q .. Z^n q for Z = z (d/dz + (n-1)/(z-1)), as numerator/pole-order pairs."""
-    powers: list[tuple[UniPoly, int]] = [(q, 0)]
+def z_powers(q: UniPoly, n: int) -> list[UniPoly]:
+    """Z^0 q .. Z^n q for Z = z (d/dz + (n-1)/(z-1)), as numerators over (z-1)^n.
+
+    Z^m q has a pole of order m, so its numerator over (z-1)^n is the
+    numerator of the pair times (z-1)^(n-m).
+    """
+    zm1 = UniPoly([-1, 1])
+    powers = [(q, 0)]
     for _ in range(n):
         powers.append(_apply_big_z(*powers[-1], n))
-    return powers
+    return [num * zm1 ** (n - order) for num, order in powers]
 
 
 def separated_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
@@ -145,35 +154,45 @@ def separated_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
     return residual_of_powers(lam, z_powers(q_poly(lam) if q is None else q, lam.n))
 
 
-def residual_of_powers(lam: Partition, powers: list[tuple[UniPoly, int]]) -> UniPoly:
+def residual_of_powers(lam: Partition, powers: list[UniPoly]) -> UniPoly:
     """:func:`separated_residual` of the q whose :func:`z_powers` are given.
 
-    The powers depend on q and n only, so one list serves every lam of that n.
+    The powers depend on q and n only, so one list serves every lam of that
+    n: the residual is sum_k (-1)^k h_k(lam) times the (n-k)-th of them.
     """
     n = lam.n
-    h = [h_eigenvalue(lam, k) for k in range(1, n + 1)]
-    zm1 = UniPoly([-1, 1])
-    num, order = powers[n]
-    residual = num * zm1 ** (n - order)
+    residual = powers[n]
     for k in range(1, n + 1):
-        num, order = powers[n - k]
-        residual = residual + num * zm1 ** (n - order) * (h[k - 1] * (-1) ** k)
+        residual = residual + powers[n - k] * (h_eigenvalue(lam, k) * (-1) ** k)
     return residual
 
 
 def apply_h(f: MultiPoly, j: int) -> MultiPoly:
-    """Multiply by the Vandermonde, apply the Euler-operator elementary
-    symmetric polynomial, and read the Vandermonde back off.
+    """The Euler-operator elementary symmetric polynomial, conjugated by the Vandermonde.
 
-    The Euler operators keep f * a_delta antisymmetric, so the quotient is
-    read off the result's strictly decreasing exponents
-    (:func:`~symfact.bases.over_vandermonde`), not divided out.
+    H_j scales x^a by e_j(a), so on f * a_delta it scales each
+    x^(lam + delta) by e_j(lam + delta) = :func:`h_eigenvalue`, and the
+    quotient by a_delta is sum_lam e_j(lam + delta) c_lam s_lam with
+    c_lam = [x^(lam + delta)](f * a_delta) = sum_w sign(w) f[lam + delta - w(delta)]
+    (Macdonald, Symmetric Functions and Hall Polynomials, I §3).  c_lam is
+    read for the partitions lam of each degree of f, without building
+    f * a_delta; f is checked to be symmetric once.
     """
-    g = qops_monomial.apply_h(f * vandermonde(f.arity), j)
-    try:
-        return over_vandermonde(g)
-    except NotDivisible as exc:
-        raise InvariantViolation("conjugated Hamiltonian left the symmetric ring") from exc
+    n = f.arity
+    if not 1 <= j <= n:
+        raise PolyError(f"need 1 <= j <= arity, got j={j}")
+    if not f.is_symmetric():
+        raise InvariantViolation("conjugated Hamiltonian left the symmetric ring")
+    num, a_delta = f.num, vandermonde(n).num.items()
+    coeffs = {}
+    for d in {sum(e) for e in num}:
+        for lam in partitions_of_weight(d, n):
+            top = lam.shifted().parts
+            c = sum(sign * num.get(tuple(map(sub, top, w)), 0) for w, sign in a_delta)
+            h = h_eigenvalue(lam, j)
+            if c and h:
+                coeffs[lam] = Fraction(c, f.den) * h
+    return combine("s", n, coeffs).rename(f.names)
 
 
 def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:

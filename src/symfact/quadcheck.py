@@ -342,29 +342,26 @@ def det_fractions(matrix: list[list[Fraction]]) -> Fraction:
     return Fraction(sign * m[-1][-1], scale) if n else Fraction(1)
 
 
-def matrix_identity_check(k: int, t: list[list[Scalar]]) -> bool:
-    """Border identity: the difference determinant equals (+-) the bordered one.
+def matrix_identity_check(t: list[list[Scalar]]) -> bool:
+    """Border identity at every column position k: difference determinant = (+-) bordered one.
 
     ``t`` has n rows and n-1 columns (the k-th column of an n-column array
     deleted).  Left side: the (n-1) x (n-1) determinant of consecutive row
-    differences.  Right side: (-1)^(k-1) times the n x n determinant with a
-    column of ones restored at position k.
+    differences, computed once.  Right side, for each k = 1..n: (-1)^(k-1)
+    times the n x n determinant with a column of ones restored at position k.
     """
     n = len(t)
     rows = [[_scalar(v) for v in row] for row in t]
     if any(len(row) != n - 1 for row in rows):
         raise PolyError("need n rows and n-1 columns")
-    if not 1 <= k <= n:
-        raise PolyError(f"need 1 <= k <= n, got k={k}")
     lhs_rows = [
         [rows[i + 1][j] - rows[i][j] for j in range(n - 1)] for i in range(n - 1)
     ]
     lhs = det_fractions(lhs_rows) if n > 1 else Fraction(1)
-    rhs_rows = [
-        row[: k - 1] + [Fraction(1)] + row[k - 1 :] for row in rows
-    ]
-    rhs = det_fractions(rhs_rows) * (-1) ** (k - 1)
-    return lhs == rhs
+    return all(
+        lhs == det_fractions([row[: k - 1] + [Fraction(1)] + row[k - 1 :] for row in rows]) * (-1) ** (k - 1)
+        for k in range(1, n + 1)
+    )
 
 
 def delta_integration_identity(v: list[Scalar]) -> bool:

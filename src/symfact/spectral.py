@@ -4,22 +4,25 @@ Each basis (m, E, s) has a Q-operator that is diagonal with a univariate
 eigenvalue polynomial q_lam(z), a separating map sending the normalized
 basis element to prod_j q_lam(z_j), and a lift that appends a zero part.
 Q, the separating map and the lift take the basis tag (and, where needed,
-the basis's ``q_poly``) and work through :func:`symfact.bases.expand_with_tail`.
+the basis's ``q_poly``) and work through :func:`symfact.bases.expand_orbits`.
 The two separation routes are driven here too: the rho-Q composition
 (:func:`separate_via_q`) and the A-chain (:func:`separate_via_chain`), each
-given one basis's operators.
+given one basis's steps.
 
-The rho-Q route S_n = rho_0 Q_{z_1}...Q_{z_n} runs n-1 Q's and then one
-fused step rho_0 Q_{z_1}, which never builds the last Q's output in the x's
-only to set them to 1: on a diagonal basis it is
-sum_lam b_lam(1..1) * tail_lam * q_lam(z_1) (:func:`rho0_diagonal_q`).
+A diagonal Q step runs on the :class:`~symfact.bases.OrbitForm` of its
+input (:func:`orbit_q`): one row per head partition, not per monomial, so
+a chain of steps checks symmetry once and never builds a full
+intermediate.  The rho-Q route S_n = rho_0 Q_{z_1}...Q_{z_n} runs n-1 Q's
+and then one fused step rho_0 Q_{z_1}, which never builds the last Q's
+output in the x's only to set them to 1: on a diagonal basis it is
+sum_lam b_lam(1..1) * tail_lam * q_lam(z_1) (:func:`rho0_orbit_q`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .bases import basis_poly, combine, expand_in_basis, expand_with_tail
+from .bases import OrbitForm, basis_poly, combine, expand_in_basis, expand_orbits, m_coordinates
 from .partitions import Partition
 from .poly import MultiPoly, Pair, UniPoly, default_names, tensor_sum
 
@@ -35,14 +38,39 @@ def eigen_product(q: UniPoly, n: int) -> MultiPoly:
     return acc
 
 
-def _tensor_sum(
-    f: MultiPoly, basis: str, q_poly: QPoly, n: int, head: Callable[[MultiPoly], Pair]
-) -> Pair:
-    """The pair of sum_lam head(b_lam) * tail_lam * q_lam(z), f expanded in its first n slots."""
+def _tensor_sum(o: OrbitForm, basis: str, q_poly: QPoly, head: Callable[[Partition], Pair]) -> Pair:
+    """The pair of sum_lam head(lam) * tail_lam * q_lam(z), o expanded over the basis in its head."""
     return tensor_sum(
-        (head(basis_poly(basis, lam).raw), *((p.num, p.den) for p in (tail, q_poly(lam).poly)))
-        for lam, tail in expand_with_tail(f, basis, n).items()
+        (head(lam), (tail, o.den), (q.num, q.den))
+        for lam, tail in expand_orbits(o, basis).items()
+        for q in (q_poly(lam).poly,)
     )
+
+
+def orbit_q(o: OrbitForm, basis: str, q_poly: QPoly, z_name: str = "z") -> OrbitForm:
+    """One diagonal Q in orbit coordinates: sum_lam b_lam(x) * tail_lam * q_lam(z).
+
+    The head is expanded over the basis, each tail is multiplied by q_lam(z)
+    and b_lam goes back to m-coordinates through its cached table; the new
+    z slot is appended last.
+    """
+    num, den = _tensor_sum(o, basis, q_poly, lambda lam: (m_coordinates(basis, lam), 1))
+    return OrbitForm(o.k, num, den, o.names + (z_name,))
+
+
+def rho0_orbit_q(o: OrbitForm, basis: str, q_poly: QPoly, z_name: str = "z") -> MultiPoly:
+    """rho_0 after :func:`orbit_q`, as one step: the head slots set to 1.
+
+    The result is sum_lam b_lam(1..1) * tail_lam * q_lam(z) in the tail
+    slots and the new z slot.
+    """
+
+    def at_one(lam: Partition) -> Pair:
+        value = basis_poly(basis, lam).value_at_one
+        return {(): value.numerator}, value.denominator
+
+    num, den = _tensor_sum(o, basis, q_poly, at_one)
+    return MultiPoly._wrap(len(o.names) - o.k + 1, num, den, o.names[o.k :] + (z_name,))
 
 
 def diagonal_q(
@@ -52,24 +80,9 @@ def diagonal_q(
 
     The first ``n_x`` slots (default all) are expanded; trailing slots hold
     earlier z's and ride along.  The new z slot is appended last: the result
-    is sum_lam b_lam(x) * tail_lam * q_lam(z).
+    is sum_lam b_lam(x) * tail_lam * q_lam(z), by :func:`orbit_q`.
     """
-    n = f.arity if n_x is None else n_x
-    num, den = _tensor_sum(f, basis, q_poly, n, lambda b: (b.num, b.den))
-    return MultiPoly._wrap(f.arity + 1, num, den, f.names + (z_name,))
-
-
-def rho0_diagonal_q(
-    f: MultiPoly, basis: str, q_poly: QPoly, n_x: int | None = None, z_name: str = "z"
-) -> MultiPoly:
-    """rho_0 after :func:`diagonal_q`, as one step: the first ``n_x`` slots set to 1.
-
-    The result is sum_lam b_lam(1..1) * tail_lam * q_lam(z) in the trailing
-    slots and the new z slot; b_lam(1..1) is read off b_lam's own numerators.
-    """
-    n = f.arity if n_x is None else n_x
-    num, den = _tensor_sum(f, basis, q_poly, n, lambda b: ({(): sum(b.num.values())}, b.den))
-    return MultiPoly._wrap(f.arity - n + 1, num, den, f.names[n:] + (z_name,))
+    return orbit_q(OrbitForm.of(f, n_x), basis, q_poly, z_name).to_poly()
 
 
 def separate(f: MultiPoly, basis: str, q_poly: QPoly) -> MultiPoly:
@@ -90,33 +103,30 @@ def lift(f: MultiPoly, basis: str) -> MultiPoly:
     return combine(basis, f.arity + 1, coeffs)
 
 
-def separate_via_q(
-    f: MultiPoly, apply_q: Callable[..., MultiPoly], apply_rho0_q: Callable[..., MultiPoly]
-) -> MultiPoly:
+def separate_via_q(h, n: int, apply_q: Callable, apply_rho0_q: Callable[..., MultiPoly]) -> MultiPoly:
     """rho_0 composed with n Q's of one basis, output in z_1..z_n.
 
-    ``apply_q`` runs Q_{z_n}..Q_{z_2}; the last Q and rho_0 are the one fused
-    step ``apply_rho0_q``, both called as (h, n_x=n, z_name=...).
+    ``h`` is the input in the form the steps take: a MultiPoly for the
+    substitution average, its :class:`~symfact.bases.OrbitForm` for a
+    diagonal Q.  ``apply_q(h, z_name=...)`` runs Q_{z_n}..Q_{z_2}; the last
+    Q and rho_0 are the one fused step ``apply_rho0_q``, which returns the
+    MultiPoly in (z_n..z_1).
     """
-    n = f.arity
-    h = f
     for i in range(n, 1, -1):
-        h = apply_q(h, n_x=n, z_name=f"z{i}")
-    h = apply_rho0_q(h, n_x=n, z_name="z1")
-    return h.permute(list(range(n - 1, -1, -1)))
+        h = apply_q(h, z_name=f"z{i}")
+    return apply_rho0_q(h, z_name="z1").permute(list(range(n - 1, -1, -1)))
 
 
-def separate_via_chain(f: MultiPoly, apply_a: Callable[[MultiPoly, int, int], MultiPoly]) -> MultiPoly:
-    """The A-chain of one basis, output in z_1..z_n.
+def separate_via_chain(h, n: int, apply_a: Callable):
+    """The A-chain of one basis: its links k = n down to 1 applied to ``h``.
 
-    ``apply_a(g, k, n)`` is the k-th chain link; the links run k = n down to
-    1, and each leaves z_k in slot k.
+    ``h`` is the input in the form the links carry, and ``apply_a(h, k, n)``
+    is the k-th link, which leaves z_k in slot k; the last link's output is
+    returned as it is.
     """
-    n = f.arity
-    g = f
     for k in range(n, 0, -1):
-        g = apply_a(g, k, n)
-    return g.rename(default_names("z", n))
+        h = apply_a(h, k, n)
+    return h
 
 
 def euler_residual(p: UniPoly, exponents: Iterable[int]) -> UniPoly:

@@ -1,7 +1,7 @@
 from hypothesis import HealthCheck, settings, strategies as st
 
 from symfact.bases import BASIS_TAGS, basis_poly
-from symfact.partitions import enumerate_partitions
+from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import MultiPoly
 
 settings.register_profile(
@@ -83,3 +83,35 @@ def symmetric_polys(draw, min_n=1, max_n=4):
         lam = draw(st.sampled_from(lams))
         f = f + basis_poly(draw(st.sampled_from(BASIS_TAGS)), lam).raw * draw(fractions_small)
     return f
+
+
+def full_expand_with_tail(f, basis, k):
+    """Expansion over one basis in the first k slots by lex reduction on every monomial.
+
+    The oracle for the orbit-form expansion: it strips the lex-greatest head
+    exponent with the whole basis element, as the full-monomial code did,
+    and shares nothing with ``symfact.bases.expand_orbits``.
+    """
+    assert f.is_symmetric(k)
+    work = {}
+    for exp, c in f.terms.items():
+        work.setdefault(exp[:k], {})[exp[k:]] = c
+    tail_names = f.names[k:]
+    out = {}
+    while work:
+        lead = max(work)
+        assert list(lead) == sorted(lead, reverse=True)
+        tail = work.pop(lead)
+        lam = Partition(lead)
+        out[lam] = MultiPoly(f.arity - k, tail, tail_names)
+        for hexp, hc in basis_poly(basis, lam).raw.terms.items():
+            if hexp == lead:
+                continue
+            row = work.setdefault(hexp, {})
+            for t, tc in tail.items():
+                row[t] = row.get(t, 0) - hc * tc
+                if not row[t]:
+                    del row[t]
+            if not row:
+                del work[hexp]
+    return out

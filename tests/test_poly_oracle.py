@@ -21,9 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
+from symfact import qops_schur as qs
 from symfact import quadcheck as qc
 from symfact import spectral
-from symfact.bases import basis_poly, expand_with_tail, over_vandermonde, schur_poly, vandermonde
+from symfact.bases import OrbitForm, basis_poly, expand_with_tail, over_vandermonde, schur_poly, vandermonde
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import InvariantViolation, MultiPoly, UniPoly, default_names, tensor_sum
 from symfact.verify import BASES
@@ -350,8 +351,9 @@ class TestResultTerms:
         g = spectral.diagonal_q(f, basis, BASES[basis].q_poly)
         results = [g, *expand_with_tail(g, basis, 3).values(), qe.apply_a(f, 3, 3)]
         results += [qm.apply_q(f), qm.apply_projector(f, 1, 3)]
-        results += [spectral.rho0_diagonal_q(g, basis, BASES[basis].q_poly, 3), qm.apply_rho0_q(g, 3)]
-        results.append(spectral.separate_via_q(f, qm.apply_q, qm.apply_rho0_q))
+        results += [spectral.rho0_orbit_q(OrbitForm.of(g, 3), basis, BASES[basis].q_poly), qm.apply_rho0_q(g, 3)]
+        results += [OrbitForm.of(g, 3).to_poly(), qm.separate_via_q(f), qe.separate_via_q(f), qe.separate_via_chain(f)]
+        results.append(qs.apply_h(f, 2))
         results.append(over_vandermonde(vandermonde(3) * f))
         for r in results:
             assert_kernel_terms(r)

@@ -4,12 +4,34 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import head_symmetric, symmetric_polys
 
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
-from symfact.bases import elementary_generating, elementary_product, elementary_sym
+from symfact import spectral
+from symfact.bases import elementary_generating, elementary_product, elementary_sym, expand_with_tail
 from symfact.partitions import Partition, enumerate_partitions
-from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, UniPoly
+from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, PolyError, UniPoly, default_names
+
+
+def full_link(f: MultiPoly, k: int, n: int) -> MultiPoly:
+    """The k-th chain link with every monomial built: sum_lam prod_j A_k(e_j)^(lam_j - lam_(j+1)) * tail_lam."""
+    out = MultiPoly.zero(f.arity, f.names)
+    for lam, tail in expand_with_tail(f, "E", k).items():
+        image = MultiPoly.one(k)
+        for j in range(1, k + 1):
+            image = image * qe._chain_image(j, k, n) ** lam.diff(j, j + 1)
+        out = out + MultiPoly(
+            f.arity, {h + t: hc * tc for h, hc in image.terms.items() for t, tc in tail.terms.items()}
+        )
+    return out
+
+
+def assert_same(got: MultiPoly, want: MultiPoly):
+    assert got == want
+    assert got.names == want.names
 
 
 def ebar(*parts):
@@ -61,7 +83,7 @@ class TestHamiltonians:
     def test_explicit_form_at_point(self):
         # hand value: f = e_1, n = 2, x = (2, 5)
         f = elementary_sym(1, 2)
-        assert qe.h_explicit_value(f, 1, [F(2), F(5)]) == 7
+        assert qe.h_explicit_values(f, 1, [[F(2), F(5)]]) == [7]
 
     def test_explicit_form_matches_eps_route(self):
         rng = random.Random(11)
@@ -71,15 +93,16 @@ class TestHamiltonians:
             f = f + elementary_product(rng.choice(lams)).raw * rng.randint(1, 3)
         for j in (1, 2, 3):
             g = qe.apply_h(f, j)
+            points = []
             for _ in range(10):
                 pt = [F(rng.randint(1, 30), rng.randint(1, 3)) for _ in range(3)]
-                if len(set(pt)) < 3:
-                    continue
-                assert qe.h_explicit_value(f, j, pt) == g.eval(pt)
+                if len(set(pt)) == 3:
+                    points.append(pt)
+            assert qe.h_explicit_values(f, j, points) == [g.eval(pt) for pt in points]
 
     def test_explicit_form_requires_distinct_coordinates(self):
-        with pytest.raises(Exception):
-            qe.h_explicit_value(elementary_sym(1, 2), 1, [F(1), F(1)])
+        with pytest.raises(PolyError, match="pairwise distinct"):
+            qe.h_explicit_values(elementary_sym(1, 2), 1, [[F(2), F(5)], [F(1), F(1)]])
 
 
 class TestEigenvaluePolynomial:
@@ -165,6 +188,20 @@ class TestChain:
     def test_requires_symmetry(self):
         with pytest.raises(NotSymmetric):
             qe.apply_a(MultiPoly.variable(0, 2), 2, 2)
+
+    @given(head_symmetric(), st.integers(min_value=0, max_value=1))
+    def test_link_matches_full_monomial_product(self, case, extra):
+        # any head-symmetric input, for a chain of n = k or k + 1 variables
+        _basis, k, f = case
+        n = k + extra
+        assert_same(qe.apply_a(f, k, n), full_link(f, k, n))
+
+    @settings(max_examples=30)
+    @given(symmetric_polys(max_n=4))
+    def test_chain_matches_full_monomial_links(self, f):
+        n = f.arity
+        want = spectral.separate_via_chain(f, n, full_link).rename(default_names("z", n))
+        assert_same(qe.separate_via_chain(f), want)
 
 
 class TestSeparation:

@@ -5,11 +5,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import symmetric_polys
+
+from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
-from symfact.bases import alternant, schur_poly
+from symfact.bases import alternant, over_vandermonde, schur_poly, vandermonde
 from symfact.partitions import Partition, enumerate_partitions
-from symfact.poly import InvariantViolation, MultiPoly, UniPoly
+from symfact.poly import InvariantViolation, MultiPoly, UniPoly, default_names
 
 
 def sbar(*parts):
@@ -107,6 +111,16 @@ class TestHamiltonians:
             for j in (1, 2, 3):
                 ev = sum(math.prod(s) for s in itertools.combinations(mu, j))
                 assert qs.apply_h(f, j) == f * ev
+
+    @given(symmetric_polys(max_n=4), st.data())
+    def test_matches_the_full_conjugation(self, f, data):
+        # the oracle builds f * a_delta, applies the one-pass H_j and reads a_delta off
+        f = f.rename(default_names("y", f.arity))
+        j = data.draw(st.integers(min_value=1, max_value=f.arity))
+        want = over_vandermonde(qm.apply_h(f * vandermonde(f.arity), j))
+        got = qs.apply_h(f, j)
+        assert got == want
+        assert got.names == want.names
 
 
 class TestKOperator:

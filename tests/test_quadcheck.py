@@ -176,7 +176,7 @@ class TestExactInputs:
             lambda: qc.integral_a(Partition((1, 0)), 2, 2, (3.0,)),
             lambda: qc.integral_a(Partition((1, 0)), 2, 1.5, (3,)),
             lambda: qc.integral_q0prime(MultiPoly.one(1), (1, 2.5)),
-            lambda: qc.matrix_identity_check(1, [[True], [F(1, 2)]]),
+            lambda: qc.matrix_identity_check([[True], [F(1, 2)]]),
             lambda: qc.det_fractions([[True, 0], [0, 1]]),
             lambda: qc.delta_integration_identity([1, 2.5]),
         ],
@@ -250,10 +250,19 @@ class TestBoxIntegral:
 
 class TestDeterminantIdentities:
     def test_border_identity_smallest_case(self):
-        # n = 2, k = 1: t has 2 rows, 1 column
+        # n = 2: t has 2 rows, 1 column; checked for k = 1 and k = 2
         t = [[F(5, 3)], [F(-1, 2)]]
-        assert qc.matrix_identity_check(1, t)
-        assert qc.matrix_identity_check(2, t)
+        assert qc.matrix_identity_check(t)
+
+    def test_border_identity_checks_every_column_position(self, monkeypatch):
+        # one difference determinant, then the bordered one with ones at k = 1, 2, 3
+        seen = []
+        det = qc.det_fractions
+        monkeypatch.setattr(qc, "det_fractions", lambda m: seen.append(m) or det(m))
+        assert qc.matrix_identity_check([[F(2), F(3)], [F(5), F(7)], [F(11), F(13)]])
+        assert len(seen) == 4 and len(seen[0]) == 2
+        ones = [[j for j in range(3) if all(row[j] == 1 for row in m)] for m in seen[1:]]
+        assert ones == [[0], [1], [2]]
 
     def test_border_identity_random(self):
         rng = random.Random(17)
@@ -263,8 +272,7 @@ class TestDeterminantIdentities:
                     [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n - 1)]
                     for _ in range(n)
                 ]
-                for k in range(1, n + 1):
-                    assert qc.matrix_identity_check(k, t), (n, k, t)
+                assert qc.matrix_identity_check(t), (n, t)
 
     def test_delta_integration_smallest_case(self):
         assert qc.delta_integration_identity([F(1), F(7, 2)])

@@ -1,19 +1,28 @@
-"""The fused last step of the rho-Q route against the unfused composition.
+"""The orbit-coordinate spectral steps against the full-monomial forms they replace.
 
-rho_0 Q_{z_1} is one step in ``symfact``; here it is the composition the
-paper writes, the last Q's full output with its x slots then set to 1.  The
-inputs carry tail slots (earlier z's) and, for the diagonal bases, are
-symmetric in their head slots.  Results must agree as polynomials and in
-their slot names.
+A diagonal Q runs on the orbit form of its input in ``symfact``; here it is
+written as the full-monomial sum sum_lam b_lam(x) * tail_lam * q_lam(z)
+over an expansion by lex reduction on every monomial
+(``conftest.full_expand_with_tail``).  rho_0 Q_{z_1} is one fused step in
+``symfact``; here it is the composition the paper writes, the last Q's full
+output with its x slots then set to 1.  The inputs carry tail slots
+(earlier z's) and, for the diagonal bases, are symmetric in their head
+slots.  Results must agree as polynomials and in their slot names.
 """
 
+from fractions import Fraction
+from functools import partial
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import head_symmetric, multipolys, symmetric_polys
+from conftest import full_expand_with_tail, head_symmetric, multipolys, symmetric_polys
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
+from symfact import qops_schur as qs
 from symfact import spectral
-from symfact.poly import MultiPoly
+from symfact.bases import OrbitForm, basis_poly, expand_with_tail
+from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, tensor_sum
 from symfact.verify import BASES
 
 
@@ -27,6 +36,16 @@ def assert_same(got: MultiPoly, want: MultiPoly):
     assert got.names == want.names
 
 
+def full_diagonal_q(f: MultiPoly, basis: str, q_poly, n_x: int, z_name: str) -> MultiPoly:
+    """sum_lam b_lam(x) * tail_lam * q_lam(z) with every monomial of b_lam built."""
+    num, den = tensor_sum(
+        ((b.num, b.den), (tail.num, tail.den), (q.poly.num, q.poly.den))
+        for lam, tail in full_expand_with_tail(f, basis, n_x).items()
+        for b, q in ((basis_poly(basis, lam).raw, q_poly(lam)),)
+    )
+    return MultiPoly(f.arity + 1, {e: Fraction(c, den) for e, c in num.items()}, f.names + (z_name,))
+
+
 def unfused_separate_via_q(f: MultiPoly, apply_q) -> MultiPoly:
     """rho_0 after all n Q's, the last one's output built in full."""
     n = f.arity
@@ -36,14 +55,40 @@ def unfused_separate_via_q(f: MultiPoly, apply_q) -> MultiPoly:
     return rho0(h, n).permute(list(range(n - 1, -1, -1)))
 
 
+class TestOrbitForm:
+    @given(head_symmetric())
+    def test_round_trip(self, case):
+        _basis, k, h = case
+        assert_same(OrbitForm.of(h, k).to_poly(), h)
+
+    @given(head_symmetric())
+    def test_expansion_matches_full_monomial_reduction(self, case):
+        basis, k, h = case
+        got, want = expand_with_tail(h, basis, k), full_expand_with_tail(h, basis, k)
+        assert got == want
+        assert all(got[lam].names == want[lam].names for lam in got)
+
+    @given(head_symmetric())
+    def test_diagonal_q_matches_full_monomial_form(self, case):
+        basis, k, h = case
+        q_poly = BASES[basis].q_poly
+        want = full_diagonal_q(h, basis, q_poly, k, "z1")
+        assert_same(spectral.diagonal_q(h, basis, q_poly, n_x=k, z_name="z1"), want)
+        assert_same(BASES[basis].apply_q(h, n_x=k, z_name="z1"), want)
+
+    def test_asymmetric_head_rejected(self):
+        with pytest.raises(NotSymmetric):
+            OrbitForm.of(MultiPoly(3, {(2, 1, 0): 1, (0, 0, 1): 1}), 2)
+
+
 class TestFusedStep:
     @given(head_symmetric())
     def test_diagonal(self, case):
         basis, k, h = case
         q_poly = BASES[basis].q_poly
-        fused = spectral.rho0_diagonal_q(h, basis, q_poly, n_x=k, z_name="z1")
+        fused = spectral.rho0_orbit_q(OrbitForm.of(h, k), basis, q_poly, z_name="z1")
         assert_same(fused, rho0(BASES[basis].apply_q(h, n_x=k, z_name="z1"), k))
-        assert_same(fused, rho0(spectral.diagonal_q(h, basis, q_poly, n_x=k, z_name="z1"), k))
+        assert_same(fused, rho0(full_diagonal_q(h, basis, q_poly, k, "z1"), k))
 
     @given(multipolys(max_terms=3), st.data())
     def test_substitution_average(self, h, data):
@@ -58,3 +103,30 @@ class TestSeparateViaQ:
     def test_matches_unfused_composition(self, f):
         assert_same(qm.separate_via_q(f), unfused_separate_via_q(f, qm.apply_q))
         assert_same(qe.separate_via_q(f), unfused_separate_via_q(f, qe.apply_q))
+
+    @settings(max_examples=30)
+    @given(symmetric_polys(max_n=4))
+    def test_elementary_route_matches_full_monomial_composition(self, f):
+        full_q = partial(full_diagonal_q, basis="E", q_poly=qe.q_poly)
+        assert_same(qe.separate_via_q(f), unfused_separate_via_q(f, full_q))
+
+
+class TestSymmetryBoundary:
+    """A non-symmetric input is refused where it enters, before any step runs."""
+
+    ASYMMETRIC = MultiPoly(3, {(2, 1, 0): 1, (0, 0, 1): 1})
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda f: qs.apply_h(f, 1), InvariantViolation),
+            (lambda f: qe.apply_a(f, 3, 3), NotSymmetric),
+            (lambda f: qe.apply_a(f, 2, 3), NotSymmetric),
+            (qe.separate_via_q, NotSymmetric),
+            (qe.separate_via_chain, NotSymmetric),
+        ],
+        ids=["schur-apply_h", "chain-link-k3", "chain-link-k2", "rho-Q-route", "chain-route"],
+    )
+    def test_rejected(self, call, error):
+        with pytest.raises(error):
+            call(self.ASYMMETRIC)

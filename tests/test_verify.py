@@ -12,6 +12,11 @@ def test_unknown_suite_rejected():
         verify.run_suite("nope")
 
 
+def test_chain_suite_passes_at_five_variables():
+    report = verify.run_suite("chain", max_weight=4, n=5, seed=0)
+    assert report["passed"] and report["counts"]["total"] == 128
+
+
 def test_report_shape():
     report = verify.run_suite("ode", max_weight=2, n=2, seed=3)
     assert report["suite"] == "ode"
