@@ -17,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .partitions import Partition, dominance_leq
 from .poly import (
@@ -26,6 +26,7 @@ from .poly import (
     NotDivisible,
     NotSymmetric,
     PolyError,
+    Scalar,
     accumulate,
     default_names,
     det,
@@ -40,6 +41,21 @@ class NormalizedBasisPoly(NamedTuple):
     raw: MultiPoly
     value_at_one: Fraction
     normalized: MultiPoly
+
+
+def elementary_value(values: Iterable[int], j: int) -> int:
+    """e_j(values), by the recurrence e_k(a_1..a_i) = e_k(a_1..a_(i-1)) + a_i e_(k-1)(a_1..a_(i-1))."""
+    e = [1] + [0] * j
+    for a in values:
+        if a:
+            for k in range(j, 0, -1):
+                e[k] += a * e[k - 1]
+    return e[j]
+
+
+def vandermonde_value(values: Iterable[Scalar]) -> Scalar:
+    """prod_{i<j} (v_i - v_j): the Vandermonde at one point."""
+    return math.prod(a - b for a, b in itertools.combinations(values, 2))
 
 
 @lru_cache(maxsize=None)
@@ -74,10 +90,9 @@ def alternant(mu: tuple[int, ...], n: int) -> MultiPoly:
 @lru_cache(maxsize=None)
 def monomial_sym(lam: Partition) -> NormalizedBasisPoly:
     """Sum of all distinct permutations of the exponent vector lam."""
-    n = lam.n
-    perms = set(itertools.permutations(lam.parts))
-    raw = MultiPoly(n, {exp: 1 for exp in perms})
-    value = Fraction(len(perms))
+    orbit = _orbit(lam.parts)
+    raw = MultiPoly(lam.n, {exp: 1 for exp in orbit})
+    value = Fraction(len(orbit))
     return NormalizedBasisPoly(raw, value, raw * (1 / value))
 
 
@@ -119,14 +134,8 @@ def elementary_product(lam: Partition) -> NormalizedBasisPoly:
 
 
 def schur_value_at_one(lam: Partition) -> Fraction:
-    """Closed form prod_{i<j} (mu_i - mu_j)/(j - i)."""
-    mu = lam.shifted().parts
-    n = lam.n
-    value = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            value *= Fraction(mu[i] - mu[j], j - i)
-    return value
+    """Closed form prod_{i<j} (mu_i - mu_j)/(j - i): V(mu) / V(delta)."""
+    return Fraction(vandermonde_value(lam.shifted().parts), vandermonde_value(range(lam.n - 1, -1, -1)))
 
 
 @lru_cache(maxsize=None)
@@ -318,28 +327,13 @@ def expand_orbits(o: OrbitForm, basis: str) -> dict[Partition, dict[tuple[int, .
     return coeffs
 
 
-def expand_with_tail(f: MultiPoly, basis: str, k: int | None = None) -> dict[Partition, MultiPoly]:
-    """Expand f over one basis in its first k (head) slots.
-
-    The slots after the head (the tail, holding earlier z's) ride along: the
-    coefficient of each partition is a polynomial in the tail slots.  f must
-    be symmetric in the head slots; the expansion runs on its
-    :class:`OrbitForm` (:func:`expand_orbits`).
-    """
-    o = OrbitForm.of(f, k)
-    tail_arity, tail_names = f.arity - o.k, f.names[o.k :]
-    return {
-        lam: MultiPoly._make(tail_arity, tail, o.den, tail_names)
-        for lam, tail in expand_orbits(o, basis).items()
-    }
-
-
 def expand_in_basis(f: MultiPoly, basis: str) -> dict[Partition, Fraction]:
     """The coordinates c_lam of a symmetric f over one raw basis: f = sum_lam c_lam b_lam."""
-    return {lam: c.constant() for lam, c in expand_with_tail(f, basis).items()}
+    o = OrbitForm.of(f)
+    return {lam: Fraction(tail[()], o.den) for lam, tail in expand_orbits(o, basis).items()}
 
 
 def is_dominance_triangular(lam: Partition) -> bool:
     """Schur-in-m support lies weakly below lam with leading coefficient 1."""
-    coeffs = expand_in_basis(schur_poly(lam).raw, "m")
-    return coeffs.get(lam) == 1 and all(dominance_leq(nu, lam) for nu in coeffs)
+    coeffs = m_coordinates("s", lam)
+    return coeffs.get(lam.parts) == 1 and all(dominance_leq(Partition(nu), lam) for nu in coeffs)

@@ -16,12 +16,11 @@ the insertion-average lift (vs ``spectral.lift`` on the m basis).
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import spectral
+from .bases import elementary_value
 from .partitions import Partition
 from .poly import (
     InvariantViolation,
@@ -48,27 +47,18 @@ def apply_h(f: MultiPoly, j: int) -> MultiPoly:
     """j-th elementary symmetric polynomial in the Euler operators x_i d/dx_i.
 
     The Euler operators scale x^a by its exponents, so H_j maps x^a to
-    e_j(a) x^a: one pass over the integer numerators, with e_j(a) built by
-    the recurrence e_k(a_1..a_i) = e_k(a_1..a_(i-1)) + a_i e_(k-1)(a_1..a_(i-1)).
+    e_j(a) x^a (:func:`~symfact.bases.elementary_value`): one pass over the
+    integer numerators.
     """
     if not 1 <= j <= f.arity:
         raise PolyError(f"need 1 <= j <= arity, got j={j}")
-
-    def e_j(exp: tuple[int, ...]) -> int:
-        e = [1] + [0] * j
-        for a in exp:
-            if a:
-                for k in range(j, 0, -1):
-                    e[k] += a * e[k - 1]
-        return e[j]
-
-    out = {exp: c * w for exp, c in f.num.items() if (w := e_j(exp))}
+    out = {exp: c * w for exp, c in f.num.items() if (w := elementary_value(exp, j))}
     return MultiPoly._make(f.arity, out, f.den, f.names)
 
 
 def h_eigenvalue(lam: Partition, j: int) -> Fraction:
     """Eigenvalue of H_j on m_lam: e_j of the parts."""
-    return Fraction(sum(math.prod(s) for s in itertools.combinations(lam.parts, j)))
+    return Fraction(elementary_value(lam.parts, j))
 
 
 def _substitution_average(f: MultiPoly, n_x: int | None, z_name: str, drop: bool) -> MultiPoly:

@@ -4,8 +4,8 @@ The eigenvalue polynomial of the Q-operator is (n-1)! phi(z) / (z-1)^(n-1),
 where phi is the unique combination of the powers z^(mu_j) (mu the shifted
 partition) divisible by (z-1)^(n-1) and normalized to value 1 at z = 1.
 The Hamiltonians are Euler-operator polynomials conjugated by the
-Vandermonde: ``apply_h`` reads the Schur coefficients of f off
-[x^(lam + delta)](f a_delta) without building f a_delta.  The separating
+Vandermonde: ``apply_h`` scales the Schur coordinates of f by their
+eigenvalues, so it never builds f a_delta.  The separating
 map has an exact differential-operator inverse built from
 K_n = prod_{i<j} (D_i - D_j), which ends on an antisymmetric polynomial, so
 the Vandermonde is read off its coefficients in the Schur basis
@@ -14,26 +14,35 @@ the Vandermonde is read off its coefficients in the Schur basis
 Q, the separating map and the lift are the shared spectral forms of
 ``symfact.spectral`` on the s basis.  Independent routes kept as
 cross-checks: ``q_via_restriction`` and ``q_via_restricted_determinant``
-for q, the conjugated ``apply_h`` against ``h_eigenvalue``, and
-``separate_inverse`` against ``separate``.
+for q, and ``separate_inverse`` against ``separate``.  ``apply_h`` scales
+by ``h_eigenvalue`` itself, so verify's eigenrelation check on s tests only
+the Schur expansion and ``combine``; the tests check the conjugation
+against ``over_vandermonde(qops_monomial.apply_h(f a_delta, j))``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import sub
 from typing import NamedTuple
 
 from . import spectral
-from .bases import combine, over_vandermonde, restricted_schur, schur_poly, vandermonde
-from .partitions import Partition, ShiftedPartition, partitions_of_weight
+from .bases import (
+    combine,
+    elementary_value,
+    expand_in_basis,
+    over_vandermonde,
+    restricted_schur,
+    schur_poly,
+    vandermonde_value,
+)
+from .partitions import Partition, ShiftedPartition
 from .poly import (
     InvariantViolation,
     MultiPoly,
     NotDivisible,
+    NotSymmetric,
     PolyError,
     UniPoly,
     default_names,
@@ -119,8 +128,7 @@ def phi_ode_residual(lam: Partition) -> UniPoly:
 
 def h_eigenvalue(lam: Partition, j: int) -> Fraction:
     """Eigenvalue of H_j on s_lam: e_j of the shifted parts mu."""
-    mu = lam.shifted().parts
-    return Fraction(sum(math.prod(sub) for sub in itertools.combinations(mu, j)))
+    return Fraction(elementary_value(lam.shifted().parts, j))
 
 
 def _apply_big_z(num: UniPoly, order: int, n: int) -> tuple[UniPoly, int]:
@@ -170,29 +178,19 @@ def residual_of_powers(lam: Partition, powers: list[UniPoly]) -> UniPoly:
 def apply_h(f: MultiPoly, j: int) -> MultiPoly:
     """The Euler-operator elementary symmetric polynomial, conjugated by the Vandermonde.
 
-    H_j scales x^a by e_j(a), so on f * a_delta it scales each
-    x^(lam + delta) by e_j(lam + delta) = :func:`h_eigenvalue`, and the
-    quotient by a_delta is sum_lam e_j(lam + delta) c_lam s_lam with
-    c_lam = [x^(lam + delta)](f * a_delta) = sum_w sign(w) f[lam + delta - w(delta)]
-    (Macdonald, Symmetric Functions and Hall Polynomials, I §3).  c_lam is
-    read for the partitions lam of each degree of f, without building
-    f * a_delta; f is checked to be symmetric once.
+    H_j scales x^a by e_j(a), so on s_lam * a_delta = a_(lam + delta) it is
+    the scalar e_j(lam + delta) = :func:`h_eigenvalue`: f is expanded over
+    the Schur basis, each coordinate scaled by its eigenvalue, and the sum
+    rebuilt.  f * a_delta is never built.
     """
-    n = f.arity
-    if not 1 <= j <= n:
+    if not 1 <= j <= f.arity:
         raise PolyError(f"need 1 <= j <= arity, got j={j}")
-    if not f.is_symmetric():
-        raise InvariantViolation("conjugated Hamiltonian left the symmetric ring")
-    num, a_delta = f.num, vandermonde(n).num.items()
-    coeffs = {}
-    for d in {sum(e) for e in num}:
-        for lam in partitions_of_weight(d, n):
-            top = lam.shifted().parts
-            c = sum(sign * num.get(tuple(map(sub, top, w)), 0) for w, sign in a_delta)
-            h = h_eigenvalue(lam, j)
-            if c and h:
-                coeffs[lam] = Fraction(c, f.den) * h
-    return combine("s", n, coeffs).rename(f.names)
+    try:
+        coeffs = expand_in_basis(f, "s")
+    except NotSymmetric as exc:
+        raise InvariantViolation("conjugated Hamiltonian left the symmetric ring") from exc
+    scaled = {lam: c * h for lam, c in coeffs.items() if (h := h_eigenvalue(lam, j))}
+    return combine("s", f.arity, scaled).rename(f.names)
 
 
 def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:
@@ -202,16 +200,7 @@ def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPol
 
 def apply_k(f: MultiPoly) -> MultiPoly:
     """K_n = prod_{i<j} (D_i - D_j): scales x^a by prod_{i<j} (a_i - a_j)."""
-    n = f.arity
-
-    def weight(exp):
-        w = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                w *= exp[i] - exp[j]
-        return w
-
-    return f.scale_terms(weight)
+    return f.scale_terms(vandermonde_value)
 
 
 def separate(f: MultiPoly) -> MultiPoly:
@@ -236,9 +225,7 @@ def separate_inverse(g: MultiPoly) -> MultiPoly:
         h = over_vandermonde(apply_k(h))
     except NotDivisible as exc:
         raise InvariantViolation("input is not in the image of the separating map") from exc
-    delta_staircase = math.prod(math.factorial(i) for i in range(1, n))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return h * Fraction(sign * delta_staircase, math.factorial(n - 1) ** n)
+    return h * Fraction(vandermonde_value(range(n)), math.factorial(n - 1) ** n)
 
 
 def lift(f: MultiPoly) -> MultiPoly:

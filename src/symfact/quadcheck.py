@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import qops_schur
-from .bases import alternant, schur_poly, vandermonde
+from .bases import alternant, schur_poly, vandermonde, vandermonde_value
 from .partitions import Partition
 from .poly import InvariantViolation, MultiPoly, PolyError, _scalar
 
@@ -75,14 +75,6 @@ class QuadratureResult(NamedTuple):
 
     value: Fraction
     evaluations: int
-
-
-def _vandermonde_value(values: tuple[Fraction, ...]) -> Fraction:
-    acc = Fraction(1)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            acc *= values[i] - values[j]
-    return acc
 
 
 def _power_integral(e: int, lo: Fraction, hi: Fraction) -> Fraction:
@@ -231,7 +223,7 @@ def integral_q(f: MultiPoly, z, y, tail_constraint: bool = True) -> PrefactorAdj
     spectral = qops_schur.apply_q(f)
     oracle = spectral.eval(list(dom.y) + [dom.z])
     raw = _delta_integral(vandermonde(n) * f, dom)
-    base = Fraction(math.factorial(n - 1)) / _vandermonde_value(dom.y)
+    base = Fraction(math.factorial(n - 1)) / vandermonde_value(dom.y)
     pole = (dom.z - 1) ** (n - 1)
     den = QuadratureResult(raw.value * base / pole, raw.evaluations)
     num = QuadratureResult(raw.value * base * pole, raw.evaluations)
@@ -272,7 +264,7 @@ def integral_a(lam: Partition, k: int, z_k, ytilde) -> IntegralCheck:
 
     prefactor = Fraction((-1) ** (k - 1) * math.factorial(n - 1), math.factorial(n - k))
     prefactor /= (z - 1) ** (n - 1)
-    prefactor /= _vandermonde_value(yt)
+    prefactor /= vandermonde_value(yt)
     for yj in yt:
         prefactor /= (yj - 1) ** (n - k + 1)
 
@@ -300,7 +292,7 @@ def integral_q0prime(f: MultiPoly, y) -> tuple[Fraction, QuadratureResult]:
         raise PolyError("bounds must be strictly increasing and positive")
     integrand = vandermonde(n - 1) * f
     raw = box_integral(integrand, [(yy[i], yy[i + 1]) for i in range(n - 1)])
-    value = raw * (-1) ** (n - 1) * math.factorial(n - 1) / _vandermonde_value(yy)
+    value = raw * (-1) ** (n - 1) * math.factorial(n - 1) / vandermonde_value(yy)
     return value, QuadratureResult(value, len(integrand.num))
 
 
@@ -376,5 +368,5 @@ def delta_integration_identity(v: list[Scalar]) -> bool:
     if m < 1:
         raise PolyError("need at least two bounds")
     lhs = box_integral(vandermonde(m), [(vv[i], vv[i + 1]) for i in range(m)])
-    rhs = _vandermonde_value(vv) * Fraction((-1) ** m, math.factorial(m))
+    rhs = vandermonde_value(vv) * Fraction((-1) ** m, math.factorial(m))
     return lhs == rhs

@@ -31,11 +31,8 @@ QPoly = Callable[[Partition], UniPoly]
 
 def eigen_product(q: UniPoly, n: int) -> MultiPoly:
     """prod_j q(z_j) over n z-slots."""
-    names = default_names("z", n)
-    acc = MultiPoly.one(n, names)
-    for j in range(n):
-        acc = acc * q.as_multipoly(n, j, names)
-    return acc
+    p = q.poly
+    return MultiPoly._wrap(n, *tensor_sum([[(p.num, p.den)] * n]), default_names("z", n))
 
 
 def _tensor_sum(o: OrbitForm, basis: str, q_poly: QPoly, head: Callable[[Partition], Pair]) -> Pair:
@@ -88,10 +85,12 @@ def diagonal_q(
 def separate(f: MultiPoly, basis: str, q_poly: QPoly) -> MultiPoly:
     """Separating map: each component c b_lam goes to c b_lam(1..1) prod_j q_lam(z_j)."""
     n = f.arity
-    acc = MultiPoly.zero(n, default_names("z", n))
-    for lam, c in expand_in_basis(f, basis).items():
-        acc = acc + eigen_product(q_poly(lam), n) * (c * basis_poly(basis, lam).value_at_one)
-    return acc
+    num, den = tensor_sum(
+        [({(): v.numerator}, v.denominator), *[(q.num, q.den)] * n]
+        for lam, c in expand_in_basis(f, basis).items()
+        for v, q in ((c * basis_poly(basis, lam).value_at_one, q_poly(lam).poly),)
+    )
+    return MultiPoly._wrap(n, num, den, default_names("z", n))
 
 
 def lift(f: MultiPoly, basis: str) -> MultiPoly:

@@ -30,7 +30,7 @@ from .bases import (
     schur_value_at_one,
 )
 from .partitions import Partition, enumerate_partitions
-from .poly import InvariantViolation, MultiPoly, NotDivisible, PolyError, UniPoly, accumulate
+from .poly import InvariantViolation, MultiPoly, NotDivisible, PolyError, UniPoly, accumulate, tensor_sum
 from .spectral import eigen_product
 
 SUITES = ("eigen", "chain", "inverse", "ode", "lifting", "quadrature", "all")
@@ -41,8 +41,8 @@ BASES = {"m": qm, "E": qe, "s": qs}
 
 def _scaled(f: MultiPoly, q: UniPoly) -> MultiPoly:
     """f(x) q(z) in the arity extended by one z slot."""
-    ext = f.extend(1, ("z",))
-    return ext * q.as_multipoly(f.arity + 1, f.arity)
+    num, den = tensor_sum([[(f.num, f.den), (q.poly.num, q.poly.den)]])
+    return MultiPoly._wrap(f.arity + 1, num, den, f.names + ("z",))
 
 
 def random_symmetric(n: int, max_weight: int, rng: random.Random, basis: str = "m", terms: int = 3) -> MultiPoly:
@@ -293,9 +293,7 @@ def suite_inverse(max_weight: int, n: int, rng: random.Random) -> Reporter:
         if lam.weight() <= min(max_weight, 4):
             prod_phi = eigen_product(qs.phi_data(lam).phi, n)
             mu = lam.shifted().parts
-            delta_mu = math.prod(
-                mu[i] - mu[j] for i in range(n) for j in range(i + 1, n)
-            ) or 1
+            delta_mu = math.prod(mu[i] - mu[j] for i in range(n) for j in range(i + 1, n))
             sign = -1 if (n * (n - 1) // 2) % 2 else 1
             rhs = alternant(mu, n) * Fraction(sign, delta_mu)
             rep.record(f"K operator on phi products {tag}", qs.apply_k(prod_phi) == rhs)

@@ -1,6 +1,6 @@
 from hypothesis import HealthCheck, settings, strategies as st
 
-from symfact.bases import BASIS_TAGS, basis_poly
+from symfact.bases import BASIS_TAGS, OrbitForm, basis_poly, expand_orbits
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import MultiPoly
 
@@ -115,3 +115,16 @@ def full_expand_with_tail(f, basis, k):
             if not row:
                 del work[hexp]
     return out
+
+
+def expand_with_tail(f, basis, k=None):
+    """Expansion over one basis in the first k (head) slots, each tail as a polynomial.
+
+    The tails of ``symfact.bases.expand_orbits`` (numerators over the orbit
+    form's denominator) made into polynomials in the tail slots.
+    """
+    o = OrbitForm.of(f, k)
+    return {
+        lam: MultiPoly._make(f.arity - o.k, tail, o.den, f.names[o.k :])
+        for lam, tail in expand_orbits(o, basis).items()
+    }

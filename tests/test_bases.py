@@ -6,9 +6,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from conftest import head_symmetric, outer, symmetric_polys
+from conftest import expand_with_tail, fractions_small, head_symmetric, outer, symmetric_polys
 from symfact.bases import (
     BASIS_TAGS,
     alternant,
@@ -17,8 +17,8 @@ from symfact.bases import (
     elementary_generating,
     elementary_product,
     elementary_sym,
+    elementary_value,
     expand_in_basis,
-    expand_with_tail,
     is_dominance_triangular,
     monomial_sym,
     over_vandermonde,
@@ -26,6 +26,7 @@ from symfact.bases import (
     schur_poly,
     schur_value_at_one,
     vandermonde,
+    vandermonde_value,
 )
 from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
@@ -91,6 +92,27 @@ class TestElementary:
 
     def test_value_at_one_is_binomial(self):
         assert elementary_sym(2, 3).eval([1, 1, 1]) == math.comb(3, 2)
+
+
+class TestPointValues:
+    """e_j and the Vandermonde at one point against their definitions."""
+
+    @given(
+        st.lists(st.integers(min_value=-5, max_value=5), max_size=6),
+        st.integers(min_value=0, max_value=8),
+    )
+    @example([0, 0, 3], 2)
+    @example([2, -1], 3)
+    def test_elementary_value_is_the_subset_sum(self, values, j):
+        assert elementary_value(values, j) == sum(math.prod(s) for s in itertools.combinations(values, j))
+
+    @given(st.integers(min_value=0, max_value=5).flatmap(lambda n: st.lists(fractions_small, min_size=n, max_size=n)))
+    def test_vandermonde_value_is_the_polynomial_at_the_point(self, point):
+        assert vandermonde_value(point) == vandermonde(len(point)).eval(point)
+
+    def test_vandermonde_value_of_fewer_than_two_values_is_one(self):
+        assert vandermonde_value([]) == 1
+        assert vandermonde_value([F(5, 3)]) == 1
 
 
 class TestElementaryProduct:

@@ -1,4 +1,4 @@
-"""Every function and class defined in ``symfact`` has a caller.
+"""Every function and class defined in ``symfact`` has a caller, and every import a user.
 
 An AST scan: a name defined by ``def`` or ``class`` anywhere in
 ``src/symfact`` must be named somewhere in ``src/symfact`` or ``bench/``,
@@ -6,7 +6,8 @@ as a name, an attribute, or a string constant that is a (dotted) name,
 because ``bench/tracer.py`` names its targets in strings.  Dunder methods
 are called by Python itself and are not scanned.  Tests do not count as
 callers: a definition only tests read is listed in ``ORACLES``, with the
-reason it stays.
+reason it stays.  A module-level import must be named in its own module
+(``from __future__`` aside) or listed in the module's ``__all__``.
 """
 
 import ast
@@ -66,3 +67,25 @@ def test_every_definition_is_named_outside_the_tests():
     refs = _references()
     unused = sorted(q for q, name in _definitions().items() if name not in refs)
     assert unused == sorted(ORACLES)
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names a module imports at its top level and never uses or exports."""
+    imported = []
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used | exported]
+
+
+def test_every_import_is_used_or_exported():
+    unused = {path.stem: names for path, tree in _trees(PACKAGE) if (names := _unused_imports(tree))}
+    assert unused == {}

@@ -19,12 +19,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import expand_with_tail
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
 from symfact import quadcheck as qc
 from symfact import spectral
-from symfact.bases import OrbitForm, basis_poly, expand_with_tail, over_vandermonde, schur_poly, vandermonde
+from symfact.bases import OrbitForm, basis_poly, over_vandermonde, schur_poly, vandermonde
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import InvariantViolation, MultiPoly, UniPoly, default_names, tensor_sum
 from symfact.verify import BASES

@@ -6,12 +6,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import head_symmetric, symmetric_polys
+from conftest import expand_with_tail, head_symmetric, symmetric_polys
 
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact import spectral
-from symfact.bases import elementary_generating, elementary_product, elementary_sym, expand_with_tail
+from symfact.bases import elementary_generating, elementary_product, elementary_sym
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, PolyError, UniPoly, default_names
 

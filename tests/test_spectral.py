@@ -7,7 +7,9 @@ over an expansion by lex reduction on every monomial
 ``symfact``; here it is the composition the paper writes, the last Q's full
 output with its x slots then set to 1.  The inputs carry tail slots
 (earlier z's) and, for the diagonal bases, are symmetric in their head
-slots.  Results must agree as polynomials and in their slot names.
+slots.  The separating map and prod_j q(z_j), each one ``tensor_sum`` in
+``symfact``, are checked against sums and products built one polynomial at
+a time.  Results must agree as polynomials and in their slot names.
 """
 
 from fractions import Fraction
@@ -16,13 +18,21 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import full_expand_with_tail, head_symmetric, multipolys, symmetric_polys
+from conftest import (
+    expand_with_tail,
+    fractions_small,
+    full_expand_with_tail,
+    head_symmetric,
+    multipolys,
+    points_for,
+    symmetric_polys,
+)
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
 from symfact import spectral
-from symfact.bases import OrbitForm, basis_poly, expand_with_tail
-from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, tensor_sum
+from symfact.bases import BASIS_TAGS, OrbitForm, basis_poly
+from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, UniPoly, default_names, tensor_sum
 from symfact.verify import BASES
 
 
@@ -53,6 +63,46 @@ def unfused_separate_via_q(f: MultiPoly, apply_q) -> MultiPoly:
     for i in range(n, 0, -1):
         h = apply_q(h, n_x=n, z_name=f"z{i}")
     return rho0(h, n).permute(list(range(n - 1, -1, -1)))
+
+
+def looped_eigen_product(q: UniPoly, n: int) -> MultiPoly:
+    """prod_j q(z_j) as a product of n one-slot embeddings."""
+    names = default_names("z", n)
+    acc = MultiPoly.one(n, names)
+    for j in range(n):
+        acc = acc * q.as_multipoly(n, j, names)
+    return acc
+
+
+def accumulated_separate(f: MultiPoly, basis: str, q_poly) -> MultiPoly:
+    """sum_lam c_lam b_lam(1..1) prod_j q_lam(z_j), added up one partition at a time."""
+    n = f.arity
+    acc = MultiPoly.zero(n, default_names("z", n))
+    for lam, c in full_expand_with_tail(f, basis, n).items():
+        value = c.constant() * basis_poly(basis, lam).value_at_one
+        acc = acc + looped_eigen_product(q_poly(lam), n) * value
+    return acc
+
+
+class TestProductsOfUnivariates:
+    @given(
+        st.lists(fractions_small, max_size=4).map(UniPoly),
+        st.integers(min_value=1, max_value=4).flatmap(lambda n: points_for(n)),
+    )
+    def test_eigen_product(self, q, point):
+        n = len(point)
+        got = spectral.eigen_product(q, n)
+        assert_same(got, looped_eigen_product(q, n))
+        want = Fraction(1)
+        for z in point:
+            want *= q.eval(z)
+        assert got.eval(point) == want
+
+    @settings(max_examples=40)
+    @given(symmetric_polys(max_n=4), st.sampled_from(BASIS_TAGS))
+    def test_separate(self, f, basis):
+        q_poly = BASES[basis].q_poly
+        assert_same(spectral.separate(f, basis, q_poly), accumulated_separate(f, basis, q_poly))
 
 
 class TestOrbitForm:
