@@ -1,9 +1,10 @@
 """The three symmetric-polynomial bases and expansions of symmetric polynomials.
 
 Monomial sums m, products of elementary symmetric polynomials E, and Schur
-functions s (built as the bialternant: the alternant, written as its
-permutation sum, divided exactly by the Vandermonde).  Every basis element
-also comes in a normalized form with value 1 at the all-ones point.
+functions s (built by the branching rule, one variable at a time, with no
+division; the bialternant, the alternant divided exactly by the
+Vandermonde, is its test oracle).  Every basis element also comes in a
+normalized form with value 1 at the all-ones point.
 :func:`expand_in_basis` writes a symmetric polynomial as coordinates over
 one basis, and :func:`combine` is the one sum of basis elements that takes
 coordinates back.  Any other antisymmetric polynomial is divided by the
@@ -139,15 +140,32 @@ def schur_value_at_one(lam: Partition) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _schur_numerators(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The integer coefficients of s_parts(x_1..x_n), by the branching rule.
+
+    s_lam(x_1..x_n) = sum over the mu interlacing lam (lam_1 >= mu_1 >=
+    lam_2 >= ... >= mu_(n-1) >= lam_n) of s_mu(x_1..x_(n-1)) x_n^(|lam| - |mu|)
+    (Macdonald, Symmetric Functions and Hall Polynomials, I (5.11)).
+    """
+    if len(parts) == 1:
+        return {parts: 1}
+    weight = sum(parts)
+    out: dict[tuple[int, ...], int] = {}
+    for mu in itertools.product(*(range(b, a + 1) for a, b in zip(parts, parts[1:]))):
+        tail = (weight - sum(mu),)
+        accumulate(out, ((e + tail, c) for e, c in _schur_numerators(mu).items()))
+    return out
+
+
+@lru_cache(maxsize=None)
 def schur_poly(lam: Partition) -> NormalizedBasisPoly:
-    """Bialternant Schur polynomial: alternant / Vandermonde, exactly.
+    """The Schur polynomial s_lam, built by the branching rule without division.
 
     The value at the all-ones point is computed both by direct evaluation
     and by the closed product formula; disagreement is an internal error.
     """
     n = lam.n
-    mu = lam.shifted().parts
-    raw = alternant(mu, n).divide_exact(vandermonde(n))
+    raw = MultiPoly._wrap(n, _schur_numerators(lam.parts), 1, default_names("x", n))
     direct = raw.eval([1] * n)
     closed = schur_value_at_one(lam)
     if direct != closed:

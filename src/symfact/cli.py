@@ -62,6 +62,8 @@ def _read_poly(path: str, n: int | None) -> MultiPoly:
     except (ValueError, RecursionError) as exc:
         raise PolyError(f"malformed JSON in {path}: {exc}") from exc
     p = MultiPoly.from_json(data)
+    if p.arity == 0:
+        raise PolyError("input polynomial has no variables")
     if n is not None and p.arity != n:
         raise PolyError(f"input polynomial has {p.arity} variables, expected {n}")
     return p

@@ -7,9 +7,9 @@ The Hamiltonians are Euler-operator polynomials conjugated by the
 Vandermonde: ``apply_h`` scales the Schur coordinates of f by their
 eigenvalues, so it never builds f a_delta.  The separating
 map has an exact differential-operator inverse built from
-K_n = prod_{i<j} (D_i - D_j), which ends on an antisymmetric polynomial, so
-the Vandermonde is read off its coefficients in the Schur basis
-(:func:`~symfact.bases.over_vandermonde`), not divided out.
+K_n = prod_{i<j} (D_i - D_j), which ends on an antisymmetric polynomial; the
+Vandermonde is read off its strictly decreasing coefficients in the Schur
+basis, and ``separate_inverse`` computes only those coefficients.
 
 Q, the separating map and the lift are the shared spectral forms of
 ``symfact.spectral`` on the s basis.  Independent routes kept as
@@ -17,7 +17,8 @@ cross-checks: ``q_via_restriction`` and ``q_via_restricted_determinant``
 for q, and ``separate_inverse`` against ``separate``.  ``apply_h`` scales
 by ``h_eigenvalue`` itself, so verify's eigenrelation check on s tests only
 the Schur expansion and ``combine``; the tests check the conjugation
-against ``over_vandermonde(qops_monomial.apply_h(f a_delta, j))``.
+against ``over_vandermonde(qops_monomial.apply_h(f a_delta, j))`` and the
+inverse against ``over_vandermonde(apply_k(g prod_k (x_k - 1)^(n-1)))``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .bases import (
     combine,
     elementary_value,
     expand_in_basis,
-    over_vandermonde,
     restricted_schur,
     schur_poly,
     vandermonde_value,
@@ -45,7 +45,7 @@ from .poly import (
     NotSymmetric,
     PolyError,
     UniPoly,
-    default_names,
+    accumulate,
 )
 
 
@@ -151,28 +151,26 @@ def z_powers(q: UniPoly, n: int) -> list[UniPoly]:
     return [num * zm1 ** (n - order) for num, order in powers]
 
 
-def separated_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
+def residual_of_powers(lam: Partition, powers: list[UniPoly]) -> UniPoly:
     """Numerator of [Z^n + sum_k (-1)^k h_k Z^(n-k)] q over (z-1)^n.
 
-    Z = z (d/dz + (n-1)/(z-1)) and h_k are the Hamiltonian eigenvalues of
-    lam; rational functions are carried exactly as numerator/pole-order
-    pairs.  A polynomial q satisfies lam's separated equation iff the
-    returned numerator is the zero polynomial.
-    """
-    return residual_of_powers(lam, z_powers(q_poly(lam) if q is None else q, lam.n))
-
-
-def residual_of_powers(lam: Partition, powers: list[UniPoly]) -> UniPoly:
-    """:func:`separated_residual` of the q whose :func:`z_powers` are given.
-
-    The powers depend on q and n only, so one list serves every lam of that
-    n: the residual is sum_k (-1)^k h_k(lam) times the (n-k)-th of them.
+    Z = z (d/dz + (n-1)/(z-1)), ``powers`` are the :func:`z_powers` of q,
+    and h_k are the Hamiltonian eigenvalues of lam, e_k of its shifted
+    parts.  A polynomial q satisfies lam's separated equation iff the
+    returned numerator is the zero polynomial.  The powers depend on q and n
+    only, so one list serves every lam of that n; the sum is one integer
+    combination of their numerators over their common denominator.
     """
     n = lam.n
-    residual = powers[n]
-    for k in range(1, n + 1):
-        residual = residual + powers[n - k] * (h_eigenvalue(lam, k) * (-1) ** k)
-    return residual
+    mu = lam.shifted().parts
+    den = math.lcm(*(p.poly.den for p in powers))
+    out: dict[tuple[int, ...], int] = {}
+    for k in range(n + 1):
+        p = powers[n - k].poly
+        w = (-1) ** k * elementary_value(mu, k) * (den // p.den)
+        if w:
+            accumulate(out, ((e, w * c) for e, c in p.num.items()))
+    return UniPoly.of(MultiPoly._make(1, out, den, ("z",)))
 
 
 def apply_h(f: MultiPoly, j: int) -> MultiPoly:
@@ -212,20 +210,39 @@ def separate_inverse(g: MultiPoly) -> MultiPoly:
     """Differential-operator inverse of the separating map.
 
     Multiply by prod_k (x_k - 1)^(n-1), apply K_n, which makes a symmetric
-    polynomial antisymmetric, read the Vandermonde off
-    (:func:`~symfact.bases.over_vandermonde`), and scale; sends
-    prod_j q_lam(x_j) back to the normalized Schur polynomial.  A K_n output
-    that is not antisymmetric means the input was not in the image.
+    polynomial antisymmetric, divide by the Vandermonde and scale by
+    V(0..n-1) / ((n-1)!)^n; sends prod_j q_lam(x_j) back to the normalized
+    Schur polynomial.  The quotient K_n h / a_delta is sum_mu V(mu) [x^mu]h
+    s_(mu - delta) over the strictly decreasing mu (Macdonald, Symmetric
+    Functions and Hall Polynomials, I §3), so only those coefficients of h
+    are computed: the factors are multiplied in one slot at a time, and
+    after slot k every exponent whose first k+1 entries are not strictly
+    decreasing is dropped.  A g that is not symmetric is not in the image.
     """
     n = g.arity
-    h = g.rename(default_names("x", n))
+    if n == 0:
+        raise PolyError("the separating map needs at least one variable")
+    if not g.is_symmetric():
+        raise InvariantViolation("input is not in the image of the separating map")
+    # (x - 1)^(n-1) = sum_b C(n-1, b) (-1)^(n-1-b) x^b
+    factor = [(b, math.comb(n - 1, b) * (-1) ** (n - 1 - b)) for b in range(n)]
+    num = g.num
     for k in range(n):
-        h = h * (MultiPoly.variable(k, n) - 1) ** (n - 1)
-    try:
-        h = over_vandermonde(apply_k(h))
-    except NotDivisible as exc:
-        raise InvariantViolation("input is not in the image of the separating map") from exc
-    return h * Fraction(vandermonde_value(range(n)), math.factorial(n - 1) ** n)
+        num = accumulate(
+            {},
+            (
+                (e[:k] + (e[k] + b,) + e[k + 1 :], c * w)
+                for e, c in num.items()
+                for b, w in factor
+                if k == 0 or e[k - 1] > e[k] + b
+            ),
+        )
+    scale = Fraction(vandermonde_value(range(n)), g.den * math.factorial(n - 1) ** n)
+    coeffs = {
+        Partition(tuple(m - (n - 1 - i) for i, m in enumerate(mu))): vandermonde_value(mu) * c * scale
+        for mu, c in num.items()
+    }
+    return combine("s", n, coeffs)
 
 
 def lift(f: MultiPoly) -> MultiPoly:

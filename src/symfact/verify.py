@@ -312,6 +312,7 @@ def suite_inverse(max_weight: int, n: int, rng: random.Random) -> Reporter:
 def suite_ode(max_weight: int, n: int, rng: random.Random) -> Reporter:
     rep = Reporter()
     sweep = enumerate_partitions(max_weight, n)
+    powers = {nu: qs.z_powers(qs.q_poly(nu), n) for nu in sweep}
     for lam in sweep:
         tag = f"lambda={list(lam.parts)}, n={n}"
         rep.guarded(
@@ -319,7 +320,10 @@ def suite_ode(max_weight: int, n: int, rng: random.Random) -> Reporter:
             lambda lam=lam: qs.q_poly(lam).eval(1) == 1,
         )
         rep.record(f"Euler factorization annihilates phi {tag}", qs.phi_ode_residual(lam).is_zero)
-        rep.record(f"separated equation annihilates q [s] {tag}", qs.separated_residual(lam).is_zero)
+        rep.record(
+            f"separated equation annihilates q [s] {tag}",
+            qs.residual_of_powers(lam, powers[lam]).is_zero,
+        )
         rep.record(f"first-order equation residual [E] {tag}", qe.q_ode_residual(lam).is_zero)
         rep.record(f"Euler factorization annihilates q [m] {tag}", qm.separation_residual(lam).is_zero)
         rep.record(
@@ -333,7 +337,6 @@ def suite_ode(max_weight: int, n: int, rng: random.Random) -> Reporter:
             lambda lam=lam: qs.q_poly(lam) == qs.q_via_restriction(lam)
             and (n < 2 or qs.q_poly(lam) == qs.q_via_restricted_determinant(lam)),
         )
-    powers = {nu: qs.z_powers(qs.q_poly(nu), n) for nu in sweep}
     for lam in sweep:
         others = [nu for nu in sweep if nu != lam and nu.weight() <= lam.weight()]
         ok = all(not qs.residual_of_powers(lam, powers[nu]).is_zero for nu in others)

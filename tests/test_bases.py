@@ -182,6 +182,14 @@ class TestSchur:
             assert alternant(nu, 3) == alternant(mu, 3) * (-1) ** inversions
             assert alternant(nu, 3) == self._power_matrix_det(nu, 3)
 
+    @pytest.mark.parametrize("n, max_weight", [(1, 6), (2, 6), (3, 6), (4, 6), (5, 4)])
+    def test_branching_rule_matches_the_bialternant(self, n, max_weight):
+        for lam in enumerate_partitions(max_weight, n):
+            nb = schur_poly(lam)
+            want = alternant(lam.shifted().parts, n).divide_exact(vandermonde(n))
+            assert (nb.raw.num, nb.raw.den, nb.raw.names) == (want.num, want.den, want.names), lam
+            assert nb.value_at_one == want.eval([1] * n), lam
+
     def test_value_formula_agrees_with_direct(self):
         for lam in enumerate_partitions(6, 3):
             assert schur_poly(lam).raw.eval([1, 1, 1]) == schur_value_at_one(lam)

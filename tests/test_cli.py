@@ -272,6 +272,8 @@ class TestInputBoundary:
             (INVERT, _poly([{"e": [1, 0], "c": "1"}], ("z1", "z2")), "not in the image"),
             (APPLY_Q + ("--n", "5"), _poly([{"e": [1, 0], "c": "1"}]), "has 2 variables, expected 5"),
             (INVERT + ("--n", "3"), _poly([{"e": [1, 0], "c": "1"}], ("z1", "z2")), "has 2 variables, expected 3"),
+            (INVERT, _poly([], ()), "has no variables"),
+            (("apply-q", "--basis", "s", "--input", "-"), _poly([], ()), "has no variables"),
         ],
         ids=[
             "zero-denominator",
@@ -285,6 +287,8 @@ class TestInputBoundary:
             "not-in-image",
             "apply-q-n-differs",
             "invert-n-differs",
+            "invert-no-variables",
+            "apply-q-no-variables",
         ],
     )
     def test_stdin_input_error(self, capsys, monkeypatch, argv, stdin, fragment):

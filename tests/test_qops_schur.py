@@ -7,13 +7,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import symmetric_polys
+from conftest import fractions_small, symmetric_polys
 
 from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
-from symfact.bases import alternant, over_vandermonde, schur_poly, vandermonde
+from symfact.bases import alternant, over_vandermonde, schur_poly, vandermonde, vandermonde_value
 from symfact.partitions import Partition, enumerate_partitions
-from symfact.poly import InvariantViolation, MultiPoly, UniPoly, default_names
+from symfact.poly import InvariantViolation, MultiPoly, PolyError, UniPoly, default_names
 
 
 def sbar(*parts):
@@ -82,17 +82,39 @@ class TestDifferentialEquations:
 
     def test_separated_equation_sweep(self):
         for lam in enumerate_partitions(5, 3):
-            assert qs.separated_residual(lam).is_zero
+            assert qs.residual_of_powers(lam, qs.z_powers(qs.q_poly(lam), 3)).is_zero
 
     def test_empty_partition_case(self):
-        assert qs.separated_residual(Partition((0, 0, 0))).is_zero
+        lam = Partition((0, 0, 0))
+        assert qs.residual_of_powers(lam, qs.z_powers(qs.q_poly(lam), 3)).is_zero
 
     def test_no_other_eigenvalue_satisfies_it(self):
         sweep = enumerate_partitions(4, 3)
         for lam in sweep:
             for nu in sweep:
                 if nu != lam and nu.weight() <= lam.weight():
-                    assert not qs.separated_residual(lam, qs.q_poly(nu)).is_zero
+                    assert not qs.residual_of_powers(lam, qs.z_powers(qs.q_poly(nu), 3)).is_zero
+
+    @staticmethod
+    def unipoly_residual(lam, powers):
+        """The residual as n UniPoly multiply-and-add steps: the oracle for the integer combination."""
+        n = lam.n
+        residual = powers[n]
+        for k in range(1, n + 1):
+            residual = residual + powers[n - k] * (qs.h_eigenvalue(lam, k) * (-1) ** k)
+        return residual
+
+    @given(st.integers(min_value=1, max_value=4), st.data())
+    def test_residual_matches_the_unipoly_loop(self, n, data):
+        lam = data.draw(st.sampled_from(enumerate_partitions(4, n)))
+        q = data.draw(
+            st.one_of(
+                st.sampled_from(enumerate_partitions(4, n)).map(qs.q_poly),
+                st.lists(fractions_small, max_size=5).map(UniPoly),
+            )
+        )
+        powers = qs.z_powers(q, n)
+        assert qs.residual_of_powers(lam, powers) == self.unipoly_residual(lam, powers)
 
 
 class TestHamiltonians:
@@ -182,6 +204,36 @@ class TestSeparationAndInverse:
         # z1 alone is not a symmetric product of eigenvalue polynomials
         with pytest.raises(InvariantViolation):
             qs.separate_inverse(MultiPoly.variable(0, 3))
+
+    def test_no_variables_is_a_poly_error(self):
+        with pytest.raises(PolyError, match="at least one variable"):
+            qs.separate_inverse(MultiPoly.zero(0))
+
+    @staticmethod
+    def full_inverse(g):
+        """The inverse on every monomial: g prod_k (x_k - 1)^(n-1), then K_n, a_delta read off, scaled."""
+        n = g.arity
+        h = g.rename(default_names("x", n))
+        for k in range(n):
+            h = h * (MultiPoly.variable(k, n) - 1) ** (n - 1)
+        h = over_vandermonde(qs.apply_k(h))
+        return h * F(vandermonde_value(range(n)), math.factorial(n - 1) ** n)
+
+    @given(symmetric_polys(max_n=4), st.booleans())
+    def test_matches_the_full_product_route(self, f, in_image):
+        # in the image: g = separate(f); outside it: the symmetric f itself
+        g = (qs.separate(f) if in_image else f).rename(default_names("z", f.arity))
+        want = self.full_inverse(g)
+        got = qs.separate_inverse(g)
+        assert (got.num, got.den, got.names) == (want.num, want.den, want.names)
+
+    @given(symmetric_polys(min_n=2, max_n=4), st.data())
+    def test_non_symmetric_input_is_rejected(self, f, data):
+        n = f.arity
+        exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * n).filter(lambda e: len(set(e)) > 1)
+        g = f + MultiPoly(n, {data.draw(exps): data.draw(fractions_small.filter(bool))})
+        with pytest.raises(InvariantViolation, match="not in the image"):
+            qs.separate_inverse(g)
 
 
 class TestSpectralQ:
