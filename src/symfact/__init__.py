@@ -7,12 +7,11 @@ products of univariate polynomials, lifting operators that add a variable,
 and exact verification of the integral forms of the Schur-case operators.
 """
 
-from .partitions import Partition, ShiftedPartition, dominance_leq, enumerate_partitions
+from .partitions import Partition, dominance_leq, enumerate_partitions
 from .poly import InvariantViolation, MultiPoly, NotDivisible, NotSymmetric, PolyError, UniPoly
 
 __all__ = [
     "Partition",
-    "ShiftedPartition",
     "dominance_leq",
     "enumerate_partitions",
     "MultiPoly",

@@ -136,7 +136,7 @@ def elementary_product(lam: Partition) -> NormalizedBasisPoly:
 
 def schur_value_at_one(lam: Partition) -> Fraction:
     """Closed form prod_{i<j} (mu_i - mu_j)/(j - i): V(mu) / V(delta)."""
-    return Fraction(vandermonde_value(lam.shifted().parts), vandermonde_value(range(lam.n - 1, -1, -1)))
+    return Fraction(vandermonde_value(lam.shifted()), vandermonde_value(range(lam.n - 1, -1, -1)))
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +207,7 @@ def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, MultiPoly]:
     n = lam.n
     if not 1 <= k <= n:
         raise PolyError(f"need 1 <= k <= n, got k={k}")
-    mu = lam.shifted().parts
+    mu = lam.shifted()
     arity = k - 1
     matrix = []
     for i in range(k - 1):

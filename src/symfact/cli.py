@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from .bases import BASIS_TAGS, basis_poly
 from .partitions import Partition
@@ -31,15 +32,25 @@ def _ops(basis: str):
     return ops
 
 
+_DIGITS = re.compile(r"[0-9]+")  # ASCII only: int() also reads "1_0", " 1", "+1" and non-ASCII digits
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _decimal(text: str) -> int:
+    """An integer flag value: ASCII digits with an optional leading minus."""
+    if not _DIGITS.fullmatch(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_partition(text: str, n: int | None = None) -> Partition:
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
+    fields = text.split(",")
+    if not all(_DIGITS.fullmatch(p) for p in fields):
         raise PolyError(f"cannot parse partition {text!r}")
+    parts = tuple(map(int, fields))
     if any(a < b for a, b in zip(parts, parts[1:])):
         raise PolyError(f"partition parts must be given in weakly decreasing order: {text}")
     lam = Partition(parts)
@@ -85,19 +96,20 @@ def cmd_basis(args) -> int:
 
 def cmd_apply_q(args) -> int:
     ops = _ops(args.basis)
+    out = {}
     if args.lam is not None:
         lam = _parse_partition(args.lam, args.n)
         f = basis_poly(args.basis, lam).normalized
-        q = ops.q_poly(lam)
-        out = {"eigenvalue": q.to_json(), "result": ops.apply_q(f).to_json()}
+        out["eigenvalue"] = ops.q_poly(lam).to_json()
     else:
         f = _read_poly(args.input, args.n)
-        out = {"result": ops.apply_q(f).to_json()}
+    result = ops.apply_q(f)
     if args.format == "table":
         if "eigenvalue" in out:
             print("q(z) coefficients:", out["eigenvalue"])
-        print(MultiPoly.from_json(out["result"]).pretty())
+        print(result.pretty())
     else:
+        out["result"] = result.to_json()
         print(_dump(out))
     return 0
 
@@ -181,7 +193,7 @@ class _Parser(argparse.ArgumentParser):
 
 _BASIS = ("--basis", {"choices": BASIS_TAGS, "required": True})
 _LAMBDA = ("--lambda", {"dest": "lam", "required": True, "metavar": "PARTS"})
-_N = ("--n", {"type": int})
+_N = ("--n", {"type": _decimal})
 
 
 def _source(what: str) -> list:
@@ -195,7 +207,7 @@ _COMMANDS = (
     ("basis", "print a basis polynomial", cmd_basis, [
         ("--kind", {"choices": BASIS_TAGS, "required": True}),
         _LAMBDA,
-        ("--n", {"type": int, "required": True}),
+        ("--n", {"type": _decimal, "required": True}),
         ("--normalized", {"action": "store_true"}),
     ]),
     ("apply-q", "apply the Q-operator", cmd_apply_q, [_BASIS, _N, _source("polynomial JSON file")]),
@@ -204,12 +216,12 @@ _COMMANDS = (
     ("lift", "add a variable to a basis polynomial", cmd_lift, [_BASIS, _LAMBDA]),
     ("verify", "run a verification suite", cmd_verify, [
         ("--suite", {"choices": _SUITES, "required": True}),
-        ("--max-weight", {"type": int, "default": 4}),
-        ("--n", {"type": int, "default": 3}),
+        ("--max-weight", {"type": _decimal, "default": 4}),
+        ("--n", {"type": _decimal, "default": 3}),
     ]),
     ("quadrature", "run the integral-identity suite", cmd_quadrature, [
-        ("--max-weight", {"type": int, "default": 3}),
-        ("--n", {"type": int, "default": 2}),
+        ("--max-weight", {"type": _decimal, "default": 3}),
+        ("--n", {"type": _decimal, "default": 2}),
     ]),
 )
 
@@ -218,7 +230,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser; with ``command`` naming one, only that subcommand is built."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
+    common.add_argument("--seed", type=_decimal, default=0, help="seed for randomized sweeps")
 
     parser = _Parser(
         prog="symfact",

@@ -11,14 +11,19 @@ from typing import Iterator
 from .poly import PolyError
 
 
-class _Parts:
-    """An immutable tuple of parts, equal only to an instance of its own class."""
+class Partition:
+    """Weakly decreasing tuple of nonnegative integers, fixed length; immutable, equal only to a Partition."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]):
+        if not parts:
+            raise PolyError("partition must have length >= 1")
+        if any(type(p) is not int or p < 0 for p in parts):
+            raise PolyError(f"parts must be nonnegative integers: {parts}")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise PolyError(f"parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
-        self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -27,39 +32,13 @@ class _Parts:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), (self.parts,)
+        return Partition, (self.parts,)
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
+        return self.parts == other.parts if other.__class__ is Partition else NotImplemented
 
     def __hash__(self):
         return hash((self.parts,))
-
-    def __repr__(self):
-        return f"{type(self).__name__}(parts={self.parts!r})"
-
-    @property
-    def n(self) -> int:
-        return len(self.parts)
-
-    def to_json(self) -> list[int]:
-        return list(self.parts)
-
-
-class Partition(_Parts):
-    """Weakly decreasing tuple of nonnegative integers, fixed length."""
-
-    __slots__ = ()
-
-    def _validate(self):
-        if not self.parts:
-            raise PolyError("partition must have length >= 1")
-        if any(type(p) is not int or p < 0 for p in self.parts):
-            raise PolyError(f"parts must be nonnegative integers: {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise PolyError(f"parts must be weakly decreasing: {self.parts}")
 
     def __lt__(self, other):
         return self.parts < other.parts if other.__class__ is Partition else NotImplemented
@@ -72,6 +51,13 @@ class Partition(_Parts):
 
     def __ge__(self, other):
         return self.parts >= other.parts if other.__class__ is Partition else NotImplemented
+
+    def __repr__(self):
+        return f"Partition{self.parts}"
+
+    @property
+    def n(self) -> int:
+        return len(self.parts)
 
     def weight(self) -> int:
         return sum(self.parts)
@@ -86,28 +72,13 @@ class Partition(_Parts):
         """The difference part(i) - part(j), 1-based indices."""
         return self.part(i) - self.part(j)
 
-    def shifted(self) -> "ShiftedPartition":
-        """Add the staircase (n-1, n-2, ..., 0)."""
+    def shifted(self) -> tuple[int, ...]:
+        """mu = lambda + staircase (n-1, n-2, ..., 0), strictly decreasing."""
         n = self.n
-        return ShiftedPartition(tuple(p + n - 1 - i for i, p in enumerate(self.parts)))
+        return tuple(p + n - 1 - i for i, p in enumerate(self.parts))
 
     def with_trailing_zero(self) -> "Partition":
         return Partition(self.parts + (0,))
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
-
-
-class ShiftedPartition(_Parts):
-    """Strictly decreasing exponent vector mu = lambda + staircase."""
-
-    __slots__ = ()
-
-    def _validate(self):
-        if any(a <= b for a, b in zip(self.parts, self.parts[1:])):
-            raise PolyError(f"shifted parts must be strictly decreasing: {self.parts}")
-        if any(p < 0 for p in self.parts):
-            raise PolyError(f"shifted parts must be nonnegative: {self.parts}")
 
 
 def dominance_leq(mu: Partition, lam: Partition) -> bool:

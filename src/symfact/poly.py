@@ -755,13 +755,6 @@ class UniPoly:
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data: list) -> "UniPoly":
-        """Parse a list of coefficients by degree, each as in MultiPoly.from_json."""
-        if not isinstance(data, list):
-            raise PolyError("univariate polynomial JSON must be a list of coefficients")
-        return cls(_parse_coeff(c) for c in data)
-
     def pretty(self, var: str = "z") -> str:
         return self.poly.rename((var,)).pretty()
 

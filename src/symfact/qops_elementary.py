@@ -5,21 +5,24 @@ in coordinates eps_j = e_j(x).  The Hamiltonians are the Euler operators
 eps_j d/deps_j, and Q_z scales eps_j by 1 + (z-1) j / n, so E_lam has the
 eigenvalue polynomial prod_j (1 + (z-1) j / n)^(lam_j - lam_{j+1}).
 
-Q, the separating map and the lift are the shared spectral forms of
-``symfact.spectral`` on the E basis.  The chain links A_k act on the
-elementary polynomials of the first k variables by a two-term rule; the
-A-chain is kept as an independent route and checked against the spectral
-separating map (``separate``) and the rho-Q composition (``separate_via_q``).
+H_j, Q, the separating map and the lift are the shared spectral forms of
+``symfact.spectral`` on the E basis.  ``apply_h`` scales by ``h_eigenvalue``
+itself, so verify's eigenrelation check on E tests only the E expansion and
+``combine``; the explicit first-order form ``h_explicit_values`` is the
+independent check, and the tests also compare ``apply_h`` with the eps route.
+The chain links A_k act on the elementary polynomials of the first k
+variables by a two-term rule; the A-chain is kept as an independent route
+and checked against the spectral separating map (``separate``) and the
+rho-Q composition (``separate_via_q``).
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import spectral
-from .bases import OrbitForm, combine, elementary_sym, expand_in_basis, expand_orbits
+from .bases import OrbitForm, elementary_sym, expand_in_basis, expand_orbits
 from .partitions import Partition
 from .poly import InvariantViolation, MultiPoly, PolyError, UniPoly, default_names, tensor_sum
 
@@ -38,24 +41,9 @@ def to_eps(f: MultiPoly) -> MultiPoly:
     return MultiPoly(n, terms, _eps_names(n))
 
 
-def from_eps(p: MultiPoly) -> MultiPoly:
-    """Substitute eps_j <- e_j(x), recovering the symmetric polynomial.
-
-    The eps monomial with exponents (k_1..k_n) is E_lam with
-    lam_i = k_i + ... + k_n.
-    """
-    coeffs = {
-        Partition(tuple(itertools.accumulate(reversed(exp)))[::-1]): c for exp, c in p.terms.items()
-    }
-    return combine("E", p.arity, coeffs)
-
-
 def apply_h(f: MultiPoly, j: int) -> MultiPoly:
-    """Euler operator eps_j d/deps_j conjugated back to the x variables."""
-    n = f.arity
-    if not 1 <= j <= n:
-        raise PolyError(f"need 1 <= j <= n, got j={j}")
-    return from_eps(to_eps(f).euler(j - 1))
+    """Euler operator eps_j d/deps_j in the x variables: it scales E_lam by :func:`h_eigenvalue`."""
+    return spectral.diagonal_h(f, "E", h_eigenvalue, j)
 
 
 def h_eigenvalue(lam: Partition, j: int) -> Fraction:

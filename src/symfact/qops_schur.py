@@ -1,12 +1,12 @@
 """Operators factorizing the Schur basis.
 
 The eigenvalue polynomial of the Q-operator is (n-1)! phi(z) / (z-1)^(n-1),
-where phi is the unique combination of the powers z^(mu_j) (mu the shifted
+where ``phi`` is the unique combination of the powers z^(mu_j) (mu the shifted
 partition) divisible by (z-1)^(n-1) and normalized to value 1 at z = 1.
 The Hamiltonians are Euler-operator polynomials conjugated by the
 Vandermonde: ``apply_h`` scales the Schur coordinates of f by their
-eigenvalues, so it never builds f a_delta.  The separating
-map has an exact differential-operator inverse built from
+eigenvalues (``spectral.diagonal_h``), so it never builds f a_delta.  The
+separating map has an exact differential-operator inverse built from
 K_n = prod_{i<j} (D_i - D_j), which ends on an antisymmetric polynomial; the
 Vandermonde is read off its strictly decreasing coefficients in the Schur
 basis, and ``separate_inverse`` computes only those coefficients.
@@ -26,18 +26,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import spectral
 from .bases import (
     combine,
     elementary_value,
-    expand_in_basis,
     restricted_schur,
     schur_poly,
     vandermonde_value,
 )
-from .partitions import Partition, ShiftedPartition
+from .partitions import Partition
 from .poly import (
     InvariantViolation,
     MultiPoly,
@@ -49,16 +47,8 @@ from .poly import (
 )
 
 
-class PhiData(NamedTuple):
-    """Shifted exponents mu, interpolation weights c_j, and phi = sum c_j z^mu_j."""
-
-    mu: ShiftedPartition
-    c: tuple[Fraction, ...]
-    phi: UniPoly
-
-
-def phi_data(lam: Partition) -> PhiData:
-    """Build phi with c_j = prod_{k != j} (mu_j - mu_k)^(-1) and verify it.
+def phi(lam: Partition) -> UniPoly:
+    """phi = sum_j c_j z^(mu_j) with c_j = prod_{k != j} (mu_j - mu_k)^(-1), verified.
 
     Verified on construction: the power sums sum_j mu_j^k c_j vanish for
     k = 0..n-2 and equal 1 at k = n-1, which is exactly divisibility of phi
@@ -71,26 +61,25 @@ def phi_data(lam: Partition) -> PhiData:
         denom = Fraction(1)
         for k in range(n):
             if k != j:
-                denom *= mu.parts[j] - mu.parts[k]
+                denom *= mu[j] - mu[k]
         cs.append(1 / denom)
-    phi = UniPoly.zero()
+    out = UniPoly.zero()
     for j in range(n):
-        phi = phi + UniPoly.monomial(mu.parts[j], cs[j])
+        out = out + UniPoly.monomial(mu[j], cs[j])
     for k in range(n):
-        moment = sum(Fraction(mu.parts[j]) ** k * cs[j] for j in range(n))
+        moment = sum(Fraction(mu[j]) ** k * cs[j] for j in range(n))
         expected = Fraction(1 if k == n - 1 else 0)
         if moment != expected:
             raise InvariantViolation(f"moment condition k={k} fails for {lam}")
-    return PhiData(mu, tuple(cs), phi)
+    return out
 
 
 @lru_cache(maxsize=None)
 def q_poly(lam: Partition) -> UniPoly:
     """(n-1)! phi(z) / (z-1)^(n-1), an exact polynomial with q(1) = 1."""
     n = lam.n
-    data = phi_data(lam)
     try:
-        q = (data.phi * math.factorial(n - 1)).divide_exact(UniPoly([-1, 1]) ** (n - 1))
+        q = (phi(lam) * math.factorial(n - 1)).divide_exact(UniPoly([-1, 1]) ** (n - 1))
     except NotDivisible as exc:
         raise InvariantViolation(f"phi for {lam} not divisible by (z-1)^(n-1)") from exc
     if q.eval(1) != 1:
@@ -103,7 +92,7 @@ def q_at_zero(lam: Partition) -> Fraction:
     n = lam.n
     if lam.parts[-1] != 0:
         return Fraction(0)
-    mu = lam.shifted().parts
+    mu = lam.shifted()
     return Fraction(math.factorial(n - 1), math.prod(mu[:-1])) if n > 1 else Fraction(1)
 
 
@@ -123,12 +112,12 @@ def q_via_restricted_determinant(lam: Partition) -> UniPoly:
 
 def phi_ode_residual(lam: Partition) -> UniPoly:
     """Apply prod_j (z d/dz - mu_j) to phi; must vanish."""
-    return spectral.euler_residual(phi_data(lam).phi, lam.shifted().parts)
+    return spectral.euler_residual(phi(lam), lam.shifted())
 
 
 def h_eigenvalue(lam: Partition, j: int) -> Fraction:
     """Eigenvalue of H_j on s_lam: e_j of the shifted parts mu."""
-    return Fraction(elementary_value(lam.shifted().parts, j))
+    return Fraction(elementary_value(lam.shifted(), j))
 
 
 def _apply_big_z(num: UniPoly, order: int, n: int) -> tuple[UniPoly, int]:
@@ -162,7 +151,7 @@ def residual_of_powers(lam: Partition, powers: list[UniPoly]) -> UniPoly:
     combination of their numerators over their common denominator.
     """
     n = lam.n
-    mu = lam.shifted().parts
+    mu = lam.shifted()
     den = math.lcm(*(p.poly.den for p in powers))
     out: dict[tuple[int, ...], int] = {}
     for k in range(n + 1):
@@ -177,18 +166,14 @@ def apply_h(f: MultiPoly, j: int) -> MultiPoly:
     """The Euler-operator elementary symmetric polynomial, conjugated by the Vandermonde.
 
     H_j scales x^a by e_j(a), so on s_lam * a_delta = a_(lam + delta) it is
-    the scalar e_j(lam + delta) = :func:`h_eigenvalue`: f is expanded over
-    the Schur basis, each coordinate scaled by its eigenvalue, and the sum
-    rebuilt.  f * a_delta is never built.
+    the scalar e_j(lam + delta) = :func:`h_eigenvalue`, and H_j is
+    :func:`symfact.spectral.diagonal_h` on the Schur basis.  f * a_delta is
+    never built; a non-symmetric f raises InvariantViolation.
     """
-    if not 1 <= j <= f.arity:
-        raise PolyError(f"need 1 <= j <= arity, got j={j}")
     try:
-        coeffs = expand_in_basis(f, "s")
+        return spectral.diagonal_h(f, "s", h_eigenvalue, j)
     except NotSymmetric as exc:
         raise InvariantViolation("conjugated Hamiltonian left the symmetric ring") from exc
-    scaled = {lam: c * h for lam, c in coeffs.items() if (h := h_eigenvalue(lam, j))}
-    return combine("s", f.arity, scaled).rename(f.names)
 
 
 def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:

@@ -159,21 +159,19 @@ def box_integral(p: MultiPoly, bounds: list[tuple[Fraction, Fraction]]) -> Fract
 # -- Q_z integral ------------------------------------------------------------
 
 
-def core_alternant_integral(
-    lam: Partition, y, z, tail_constraint: bool = True
-) -> tuple[Fraction, Fraction, QuadratureResult]:
+def core_alternant_integral(lam: Partition, y, z) -> tuple[Fraction, Fraction, QuadratureResult]:
     """The prefactor-free heart of the Q_z theorem.
 
     Integrates the alternant of the shifted partition against the delta
     constraint over the interleaved domain; the exact right-hand side is
     alternant(y) * phi(z).  Returns (computed, oracle, result record).
     """
-    dom = OrderedDomain(_as_fractions(y), _scalar(z), tail_constraint)
+    dom = OrderedDomain(_as_fractions(y), _scalar(z))
     n = dom.n
     if lam.n != n:
         raise PolyError("partition length must match the number of bounds")
-    a_mu = alternant(lam.shifted().parts, n)
-    oracle = a_mu.eval(dom.y) * qops_schur.phi_data(lam).phi.eval(dom.z)
+    a_mu = alternant(lam.shifted(), n)
+    oracle = a_mu.eval(dom.y) * qops_schur.phi(lam).eval(dom.z)
     result = _delta_integral(a_mu, dom)
     return result.value, oracle, result
 

@@ -3,7 +3,8 @@
 Each basis (m, E, s) has a Q-operator that is diagonal with a univariate
 eigenvalue polynomial q_lam(z), a separating map sending the normalized
 basis element to prod_j q_lam(z_j), and a lift that appends a zero part.
-Q, the separating map and the lift take the basis tag (and, where needed,
+The E and s Hamiltonians H_j are diagonal too (:func:`diagonal_h`).
+Q, H_j, the separating map and the lift take the basis tag (and, where needed,
 the basis's ``q_poly``) and work through :func:`symfact.bases.expand_orbits`.
 The two separation routes are driven here too: the rho-Q composition
 (:func:`separate_via_q`) and the A-chain (:func:`separate_via_chain`), each
@@ -20,11 +21,12 @@ sum_lam b_lam(1..1) * tail_lam * q_lam(z_1) (:func:`rho0_orbit_q`).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Iterable
 
 from .bases import OrbitForm, basis_poly, combine, expand_in_basis, expand_orbits, m_coordinates
 from .partitions import Partition
-from .poly import MultiPoly, Pair, UniPoly, default_names, tensor_sum
+from .poly import MultiPoly, Pair, PolyError, UniPoly, default_names, tensor_sum
 
 QPoly = Callable[[Partition], UniPoly]
 
@@ -80,6 +82,15 @@ def diagonal_q(
     is sum_lam b_lam(x) * tail_lam * q_lam(z), by :func:`orbit_q`.
     """
     return orbit_q(OrbitForm.of(f, n_x), basis, q_poly, z_name).to_poly()
+
+
+def diagonal_h(f: MultiPoly, basis: str, eigenvalue: Callable[[Partition, int], Fraction], j: int) -> MultiPoly:
+    """H_j of a basis it is diagonal on: each component c b_lam goes to c eigenvalue(lam, j) b_lam."""
+    n = f.arity
+    if not 1 <= j <= n:
+        raise PolyError(f"need 1 <= j <= n, got j={j}")
+    scaled = {lam: c * h for lam, c in expand_in_basis(f, basis).items() if (h := eigenvalue(lam, j))}
+    return combine(basis, n, scaled).rename(f.names)
 
 
 def separate(f: MultiPoly, basis: str, q_poly: QPoly) -> MultiPoly:

@@ -45,17 +45,17 @@ def _scaled(f: MultiPoly, q: UniPoly) -> MultiPoly:
     return MultiPoly._wrap(f.arity + 1, num, den, f.names + ("z",))
 
 
-def random_symmetric(n: int, max_weight: int, rng: random.Random, basis: str = "m", terms: int = 3) -> MultiPoly:
+def random_symmetric(n: int, max_weight: int, rng: random.Random, basis: str = "m") -> MultiPoly:
     lams = enumerate_partitions(max_weight, n)
     coeffs = accumulate(
-        {}, ((rng.choice(lams), Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(terms))
+        {}, ((rng.choice(lams), Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(3))
     )
     return combine(basis, n, coeffs)
 
 
-def random_poly(n: int, max_degree: int, rng: random.Random, terms: int = 4) -> MultiPoly:
+def random_poly(n: int, max_degree: int, rng: random.Random) -> MultiPoly:
     out = {}
-    for _ in range(terms):
+    for _ in range(4):
         exp = tuple(rng.randint(0, max_degree // n + 1) for _ in range(n))
         out[exp] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return MultiPoly(n, out)
@@ -291,8 +291,8 @@ def suite_inverse(max_weight: int, n: int, rng: random.Random) -> Reporter:
             lambda sbar=sbar: qs.separate_inverse(qs.separate(sbar)) == sbar,
         )
         if lam.weight() <= min(max_weight, 4):
-            prod_phi = eigen_product(qs.phi_data(lam).phi, n)
-            mu = lam.shifted().parts
+            prod_phi = eigen_product(qs.phi(lam), n)
+            mu = lam.shifted()
             delta_mu = math.prod(mu[i] - mu[j] for i in range(n) for j in range(i + 1, n))
             sign = -1 if (n * (n - 1) // 2) % 2 else 1
             rhs = alternant(mu, n) * Fraction(sign, delta_mu)

@@ -1,12 +1,11 @@
-"""Acceptance criteria: the full identity sweeps at their stated tolerances.
+"""Acceptance criteria: the full identity sweeps, all at zero tolerance.
 
 Each criterion prints one PASS/FAIL line (visible with ``pytest -s``).  The
-algebraic criteria are exact polynomial identities over rational arithmetic
-(zero tolerance); the quadrature criteria compare against exact oracles at
-1e-10 relative error for the n = 2 route and 1e-6 for the n = 3 route.  Both
-routes are exact closed forms (at n = 3 over the two pieces of the cell on
-either side of the hyperbola kink), so the tolerances only bound the
-reported floats.
+algebraic criteria are exact polynomial identities over rational arithmetic.
+The quadrature criteria are exact too: every integral is a closed form (at
+n = 3 over the two pieces of the cell on either side of the hyperbola kink)
+computed as a ``Fraction``, and its status is decided by ``==`` against an
+exact oracle.
 """
 
 import time
@@ -145,7 +144,7 @@ def test_criterion_08_quadrature(quadrature_reports):
             ("delta-constrained", "Q integral", "chain-link integral", "lifting integral", "prefactor adjudication", "tail indicator")
         ),
         8,
-        "integral identities at n = 2 (1e-10) and n = 3 (1e-6) with prefactor adjudication",
+        "integral identities at n = 2 and n = 3, exact (==), with prefactor adjudication",
     )
     # the adjudication must cover at least 20 triples and pick one convention
     for n in (2, 3):

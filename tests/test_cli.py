@@ -337,11 +337,40 @@ class TestInputBoundary:
             (("basis", "--lambda", "2,1", "--n", "2"), "arguments are required: --kind"),
             (("basis", "--kind", "m", "--lambda", "2,1", "--n", "x"), "invalid int value: 'x'"),
             (("verify", "--suite", "all", "--bogus", "1"), "unrecognized arguments: --bogus 1"),
+            # int() would read each of these as a number; none may be coerced
+            (("basis", "--kind", "s", "--lambda", "1_0,0", "--n", "2"), "cannot parse partition '1_0,0'"),
+            (("basis", "--kind", "s", "--lambda= 1,0", "--n", "2"), "cannot parse partition ' 1,0'"),
+            (("basis", "--kind", "s", "--lambda", "+1,0", "--n", "2"), "cannot parse partition '+1,0'"),
+            (("basis", "--kind", "s", "--lambda=-0,0", "--n", "2"), "cannot parse partition '-0,0'"),
+            (("basis", "--kind", "s", "--lambda", "\u0661,0", "--n", "2"), "cannot parse partition"),
+            (("basis", "--kind", "s", "--lambda", "1,0", "--n", "0_2"), "invalid int value: '0_2'"),
+            (("verify", "--suite", "eigen", "--n", "1_0", "--max-weight", "0"), "invalid int value: '1_0'"),
+            (("verify", "--suite", "eigen", "--n", "\u0663", "--max-weight", "1"), "argument --n: invalid int value"),
+            (("verify", "--suite", "eigen", "--n", " 1", "--max-weight", "1"), "invalid int value: ' 1'"),
+            (("verify", "--suite", "eigen", "--n", "+1", "--max-weight", "1"), "invalid int value: '+1'"),
+            (("verify", "--suite", "eigen", "--n", "1", "--max-weight", "1_0"), "argument --max-weight"),
+            (("basis", "--kind", "m", "--lambda", "1,0", "--n", "2", "--seed", "1_0"), "argument --seed"),
         ],
-        ids=["missing-required-flag", "non-integer-n", "unknown-flag"],
+        ids=[
+            "missing-required-flag",
+            "non-integer-n",
+            "unknown-flag",
+            "part-underscore",
+            "part-padded",
+            "part-plus",
+            "part-minus-zero",
+            "part-arabic-indic-one",
+            "basis-n-underscore",
+            "n-underscore",
+            "n-arabic-indic-three",
+            "n-padded",
+            "n-plus",
+            "max-weight-underscore",
+            "seed-underscore",
+        ],
     )
     def test_usage_error(self, capsys, argv, fragment):
-        # argparse's own errors take the same one-line form as every other input error
+        # argparse's own errors and unparsable integers take the same one-line form as every other input error
         code = cli.main(list(argv))
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -238,11 +238,6 @@ class TestScalarBoundary:
         with pytest.raises(PolyError):
             UniPoly([1, 1]).eval(bad)
 
-    @pytest.mark.parametrize("bad", [[0.1], [1.0], [True], ["0.1"], ["1/0"], "12"])
-    def test_unipoly_from_json_is_strict(self, bad):
-        with pytest.raises(PolyError):
-            UniPoly.from_json(bad)
-
     def test_equality_with_a_bool_answers(self):
         assert not MultiPoly.one(1) == True  # noqa: E712
         assert MultiPoly.one(1) != True  # noqa: E712
@@ -305,8 +300,6 @@ class TestUniPoly:
         p = UniPoly([F(1, 2), 0, -1, 3])
         assert p.coeffs == (F(1, 2), 0, -1, 3)
         assert p.to_json() == ["1/2", "0", "-1", "3"]
-        assert UniPoly.from_json(p.to_json()) == p
-        assert UniPoly.from_json([1, "-2/3"]) == UniPoly([1, F(-2, 3)])
         assert p.pretty() == "3*z^3 - z^2 + 1/2"
         assert p.pretty("w") == "3*w^3 - w^2 + 1/2"
         assert UniPoly().pretty() == "0"

@@ -1,5 +1,6 @@
 """Elementary-basis operator suite: the eps-coordinate substitutions."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ from conftest import expand_with_tail, head_symmetric, symmetric_polys
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact import spectral
-from symfact.bases import elementary_generating, elementary_product, elementary_sym
+from symfact.bases import combine, elementary_generating, elementary_product, elementary_sym
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, PolyError, UniPoly, default_names
 
@@ -32,6 +33,12 @@ def full_link(f: MultiPoly, k: int, n: int) -> MultiPoly:
 def assert_same(got: MultiPoly, want: MultiPoly):
     assert got == want
     assert got.names == want.names
+
+
+def from_eps(p: MultiPoly) -> MultiPoly:
+    """Substitute eps_j <- e_j(x): the eps monomial with exponents (k_1..k_n) is E_lam, lam_i = k_i + ... + k_n."""
+    coeffs = {Partition(tuple(itertools.accumulate(reversed(exp)))[::-1]): c for exp, c in p.terms.items()}
+    return combine("E", p.arity, coeffs)
 
 
 def ebar(*parts):
@@ -61,7 +68,7 @@ class TestEpsCoordinates:
                 f = f + elementary_product(rng.choice(lams)).raw * F(
                     rng.randint(-3, 3), rng.randint(1, 4)
                 )
-            assert qe.from_eps(qe.to_eps(f)) == f
+            assert from_eps(qe.to_eps(f)) == f
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
@@ -79,6 +86,16 @@ class TestHamiltonians:
             f = ebar(*lam.parts)
             for j in (1, 2, 3):
                 assert qe.apply_h(f, j) == f * lam.diff(j, j + 1)
+
+    @given(symmetric_polys(max_n=4), st.data())
+    def test_matches_the_eps_euler_operator(self, f, data):
+        # the reference route: eps coordinates, eps_j d/deps_j, back through E_lam
+        f = f.rename(default_names("y", f.arity))
+        j = data.draw(st.integers(min_value=1, max_value=f.arity))
+        want = from_eps(qe.to_eps(f).euler(j - 1))
+        got = qe.apply_h(f, j)
+        assert got == want
+        assert got.names == f.names
 
     def test_explicit_form_at_point(self):
         # hand value: f = e_1, n = 2, x = (2, 5)

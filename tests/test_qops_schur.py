@@ -21,29 +21,42 @@ def sbar(*parts):
 
 
 class TestPhi:
+    @staticmethod
+    def weights(lam):
+        """The interpolation weights c_j, read off phi at the shifted exponents mu_j."""
+        phi = qs.phi(lam)
+        return tuple(phi[m] for m in lam.shifted())
+
     def test_frozen_two_variables(self):
-        data = qs.phi_data(Partition((1, 0)))
-        assert data.c == (F(1, 2), F(-1, 2))
-        assert data.phi == UniPoly([F(-1, 2), 0, F(1, 2)])
+        lam = Partition((1, 0))
+        assert self.weights(lam) == (F(1, 2), F(-1, 2))
+        assert qs.phi(lam) == UniPoly([F(-1, 2), 0, F(1, 2)])
 
     def test_frozen_empty(self):
-        data = qs.phi_data(Partition((0, 0)))
-        assert data.c == (F(1), F(-1))
-        assert data.phi == UniPoly([-1, 1])
+        lam = Partition((0, 0))
+        assert self.weights(lam) == (F(1), F(-1))
+        assert qs.phi(lam) == UniPoly([-1, 1])
 
     def test_frozen_three_variables(self):
-        data = qs.phi_data(Partition((1, 1, 0)))
-        assert data.mu.parts == (3, 2, 0)
-        assert data.c == (F(1, 3), F(-1, 2), F(1, 6))
-        assert data.phi == UniPoly([F(1, 6), 0, F(-1, 2), F(1, 3)])
+        lam = Partition((1, 1, 0))
+        assert lam.shifted() == (3, 2, 0)
+        assert self.weights(lam) == (F(1, 3), F(-1, 2), F(1, 6))
+        assert qs.phi(lam) == UniPoly([F(1, 6), 0, F(-1, 2), F(1, 3)])
 
     def test_moment_conditions_sweep(self):
         # the constructor verifies them; also check divisibility explicitly
         for lam in enumerate_partitions(5, 4):
-            data = qs.phi_data(lam)
+            phi = qs.phi(lam)
             n = lam.n
-            quotient = data.phi.divide_exact(UniPoly([-1, 1]) ** (n - 1))
-            assert quotient * UniPoly([-1, 1]) ** (n - 1) == data.phi
+            quotient = phi.divide_exact(UniPoly([-1, 1]) ** (n - 1))
+            assert quotient * UniPoly([-1, 1]) ** (n - 1) == phi
+
+    def test_moment_check_refuses_wrong_weights(self, monkeypatch):
+        # fault injection: every Fraction phi builds is off by 1/1000, so the c_j
+        # are wrong and the moment sums no longer vanish
+        monkeypatch.setattr(qs, "Fraction", lambda v: F(v) + F(1, 1000))
+        with pytest.raises(InvariantViolation, match="moment condition k=0"):
+            qs.phi(Partition((1, 0)))
 
 
 class TestEigenvaluePolynomial:
@@ -128,7 +141,7 @@ class TestHamiltonians:
         import itertools
 
         for lam in enumerate_partitions(4, 3):
-            mu = lam.shifted().parts
+            mu = lam.shifted()
             f = schur_poly(lam).raw
             for j in (1, 2, 3):
                 ev = sum(math.prod(s) for s in itertools.combinations(mu, j))
@@ -147,7 +160,7 @@ class TestHamiltonians:
 
 class TestKOperator:
     def test_frozen_example(self):
-        phi = qs.phi_data(Partition((1, 0))).phi
+        phi = qs.phi(Partition((1, 0)))
         prod = phi.as_multipoly(2, 0) * phi.as_multipoly(2, 1)
         assert qs.apply_k(prod) == MultiPoly(2, {(0, 2): F(1, 2), (2, 0): F(-1, 2)})
 
@@ -159,11 +172,11 @@ class TestKOperator:
         for n in (2, 3):
             sign = -1 if (n * (n - 1) // 2) % 2 else 1
             for lam in enumerate_partitions(3, n):
-                phi = qs.phi_data(lam).phi
+                phi = qs.phi(lam)
                 prod = MultiPoly.one(n)
                 for i in range(n):
                     prod = prod * phi.as_multipoly(n, i)
-                mu = lam.shifted().parts
+                mu = lam.shifted()
                 delta_mu = math.prod(
                     mu[i] - mu[j] for i in range(n) for j in range(i + 1, n)
                 )

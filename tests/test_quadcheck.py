@@ -49,7 +49,7 @@ class TestDomain:
 
         for name in ("schur_poly", "vandermonde", "alternant"):
             monkeypatch.setattr(qc, name, build)
-        for name in ("apply_q", "phi_data", "q_poly"):
+        for name in ("apply_q", "phi", "q_poly"):
             monkeypatch.setattr(qc.qops_schur, name, build)
         with pytest.raises(PolyError, match="implemented for n <= 3"):
             call()

@@ -32,7 +32,8 @@ from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
 from symfact import spectral
 from symfact.bases import BASIS_TAGS, OrbitForm, basis_poly
-from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, UniPoly, default_names, tensor_sum
+from symfact.partitions import Partition
+from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, PolyError, UniPoly, default_names, tensor_sum
 from symfact.verify import BASES
 
 
@@ -161,6 +162,13 @@ class TestSeparateViaQ:
         assert_same(qe.separate_via_q(f), unfused_separate_via_q(f, full_q))
 
 
+@pytest.mark.parametrize("apply_h", [qe.apply_h, qs.apply_h], ids=["E", "s"])
+def test_diagonal_h_rejects_j_out_of_range(apply_h):
+    for j in (0, 3):
+        with pytest.raises(PolyError, match="need 1 <= j <= n, got j="):
+            apply_h(basis_poly("m", Partition((1, 0))).raw, j)
+
+
 class TestSymmetryBoundary:
     """A non-symmetric input is refused where it enters, before any step runs."""
 
@@ -170,12 +178,13 @@ class TestSymmetryBoundary:
         "call, error",
         [
             (lambda f: qs.apply_h(f, 1), InvariantViolation),
+            (lambda f: qe.apply_h(f, 1), NotSymmetric),
             (lambda f: qe.apply_a(f, 3, 3), NotSymmetric),
             (lambda f: qe.apply_a(f, 2, 3), NotSymmetric),
             (qe.separate_via_q, NotSymmetric),
             (qe.separate_via_chain, NotSymmetric),
         ],
-        ids=["schur-apply_h", "chain-link-k3", "chain-link-k2", "rho-Q-route", "chain-route"],
+        ids=["schur-apply_h", "elementary-apply_h", "chain-link-k3", "chain-link-k2", "rho-Q-route", "chain-route"],
     )
     def test_rejected(self, call, error):
         with pytest.raises(error):
