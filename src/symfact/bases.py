@@ -18,7 +18,8 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from operator import ge
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import Partition, dominance_leq
 from .poly import (
@@ -30,7 +31,6 @@ from .poly import (
     Scalar,
     accumulate,
     default_names,
-    det,
 )
 
 BASIS_TAGS = ("m", "E", "s")
@@ -69,6 +69,25 @@ def vandermonde(n: int) -> MultiPoly:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _signed_permutations(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every permutation w of range(m) with its sign (-1)^inversions."""
+    return tuple(
+        (w, -1 if sum(a > b for a, b in itertools.combinations(w, 2)) % 2 else 1)
+        for w in itertools.permutations(range(m))
+    )
+
+
+def _alternant_terms(mu: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The (exponent, sign) of each permutation w in det{x_i^(mu_j)}: x_w(j) carries mu_j."""
+    m = len(mu)
+    for w, sign in _signed_permutations(m):
+        exp = [0] * m
+        for j, i in enumerate(w):
+            exp[i] = mu[j]
+        yield tuple(exp), sign
+
+
 def alternant(mu: tuple[int, ...], n: int) -> MultiPoly:
     """det{x_i^(mu_j)}, written as its permutation sum.
 
@@ -78,14 +97,7 @@ def alternant(mu: tuple[int, ...], n: int) -> MultiPoly:
     """
     if len(mu) != n:
         raise PolyError("exponent vector length must equal n")
-    terms = []
-    for w in itertools.permutations(range(n)):
-        exp = [0] * n
-        for j, i in enumerate(w):
-            exp[i] = mu[j]
-        inversions = sum(a > b for a, b in itertools.combinations(w, 2))
-        terms.append((tuple(exp), -1 if inversions % 2 else 1))
-    return MultiPoly(n, terms)
+    return MultiPoly(n, _alternant_terms(mu))
 
 
 @lru_cache(maxsize=None)
@@ -199,34 +211,33 @@ def over_vandermonde(g: MultiPoly) -> MultiPoly:
 def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, MultiPoly]:
     """Numerator and denominator of the Schur restriction x_k = ... = x_n = 1.
 
-    The numerator is a mixed determinant: k-1 rows of powers of the free
-    variables, then rows of descending powers of the shifted parts mu_j.
-    The denominator is the closed-form product; their exact ratio equals
-    the Schur polynomial with its last n-k+1 arguments set to 1.
+    The numerator is a mixed determinant: k-1 rows x_i^(mu_j) of powers of
+    the free variables, then the rows mu_j^e, e = n-k..0, of descending
+    powers of the shifted parts mu.  It is written as its Laplace expansion
+    along the constant rows (Macdonald, Symmetric Functions and Hall
+    Polynomials, I §3): a sum over the sets S of n-k+1 columns of
+    (-1)^(sum of those rows and columns) V(mu_S) times the alternant of the
+    monomial rows on the other k-1 columns, itself a signed permutation
+    sum.  The denominator is the closed-form product; their exact ratio
+    equals the Schur polynomial with its last n-k+1 arguments set to 1.
     """
     n = lam.n
     if not 1 <= k <= n:
         raise PolyError(f"need 1 <= k <= n, got k={k}")
     mu = lam.shifted()
     arity = k - 1
-    matrix = []
-    for i in range(k - 1):
-        matrix.append(
-            [
-                MultiPoly(arity, {tuple(mu[j] if s == i else 0 for s in range(arity)): 1})
-                for j in range(n)
-            ]
-        )
-    for e in range(n - k, -1, -1):
-        matrix.append(
-            [MultiPoly.const(arity, Fraction(mu[j]) ** e) for j in range(n)]
-        )
-    num = det(matrix)
+    row_sum = sum(range(arity, n))
+    # the parts mu are distinct, so no exponent comes from two column sets
+    num = {}
+    for cols in itertools.combinations(range(n), n - arity):
+        minor = (-1) ** (row_sum + sum(cols)) * vandermonde_value(mu[j] for j in cols)
+        rest = [mu[j] for j in range(n) if j not in cols]
+        num.update((exp, sign * minor) for exp, sign in _alternant_terms(rest))
     den = MultiPoly.const(arity, math.prod(math.factorial(i) for i in range(1, n - k + 1)))
     for j in range(k - 1):
         den = den * (MultiPoly.variable(j, arity) - 1) ** (n - k + 1)
     den = den * vandermonde(arity)
-    return num, den
+    return MultiPoly._wrap(arity, num, 1, default_names("x", arity)), den
 
 
 def basis_poly(basis: str, lam: Partition) -> NormalizedBasisPoly:
@@ -265,7 +276,7 @@ def combine(basis: str, n: int, coeffs: dict[Partition, Fraction]) -> MultiPoly:
 
 
 def _is_partition(exp: tuple[int, ...]) -> bool:
-    return all(a >= b for a, b in zip(exp, exp[1:]))
+    return all(map(ge, exp, exp[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -297,7 +308,10 @@ class OrbitForm(NamedTuple):
         if not 0 <= k <= f.arity:
             raise PolyError(f"need 0 <= k <= arity, got k={k}, arity={f.arity}")
         if not f.is_symmetric(k):
-            raise NotSymmetric(f"input is not symmetric in its first {k} of {f.arity} slots")
+            raise NotSymmetric(
+                f"input is not symmetric in its first {k} of {f.arity} slots:"
+                f" exponent {list(f.asymmetric_exponent(k))} and a swap of it have different coefficients"
+            )
         return cls(k, {e: c for e, c in f.num.items() if _is_partition(e[:k])}, f.den, f.names)
 
     def to_poly(self) -> MultiPoly:

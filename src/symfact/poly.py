@@ -14,13 +14,17 @@ Fractions, never floats or bools.  Results the kernel builds itself go
 through the trusted constructors: :meth:`MultiPoly._make` reduces a fresh
 (numerators, denominator) pair and :meth:`MultiPoly._wrap` takes one already
 reduced, as slot surgery and negation leave it.  The hot loops -- products,
-partial evaluation, and :func:`tensor_sum`, which the spectral operators use
--- multiply and add Python ints only.  :func:`accumulate` is the one sparse
+partial evaluation, evaluation at a point (on one integer power table per
+slot) and :func:`tensor_sum`, which the spectral operators use -- multiply
+and add Python ints only.  :func:`accumulate` is the one sparse
 add-and-drop-zeros loop.
 
 :class:`UniPoly` is a dense view of a one-slot MultiPoly: its arithmetic,
 evaluation and checks are the kernel's, and it adds only the coefficient
-tuple by degree and the JSON list.  :func:`det` is the cofactor expansion.
+tuple by degree and the JSON list.  :func:`det`, the cofactor expansion of a
+matrix of polynomials, has no caller in the package: the restricted Schur
+function is a Laplace sum (:func:`symfact.bases.restricted_schur`), and
+``det`` stays as a test oracle and a named target of the bench tracer.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add, neg
+from operator import add, getitem, neg
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -101,6 +105,11 @@ def _reduce(num: dict[Exponent, int], den: int) -> Pair:
         if g != 1:
             return {e: c // g for e, c in num.items()}, den // g
     return num, den
+
+
+def _contract(num: Mapping[Exponent, int], tables: Sequence[Sequence[int]]) -> int:
+    """sum_e num[e] * prod_s tables[s][e_s]: numerators contracted with one integer table per slot."""
+    return sum(c * math.prod(map(getitem, tables, e)) for e, c in num.items())
 
 
 def tensor_sum(groups: Iterable[Sequence[Pair]]) -> Pair:
@@ -245,15 +254,6 @@ class MultiPoly:
         """Terms in descending grevlex order (the serialization order)."""
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def constant(self) -> Fraction:
-        """The value of a constant polynomial (raises if nonconstant)."""
-        if self.is_zero:
-            return Fraction(0)
-        origin = (0,) * self.arity
-        if len(self.num) == 1 and origin in self.num:
-            return Fraction(self.num[origin], self.den)
-        raise PolyError("polynomial is not constant")
-
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
             return self.arity == other.arity and self.den == other.den and self.num == other.num
@@ -381,9 +381,21 @@ class MultiPoly:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
+        """The value at one point, on integer power tables.
+
+        Each slot's value p/q with top exponent E gives the table p^e q^(E-e)
+        for e = 0..E, so the sum runs in ints over den * prod q^E.
+        """
         if len(point) != self.arity:
             raise PolyError("point length != arity")
-        return self.partial_eval(dict(enumerate(point))).constant()
+        vals = [_scalar(v) for v in point]
+        tables = []
+        den = self.den
+        for v, top in zip(vals, map(max, zip(*self.num))):
+            p, q = v.numerator, v.denominator
+            tables.append([p**e * q ** (top - e) for e in range(top + 1)])
+            den *= q**top
+        return Fraction(_contract(self.num, tables), den)
 
     def partial_eval(self, assignments: Mapping[int, Scalar]) -> "MultiPoly":
         """Evaluate some slots at fixed values and drop them from the arity.
@@ -504,10 +516,15 @@ class MultiPoly:
         in the two slots must find its swapped exponent with the same
         coefficient.
         """
+        return self.asymmetric_exponent(k) is None
+
+    def asymmetric_exponent(self, k: int | None = None) -> Exponent | None:
+        """An exponent whose swap of two adjacent slots among the first ``k``
+        has another coefficient, or None when the polynomial is symmetric there."""
         k = self.arity if k is None else k
         if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= self.arity:
             raise PolyError(f"need 0 <= k <= arity {self.arity}, got k={k!r}")
-        return self._swaps_agree(k, symmetric=True)
+        return self._swap_mismatch(k, symmetric=True)
 
     def is_antisymmetric(self) -> bool:
         """Every adjacent swap of slots negates the polynomial.
@@ -516,19 +533,20 @@ class MultiPoly:
         exponent's coefficient negated; a term with two equal exponents in
         adjacent slots cannot occur.
         """
-        return self._swaps_agree(self.arity, symmetric=False)
+        return self._swap_mismatch(self.arity, symmetric=False) is None
 
-    def _swaps_agree(self, k: int, symmetric: bool) -> bool:
+    def _swap_mismatch(self, k: int, symmetric: bool) -> Exponent | None:
+        """The first exponent that breaks (anti)symmetry under an adjacent swap of the first k slots."""
         num = self.num
         for i in range(k - 1):
             for exp, c in num.items():
                 a, b = exp[i], exp[i + 1]
                 if a == b:
                     if not symmetric:
-                        return False
+                        return exp
                 elif num.get(exp[:i] + (b, a) + exp[i + 2 :]) != (c if symmetric else -c):
-                    return False
-        return True
+                    return exp
+        return None
 
     # -- serialization -------------------------------------------------------
 

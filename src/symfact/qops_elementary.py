@@ -18,13 +18,14 @@ rho-Q composition (``separate_via_q``).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import spectral
-from .bases import OrbitForm, elementary_sym, expand_in_basis, expand_orbits
+from .bases import OrbitForm, elementary_sym, elementary_value, expand_in_basis, expand_orbits
 from .partitions import Partition
-from .poly import InvariantViolation, MultiPoly, PolyError, UniPoly, default_names, tensor_sum
+from .poly import InvariantViolation, MultiPoly, PolyError, UniPoly, _contract, default_names, tensor_sum
 
 
 def _eps_names(n: int) -> tuple[str, ...]:
@@ -56,26 +57,32 @@ def h_explicit_values(f: MultiPoly, j: int, points: list[list[Fraction]]) -> lis
 
     e_j(x) sum_i (-x_i)^(n-j) / prod_{m != i} (x_m - x_i) * df/dx_i evaluated
     at points with pairwise distinct coordinates (exact rationals); f is
-    differentiated once for all of them.
+    differentiated once for all of them.  A point is written x_s = a_s / D
+    over its common denominator D, so each value is one sum in ints: with
+    T_s the top exponent of f in slot s, df/dx_i(x) is df's numerators
+    contracted with the tables a_s^e D^(T_s - e), over df.den D^(sum T).
     """
     n = f.arity
     if not 1 <= j <= n:
         raise PolyError(f"need 1 <= j <= n, got j={j}")
     derivatives = [f.diff(i) for i in range(n)]
-    e_j = elementary_sym(j, n)
+    tops = list(map(max, zip(*f.num)))
     values = []
     for point in points:
         pt = [Fraction(v) for v in point]
         if len(set(pt)) != n:
             raise PolyError("point must have pairwise distinct coordinates")
-        total = Fraction(0)
+        d = math.lcm(*(v.denominator for v in pt))
+        a = [v.numerator * (d // v.denominator) for v in pt]
+        tables = [[x**e * d ** (top - e) for e in range(top + 1)] for x, top in zip(a, tops)]
+        # the i-th term of the sum, times D^(sum T + 1 - j), as an int pair
+        terms = []
         for i, df in enumerate(derivatives):
-            denom = Fraction(1)
-            for m in range(n):
-                if m != i:
-                    denom *= pt[m] - pt[i]
-            total += (-pt[i]) ** (n - j) / denom * df.eval(pt)
-        values.append(e_j.eval(pt) * total)
+            spread = math.prod(a[m] - a[i] for m in range(n) if m != i)
+            terms.append(((-a[i]) ** (n - j) * _contract(df.num, tables), df.den * spread))
+        common = math.lcm(*(den for _, den in terms))
+        total = sum(num * (common // den) for num, den in terms)
+        values.append(Fraction(elementary_value(a, j) * total, common * d ** (sum(tops) + 1)))
     return values
 
 

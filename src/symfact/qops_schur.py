@@ -173,7 +173,9 @@ def apply_h(f: MultiPoly, j: int) -> MultiPoly:
     try:
         return spectral.diagonal_h(f, "s", h_eigenvalue, j)
     except NotSymmetric as exc:
-        raise InvariantViolation("conjugated Hamiltonian left the symmetric ring") from exc
+        raise InvariantViolation(
+            f"conjugated Hamiltonian H_{j} [s] left the symmetric ring, n={f.arity}: {exc}"
+        ) from exc
 
 
 def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:
@@ -208,7 +210,10 @@ def separate_inverse(g: MultiPoly) -> MultiPoly:
     if n == 0:
         raise PolyError("the separating map needs at least one variable")
     if not g.is_symmetric():
-        raise InvariantViolation("input is not in the image of the separating map")
+        raise InvariantViolation(
+            f"separate_inverse [s], n={n}: input is not in the image of the separating map:"
+            f" it is not symmetric at exponent {list(g.asymmetric_exponent())}"
+        )
     # (x - 1)^(n-1) = sum_b C(n-1, b) (-1)^(n-1-b) x^b
     factor = [(b, math.comb(n - 1, b) * (-1) ** (n - 1 - b)) for b in range(n)]
     num = g.num

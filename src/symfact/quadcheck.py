@@ -26,7 +26,7 @@ from typing import NamedTuple
 from . import qops_schur
 from .bases import alternant, schur_poly, vandermonde, vandermonde_value
 from .partitions import Partition
-from .poly import InvariantViolation, MultiPoly, PolyError, _scalar
+from .poly import InvariantViolation, MultiPoly, PolyError, _contract, _scalar
 
 Scalar = int | Fraction
 
@@ -78,10 +78,22 @@ class QuadratureResult(NamedTuple):
 
 
 def _power_integral(e: int, lo: Fraction, hi: Fraction) -> Fraction:
-    """Integral of x^e over (lo, hi); x^-1 would give a logarithm, other negative e need 0 < lo."""
-    if e == -1:
-        raise InvariantViolation("diagonal term would integrate to a logarithm")
+    """Integral of x^e over (lo, hi) for e != -1; a negative e needs 0 < lo."""
     return (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
+
+
+def _check_no_logarithm(p: MultiPoly, pairs: list[tuple[int, int]], route: str) -> None:
+    """Raise if some term's exponent has equal entries at one of the slot pairs.
+
+    After the delta is eliminated, such a term's power of one variable is
+    -1, whose antiderivative is a logarithm; an antisymmetric integrand has
+    none.
+    """
+    for exp in p.num:
+        if any(exp[i] == exp[j] for i, j in pairs):
+            raise InvariantViolation(
+                f"{route} n={p.arity}: term with exponent {list(exp)} would integrate to a logarithm"
+            )
 
 
 def _exact_delta_integral_2d(p: MultiPoly, c: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
@@ -92,6 +104,7 @@ def _exact_delta_integral_2d(p: MultiPoly, c: Fraction, lo: Fraction, hi: Fracti
     """
     if p.arity != 2:
         raise PolyError("need a two-variable polynomial")
+    _check_no_logarithm(p, [(0, 1)], "delta-constrained integral, one interval")
     return sum(
         (coeff * c**b * _power_integral(a - b - 1, lo, hi) for (a, b), coeff in p.terms.items()),
         Fraction(0),
@@ -131,13 +144,15 @@ def _exact_delta_integral_3d(
     for lo, hi, cap in pieces:
         if hi <= lo:
             continue
+        if cap is None:
+            _check_no_logarithm(p, [(0, 2), (1, 2)], "delta-constrained integral, uncapped piece")
+        else:
+            _check_no_logarithm(p, [(0, 2), (1, 2), (0, 1)], "delta-constrained integral, capped piece")
         for (a, b, d), coeff in p.terms.items():
             e1, e2 = a - d - 1, b - d - 1
             if cap is None:  # x2 over the whole inner range
                 value = _power_integral(e1, lo, hi) * _power_integral(e2, a2, b2)
             else:  # x2 from a2 up to cap / x1
-                if e2 == -1:
-                    raise InvariantViolation("diagonal term would integrate to a logarithm")
                 f2 = e2 + 1
                 value = (
                     cap**f2 * _power_integral(e1 - f2, lo, hi) - a2**f2 * _power_integral(e1, lo, hi)
@@ -147,13 +162,22 @@ def _exact_delta_integral_3d(
 
 
 def box_integral(p: MultiPoly, bounds: list[tuple[Fraction, Fraction]]) -> Fraction:
-    """Exact iterated integral of a polynomial over an axis-aligned box."""
+    """Exact iterated integral of a polynomial over an axis-aligned box.
+
+    Each slot's integrals of x^e over its interval, e = 0..top, form one
+    table, scaled to integers over their common denominator, so the sum
+    over the terms runs in ints.
+    """
     if len(bounds) != p.arity:
         raise PolyError("need one bound pair per slot")
-    total = Fraction(0)
-    for exp, coeff in p.terms.items():
-        total += coeff * math.prod(_power_integral(a, lo, hi) for (lo, hi), a in zip(bounds, exp))
-    return total
+    tables = []
+    den = p.den
+    for (lo, hi), top in zip(bounds, map(max, zip(*p.num))):
+        row = [_power_integral(e, lo, hi) for e in range(top + 1)]
+        scale = math.lcm(*(v.denominator for v in row))
+        tables.append([v.numerator * (scale // v.denominator) for v in row])
+        den *= scale
+    return Fraction(_contract(p.num, tables), den)
 
 
 # -- Q_z integral ------------------------------------------------------------

@@ -208,7 +208,7 @@ class TestRestrictedSchur:
 
     def test_k_one_gives_value_at_one(self):
         num, den = restricted_schur(Partition((1, 0)), 1)
-        assert num.constant() / den.constant() == 2
+        assert num.eval(()) / den.eval(()) == 2
 
     def test_k_two_single_variable(self):
         num, den = restricted_schur(Partition((1, 0)), 2)
@@ -225,6 +225,29 @@ class TestRestrictedSchur:
                         {i: 1 for i in range(k - 1, n)}
                     )
                     assert num.divide_exact(den) == direct, (lam, k)
+
+    @staticmethod
+    def _cofactor_numerator(lam, k):
+        """The mixed matrix's determinant by cofactor expansion: k-1 rows x_i^(mu_j), then mu_j^e."""
+        n, mu = lam.n, lam.shifted()
+        rows = [[MultiPoly.variable(i, k - 1) ** m for m in mu] for i in range(k - 1)]
+        rows += [[MultiPoly.const(k - 1, m**e) for m in mu] for e in range(n - k, -1, -1)]
+        return det(rows)
+
+    def test_laplace_sum_every_case(self):
+        # every (lam, k) with n <= 5 and weight <= 4: the ratio holds without
+        # dividing, and the numerator is the cofactor determinant's
+        cases = 0
+        for n in range(1, 6):
+            for lam in enumerate_partitions(4, n):
+                for k in range(1, n + 1):
+                    num, den = restricted_schur(lam, k)
+                    direct = schur_poly(lam).raw.partial_eval({i: 1 for i in range(k - 1, n)})
+                    assert num == den * direct, (lam, k)
+                    want = self._cofactor_numerator(lam, k)
+                    assert (num.num, num.den, num.names) == (want.num, want.den, want.names), (lam, k)
+                    cases += 1
+        assert cases == 164
 
 
 class TestExpansion:

@@ -25,7 +25,7 @@ from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
 from symfact import quadcheck as qc
 from symfact import spectral
-from symfact.bases import OrbitForm, basis_poly, over_vandermonde, schur_poly, vandermonde
+from symfact.bases import OrbitForm, basis_poly, over_vandermonde, restricted_schur, schur_poly, vandermonde
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import InvariantViolation, MultiPoly, UniPoly, default_names, tensor_sum
 from symfact.verify import BASES
@@ -165,6 +165,80 @@ class TestAgainstSympy:
         assert MultiPoly(f.arity, terms_of(sym, xs)).is_symmetric(k)
 
 
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+def as_fraction(value) -> Fraction:
+    assert value.is_Rational
+    return Fraction(int(value.p), int(value.q))
+
+
+class TestEvaluationAgainstSympy:
+    """eval on integer power tables and box_integral against sympy's subs and integrate."""
+
+    @given(polys(), st.data())
+    def test_eval_is_substitution(self, f, data):
+        point = data.draw(st.lists(rationals, min_size=f.arity, max_size=f.arity))
+        xs = gens(f.arity)
+        want = to_expr(f).subs({x: rational(v) for x, v in zip(xs, point)})
+        assert f.eval(point) == as_fraction(want)
+
+    @pytest.mark.parametrize(
+        "f, point",
+        [
+            (MultiPoly(0, {(): Fraction(-3, 7)}), ()),
+            (MultiPoly.zero(0), ()),
+            (MultiPoly.zero(2), (Fraction(1, 2), -3)),
+            # a coordinate equal to 0, and a second slot whose top exponent is 0
+            (MultiPoly(2, {(2, 0): 1, (1, 0): Fraction(-1, 3), (0, 0): 4}), (0, Fraction(5, 2))),
+            (MultiPoly(2, {(2, 0): 1, (1, 0): Fraction(-1, 3)}), (Fraction(3, 4), 0)),
+            # negative coordinates; the last slot's top exponent is 0
+            (MultiPoly(3, {(1, 2, 0): Fraction(2, 3), (0, 1, 0): 5, (3, 0, 0): -1}), (Fraction(-2, 3), Fraction(-7, 5), 4)),
+        ],
+        ids=["arity-0", "zero-arity-0", "zero", "zero-coordinate", "zero-at-unused-slot", "negative"],
+    )
+    def test_eval_edge_cases(self, f, point):
+        xs = gens(f.arity)
+        want = to_expr(f).subs({x: rational(Fraction(v)) for x, v in zip(xs, point)})
+        got = f.eval(point)
+        assert type(got) is Fraction and got == as_fraction(want)
+
+    @settings(max_examples=30)
+    @given(polys(max_terms=3, max_exp=3), st.data())
+    def test_box_integral_is_iterated_integration(self, f, data):
+        bounds = [
+            tuple(sorted(data.draw(st.lists(rationals, min_size=2, max_size=2, unique=True))))
+            for _ in range(f.arity)
+        ]
+        want = to_expr(f)
+        for x, (lo, hi) in zip(gens(f.arity), bounds):
+            want = sympy.integrate(want, (x, rational(lo), rational(hi)))
+        got = qc.box_integral(f, bounds)
+        assert type(got) is Fraction and got == as_fraction(want)
+
+
+def mixed_matrix_det(lam: Partition, k: int):
+    """sympy's determinant of restricted_schur's matrix: k-1 rows x_i^(mu_j), then mu_j^e for e = n-k..0."""
+    mu, n = lam.shifted(), lam.n
+    xs = gens(k - 1)
+    rows = [[xs[i] ** m for m in mu] for i in range(k - 1)]
+    rows += [[sympy.Integer(m) ** e for m in mu] for e in range(n - k, -1, -1)]
+    return sympy.Matrix(rows).det(method="berkowitz"), xs
+
+
+class TestRestrictedSchurAgainstSympy:
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_laplace_sum_is_the_mixed_determinant(self, data):
+        n = data.draw(st.integers(1, 5))
+        lam = data.draw(st.sampled_from(enumerate_partitions(4, n)))
+        k = data.draw(st.integers(1, n))
+        num, _ = restricted_schur(lam, k)
+        assert_kernel_terms(num)
+        want, xs = mixed_matrix_det(lam, k)
+        assert num.terms == terms_of(want, xs)
+
+
 uni_coefficients = st.lists(st.just(Fraction(0)) | coefficients, max_size=5)
 
 
@@ -294,6 +368,39 @@ class TestDeltaIntegralAgainstSympy:
         c = Fraction(5, 4) * 1 * 2 * 3  # z = 5/4 on the cell 1 < x1 < 2 < x2 < 3
         with pytest.raises(InvariantViolation, match="logarithm"):
             qc._exact_delta_integral_3d(p, c, (Fraction(1), Fraction(2)), (Fraction(2), Fraction(3)), Fraction(3))
+
+    @pytest.mark.parametrize(
+        "planted, tail_bound, route",
+        [
+            ((2, 0, 2), Fraction(3), "capped piece"),
+            ((2, 0, 2), None, "uncapped piece"),
+            ((0, 1, 1), None, "uncapped piece"),
+            ((1, 1, 0), Fraction(3), "capped piece"),
+        ],
+    )
+    def test_logarithm_error_names_n_the_piece_and_the_exponent(self, planted, tail_bound, route):
+        p = vandermonde(3) + MultiPoly(3, {planted: 1})
+        c = Fraction(5, 4) * 1 * 2 * 3
+        with pytest.raises(InvariantViolation) as err:
+            qc._exact_delta_integral_3d(p, c, (Fraction(1), Fraction(2)), (Fraction(2), Fraction(3)), tail_bound)
+        assert str(err.value) == (
+            f"delta-constrained integral, {route} n=3:"
+            f" term with exponent {list(planted)} would integrate to a logarithm"
+        )
+
+    def test_logarithm_error_on_one_interval(self):
+        p = vandermonde(2) + MultiPoly(2, {(1, 1): 1})
+        with pytest.raises(InvariantViolation) as err:
+            qc._exact_delta_integral_2d(p, Fraction(3), Fraction(1), Fraction(3, 2))
+        assert str(err.value) == (
+            "delta-constrained integral, one interval n=2: term with exponent [1, 1] would integrate to a logarithm"
+        )
+
+    def test_a_term_that_logs_only_on_the_capped_piece_passes_without_a_tail_bound(self):
+        # a = b integrates to a power on the uncapped piece, as before
+        p = vandermonde(3) + MultiPoly(3, {(1, 1, 0): 1})
+        cell = (Fraction(15, 2), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(3)), None)
+        assert qc._exact_delta_integral_3d(p, *cell) == sympy_delta_integral(p, *cell)
 
 
 class TestResultTerms:

@@ -157,6 +157,16 @@ class TestHamiltonians:
         assert got == want
         assert got.names == want.names
 
+    def test_non_symmetric_input_names_n_the_operator_and_the_exponent(self):
+        f = MultiPoly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (1, 0, 0): 1})
+        with pytest.raises(InvariantViolation) as err:
+            qs.apply_h(f, 2)
+        assert str(err.value) == (
+            "conjugated Hamiltonian H_2 [s] left the symmetric ring, n=3:"
+            " input is not symmetric in its first 3 of 3 slots:"
+            " exponent [1, 0, 0] and a swap of it have different coefficients"
+        )
+
 
 class TestKOperator:
     def test_frozen_example(self):
@@ -247,6 +257,15 @@ class TestSeparationAndInverse:
         g = f + MultiPoly(n, {data.draw(exps): data.draw(fractions_small.filter(bool))})
         with pytest.raises(InvariantViolation, match="not in the image"):
             qs.separate_inverse(g)
+
+    def test_rejection_names_n_the_route_and_the_exponent(self):
+        g = MultiPoly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (1, 0, 0): 1})
+        with pytest.raises(InvariantViolation) as err:
+            qs.separate_inverse(g)
+        assert str(err.value) == (
+            "separate_inverse [s], n=3: input is not in the image of the separating map:"
+            " it is not symmetric at exponent [1, 0, 0]"
+        )
 
 
 class TestSpectralQ:

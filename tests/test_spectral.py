@@ -80,7 +80,7 @@ def accumulated_separate(f: MultiPoly, basis: str, q_poly) -> MultiPoly:
     n = f.arity
     acc = MultiPoly.zero(n, default_names("z", n))
     for lam, c in full_expand_with_tail(f, basis, n).items():
-        value = c.constant() * basis_poly(basis, lam).value_at_one
+        value = c.eval(()) * basis_poly(basis, lam).value_at_one
         acc = acc + looped_eigen_product(q_poly(lam), n) * value
     return acc
 

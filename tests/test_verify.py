@@ -2,8 +2,10 @@
 
 import pytest
 
+from symfact import bases, poly, spectral, verify
+from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
-from symfact import verify
+from symfact import qops_schur as qs
 from symfact.poly import MultiPoly
 
 
@@ -64,3 +66,29 @@ def test_commutator_check_sees_operators_that_do_not_commute():
 
     assert not verify._h_commute([skewed(f, 1), skewed(f, 2)], skewed)
     assert verify._h_commute([qm.apply_h(f, j) for j in (1, 2)], qm.apply_h)
+
+
+def test_eigen_suite_runs_without_cofactor_determinants_or_multivariate_division(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the eigen suite took a slow route")
+
+    divide_exact = MultiPoly.divide_exact
+
+    def one_slot_only(self, den):
+        if self.arity > 1:
+            refuse()
+        return divide_exact(self, den)
+
+    # cold caches, so no result computed before the patch hides a slow route
+    for module in (bases, qe, qm, qs, spectral):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(poly, "det", refuse)
+        patch.setattr(poly, "_det_cofactor", refuse)
+        patch.setattr(MultiPoly, "divide_exact", one_slot_only)
+        guarded = verify.run_suite("eigen", max_weight=3, n=4)
+    plain = verify.run_suite("eigen", max_weight=3, n=4)
+    assert guarded["passed"]
+    assert [c["name"] for c in guarded["checks"]] == [c["name"] for c in plain["checks"]]
