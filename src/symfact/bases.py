@@ -29,6 +29,7 @@ from .poly import (
     NotSymmetric,
     PolyError,
     Scalar,
+    _reduce,
     accumulate,
     default_names,
 )
@@ -250,20 +251,12 @@ def basis_poly(basis: str, lam: Partition) -> NormalizedBasisPoly:
     raise PolyError(f"unknown basis tag {basis!r}")
 
 
-def _integer_element(basis: str, lam: Partition) -> dict[tuple[int, ...], int]:
-    """The numerators of the raw basis element b_lam, which has integer coefficients."""
-    element = basis_poly(basis, lam).raw
-    if element.den != 1:
-        raise InvariantViolation(f"basis element {basis}{lam} has non-integer coefficients")
-    return element.num
-
-
 def combine(basis: str, n: int, coeffs: dict[Partition, Fraction]) -> MultiPoly:
     """sum_lam c_lam b_lam over the raw basis elements in n variables.
 
-    The inverse of :func:`expand_in_basis`.  The raw basis elements have
-    integer coefficients, so the sum runs on integer numerators over the
-    common denominator of the c_lam.
+    The inverse of :func:`expand_in_basis`.  The sum runs on the integer
+    :func:`m_coordinates` of the b_lam, over the common denominator of the
+    c_lam, and each m-coordinate is spread over its orbit once, at the end.
     """
     if any(lam.n != n for lam in coeffs):
         raise PolyError(f"every partition must have length n={n}")
@@ -271,8 +264,8 @@ def combine(basis: str, n: int, coeffs: dict[Partition, Fraction]) -> MultiPoly:
     out: dict[tuple[int, ...], int] = {}
     for lam, c in coeffs.items():
         scale = c.numerator * (den // c.denominator)
-        accumulate(out, ((e, scale * b) for e, b in _integer_element(basis, lam).items()))
-    return MultiPoly._make(n, out, den, default_names("x", n))
+        accumulate(out, ((e, scale * b) for e, b in m_coordinates(basis, lam).items()))
+    return OrbitForm(n, *_reduce(out, den), default_names("x", n)).to_poly()
 
 
 def _is_partition(exp: tuple[int, ...]) -> bool:
@@ -324,7 +317,10 @@ class OrbitForm(NamedTuple):
 @lru_cache(maxsize=None)
 def m_coordinates(basis: str, lam: Partition) -> dict[tuple[int, ...], int]:
     """The raw b_lam over the m basis: its integer coefficients at partition exponents."""
-    return {e: c for e, c in _integer_element(basis, lam).items() if _is_partition(e)}
+    element = basis_poly(basis, lam).raw
+    if element.den != 1:
+        raise InvariantViolation(f"basis element {basis}{lam} has non-integer coefficients")
+    return {e: c for e, c in element.num.items() if _is_partition(e)}
 
 
 def expand_orbits(o: OrbitForm, basis: str) -> dict[Partition, dict[tuple[int, ...], int]]:

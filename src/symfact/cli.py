@@ -194,6 +194,8 @@ class _Parser(argparse.ArgumentParser):
 _BASIS = ("--basis", {"choices": BASIS_TAGS, "required": True})
 _LAMBDA = ("--lambda", {"dest": "lam", "required": True, "metavar": "PARTS"})
 _N = ("--n", {"type": _decimal})
+# only the suites draw random inputs; first in their lists, so it keeps its place in their help
+_SEED = ("--seed", {"type": _decimal, "default": 0, "help": "seed for randomized sweeps"})
 
 
 def _source(what: str) -> list:
@@ -215,11 +217,13 @@ _COMMANDS = (
     ("invert", "apply the inverse separating map (Schur)", cmd_invert, [_N, _source("z-block polynomial JSON file")]),
     ("lift", "add a variable to a basis polynomial", cmd_lift, [_BASIS, _LAMBDA]),
     ("verify", "run a verification suite", cmd_verify, [
+        _SEED,
         ("--suite", {"choices": _SUITES, "required": True}),
         ("--max-weight", {"type": _decimal, "default": 4}),
         ("--n", {"type": _decimal, "default": 3}),
     ]),
     ("quadrature", "run the integral-identity suite", cmd_quadrature, [
+        _SEED,
         ("--max-weight", {"type": _decimal, "default": 3}),
         ("--n", {"type": _decimal, "default": 2}),
     ]),
@@ -230,7 +234,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser; with ``command`` naming one, only that subcommand is built."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--seed", type=_decimal, default=0, help="seed for randomized sweeps")
 
     parser = _Parser(
         prog="symfact",

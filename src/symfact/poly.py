@@ -690,22 +690,6 @@ class UniPoly:
     def __setattr__(self, *_):
         raise AttributeError("UniPoly is immutable")
 
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @classmethod
-    def const(cls, value: Scalar) -> "UniPoly":
-        return cls((value,))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: Scalar = 1) -> "UniPoly":
-        return cls((0,) * degree + (coeff,))
-
-    @property
-    def terms(self) -> dict[Exponent, Fraction]:
-        return self.poly.terms
-
     @property
     def is_zero(self) -> bool:
         return self.poly.is_zero
@@ -773,8 +757,9 @@ class UniPoly:
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
-    def pretty(self, var: str = "z") -> str:
-        return self.poly.rename((var,)).pretty()
+    def pretty(self) -> str:
+        """The polynomial in z, whatever its slot is named (a :meth:`of` view may carry x1)."""
+        return self.poly.rename(_Z).pretty()
 
     def __repr__(self):
         return f"UniPoly({self.pretty()})"

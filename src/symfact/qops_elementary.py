@@ -90,7 +90,7 @@ def h_explicit_values(f: MultiPoly, j: int, points: list[list[Fraction]]) -> lis
 def q_poly(lam: Partition) -> UniPoly:
     """prod_j (1 + (z-1) j / n)^(lam_j - lam_{j+1}); value 1 at z = 1."""
     n = lam.n
-    acc = UniPoly.const(1)
+    acc = UniPoly([1])
     for j in range(1, n + 1):
         mult = lam.diff(j, j + 1)
         if mult:
@@ -108,7 +108,7 @@ def q_ode_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
     if q is None:
         q = q_poly(lam)
     linear = [UniPoly([Fraction(n - j), Fraction(j)]) for j in range(1, n + 1)]
-    full = UniPoly.const(1)
+    full = UniPoly([1])
     for w in linear:
         full = full * w
     residual = q.derivative() * full
@@ -116,7 +116,7 @@ def q_ode_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
         mult = lam.diff(j, j + 1)
         if not mult:
             continue
-        rest = UniPoly.const(1)
+        rest = UniPoly([1])
         for m, w in enumerate(linear, start=1):
             if m != j:
                 rest = rest * w
@@ -124,9 +124,9 @@ def q_ode_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
     return residual
 
 
-def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:
-    """Spectral Q on the E basis; trailing slots past ``n_x`` ride along."""
-    return spectral.diagonal_q(f, "E", q_poly, n_x, z_name)
+def apply_q(f: MultiPoly) -> MultiPoly:
+    """Spectral Q on the E basis (:func:`symfact.spectral.orbit_q`), new z slot last."""
+    return spectral.orbit_q(OrbitForm.of(f), "E", q_poly).to_poly()
 
 
 @lru_cache(maxsize=None)
@@ -140,9 +140,7 @@ def _chain_image(j: int, k: int, n: int) -> MultiPoly:
     one = MultiPoly.one(k, names)
 
     def embed(i: int) -> MultiPoly:
-        if i == 0:
-            return one
-        return elementary_sym(i, k - 1).extend(1, (f"z{k}",)).rename(names)
+        return elementary_sym(i, k - 1).extend(1, (f"z{k}",))
 
     if j == k:
         return z * embed(k - 1)
@@ -215,9 +213,12 @@ def separate_via_chain(f: MultiPoly) -> MultiPoly:
 def separate(f: MultiPoly) -> MultiPoly:
     """Spectral separating map, checked against the A-chain."""
     out = spectral.separate(f, "E", q_poly)
-    if out != separate_via_chain(f):
+    chain = separate_via_chain(f)
+    if out != chain:
+        lead = (out - chain).sorted_terms()[0][0]
         raise InvariantViolation(
             f"separation routes disagree [E] n={f.arity}: spectral product vs A-chain"
+            f" at exponent {list(lead)}: {out.terms.get(lead, 0)} vs {chain.terms.get(lead, 0)}"
         )
     return out
 

@@ -9,7 +9,7 @@ admits an equivalent triangular chain of k-variable operators A_k.
 
 This module keeps the paper's own definitions, which serve as independent
 cross-check routes for the shared spectral core in ``symfact.spectral``:
-the substitution-average Q (vs ``spectral.diagonal_q`` on the m basis),
+the substitution-average Q (vs ``spectral.orbit_q`` on the m basis),
 the A-chain separating map (checked against the rho-Q composition), and
 the insertion-average lift (vs ``spectral.lift`` on the m basis).
 """
@@ -149,9 +149,12 @@ def separate(f: MultiPoly) -> MultiPoly:
         raise NotSymmetric("separation needs a symmetric polynomial")
     n = f.arity
     g = spectral.separate_via_chain(f, n, apply_a).rename(default_names("z", n))
-    if g != separate_via_q(f):
+    rho_q = separate_via_q(f)
+    if g != rho_q:
+        lead = (g - rho_q).sorted_terms()[0][0]
         raise InvariantViolation(
             f"separation routes disagree [m] n={f.arity}: A-chain vs rho-Q composition"
+            f" at exponent {list(lead)}: {g.terms.get(lead, 0)} vs {rho_q.terms.get(lead, 0)}"
         )
     return g
 

@@ -29,6 +29,7 @@ from functools import lru_cache
 
 from . import spectral
 from .bases import (
+    OrbitForm,
     combine,
     elementary_value,
     restricted_schur,
@@ -63,9 +64,10 @@ def phi(lam: Partition) -> UniPoly:
             if k != j:
                 denom *= mu[j] - mu[k]
         cs.append(1 / denom)
-    out = UniPoly.zero()
-    for j in range(n):
-        out = out + UniPoly.monomial(mu[j], cs[j])
+    coeffs = [0] * (mu[0] + 1)
+    for m, c in zip(mu, cs):
+        coeffs[m] = c
+    out = UniPoly(coeffs)
     for k in range(n):
         moment = sum(Fraction(mu[j]) ** k * cs[j] for j in range(n))
         expected = Fraction(1 if k == n - 1 else 0)
@@ -178,9 +180,9 @@ def apply_h(f: MultiPoly, j: int) -> MultiPoly:
         ) from exc
 
 
-def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:
-    """Spectral Q on the Schur basis; trailing slots past ``n_x`` ride along."""
-    return spectral.diagonal_q(f, "s", q_poly, n_x, z_name)
+def apply_q(f: MultiPoly) -> MultiPoly:
+    """Spectral Q on the Schur basis (:func:`symfact.spectral.orbit_q`), new z slot last."""
+    return spectral.orbit_q(OrbitForm.of(f), "s", q_poly).to_poly()
 
 
 def apply_k(f: MultiPoly) -> MultiPoly:

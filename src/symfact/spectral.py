@@ -10,12 +10,14 @@ The two separation routes are driven here too: the rho-Q composition
 (:func:`separate_via_q`) and the A-chain (:func:`separate_via_chain`), each
 given one basis's steps.
 
-A diagonal Q step runs on the :class:`~symfact.bases.OrbitForm` of its
-input (:func:`orbit_q`): one row per head partition, not per monomial, so
-a chain of steps checks symmetry once and never builds a full
-intermediate.  The rho-Q route S_n = rho_0 Q_{z_1}...Q_{z_n} runs n-1 Q's
-and then one fused step rho_0 Q_{z_1}, which never builds the last Q's
-output in the x's only to set them to 1: on a diagonal basis it is
+The one diagonal Q is :func:`orbit_q`, a step on the
+:class:`~symfact.bases.OrbitForm` of its input: one row per head
+partition, not per monomial, so a chain of steps checks symmetry once and
+never builds a full intermediate.  The E and s ``apply_q`` are this step
+on the orbit form of a whole polynomial.  The rho-Q route
+S_n = rho_0 Q_{z_1}...Q_{z_n} runs n-1 Q's and then one fused step
+rho_0 Q_{z_1}, which never builds the last Q's output in the x's only to
+set them to 1: on a diagonal basis it is
 sum_lam b_lam(1..1) * tail_lam * q_lam(z_1) (:func:`rho0_orbit_q`).
 """
 
@@ -70,18 +72,6 @@ def rho0_orbit_q(o: OrbitForm, basis: str, q_poly: QPoly, z_name: str = "z") -> 
 
     num, den = _tensor_sum(o, basis, q_poly, at_one)
     return MultiPoly._wrap(len(o.names) - o.k + 1, num, den, o.names[o.k :] + (z_name,))
-
-
-def diagonal_q(
-    f: MultiPoly, basis: str, q_poly: QPoly, n_x: int | None = None, z_name: str = "z"
-) -> MultiPoly:
-    """Expand over the basis, scale each component by q_lam(z), reassemble.
-
-    The first ``n_x`` slots (default all) are expanded; trailing slots hold
-    earlier z's and ride along.  The new z slot is appended last: the result
-    is sum_lam b_lam(x) * tail_lam * q_lam(z), by :func:`orbit_q`.
-    """
-    return orbit_q(OrbitForm.of(f, n_x), basis, q_poly, z_name).to_poly()
 
 
 def diagonal_h(f: MultiPoly, basis: str, eigenvalue: Callable[[Partition, int], Fraction], j: int) -> MultiPoly:

@@ -139,7 +139,7 @@ def suite_eigen(max_weight: int, n: int, rng: random.Random) -> Reporter:
         )
 
     # commutators on spanning sets
-    monomials = [p for w in range(max_weight + 1) for p in _exponents_of_weight(w, n)]
+    monomials = [exp for lam in sweep for exp in basis_poly("m", lam).raw.num]
     ok_qq = all(
         _compose_q_both_orders(MultiPoly(n, {exp: 1}), qm.apply_q, n) for exp in monomials
     )
@@ -186,15 +186,6 @@ def _distinct_point(n: int, rng: random.Random) -> list[Fraction]:
         pt = [Fraction(rng.randint(1, 40), rng.randint(1, 4)) for _ in range(n)]
         if len(set(pt)) == n:
             return pt
-
-
-def _exponents_of_weight(w: int, n: int):
-    if n == 1:
-        yield (w,)
-        return
-    for first in range(w + 1):
-        for rest in _exponents_of_weight(w - first, n - 1):
-            yield (first,) + rest
 
 
 def _h_commute(hs: list[MultiPoly], apply_h) -> bool:

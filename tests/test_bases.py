@@ -299,6 +299,34 @@ class TestExpansion:
             combine("m", 3, {Partition((1, 0)): F(1)})
 
 
+class TestCombineOracle:
+    """combine against sum_lam c_lam b_lam added up by MultiPoly arithmetic.
+
+    combine and expand_in_basis read the same m-coordinate table, so their
+    round trip cannot see a wrong entry in it; this oracle builds every
+    monomial of every basis element instead.
+    """
+
+    @staticmethod
+    def summed(basis, n, coeffs):
+        acc = MultiPoly.zero(n)
+        for lam, c in coeffs.items():
+            acc = acc + basis_poly(basis, lam).raw * c
+        return acc
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("basis", BASIS_TAGS)
+    def test_matches_sum_of_basis_elements(self, basis, n):
+        rng = random.Random(n)
+        lams = enumerate_partitions(5, n)
+        every = {lam: F(rng.randint(-9, 9), rng.randint(1, 6)) for lam in lams}
+        some = {lam: every[lam] for lam in rng.sample(lams, 3)}
+        zero_sum = dict(zip(rng.sample(lams, 3), (F(1, 2), F(-1, 3), F(-1, 6))))
+        for coeffs in (every, some, zero_sum, {}):
+            got, want = combine(basis, n, coeffs), self.summed(basis, n, coeffs)
+            assert got == want and got.names == want.names
+
+
 class TestExpansionWithTail:
     @given(head_symmetric())
     def test_reconstructs(self, case):

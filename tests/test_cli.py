@@ -201,6 +201,38 @@ class TestInvertAndLift:
         assert result.arity == 2 and result.eval([1, 1]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            "basis --kind s --lambda 2,1,0 --n 3",
+            "x1^2*x2 + x1*x2^2 + x1^2*x3 + 2*x1*x2*x3 + x2^2*x3 + x1*x3^2 + x2*x3^2\n",
+        ),
+        (
+            "apply-q --basis E --lambda 2,0 --n 2",
+            "q(z) coefficients: ['1/4', '1/2', '1/4']\n"
+            "1/16*x1^2*z^2 + 1/8*x1*x2*z^2 + 1/16*x2^2*z^2 + 1/8*x1^2*z + 1/4*x1*x2*z"
+            " + 1/8*x2^2*z + 1/16*x1^2 + 1/8*x1*x2 + 1/16*x2^2\n",
+        ),
+        (
+            "separate --basis s --lambda 2,1 --n 2",
+            "q(z) = 1/2*z^2 + 1/2*z\n1/4*z1^2*z2^2 + 1/4*z1^2*z2 + 1/4*z1*z2^2 + 1/4*z1*z2\n",
+        ),
+        ("invert --lambda 2,1 --n 2", "1/2*x1^2*x2 + 1/2*x1*x2^2\n"),
+        (
+            "lift --basis m --lambda 2,1",
+            "1/6*x1^2*x2 + 1/6*x1*x2^2 + 1/6*x1^2*x3 + 1/6*x2^2*x3 + 1/6*x1*x3^2 + 1/6*x2*x3^2\n",
+        ),
+    ],
+    ids=["basis", "apply-q", "separate", "invert", "lift"],
+)
+def test_operator_table_output(capsys, argv, want):
+    # test_golden.py digests the JSON form only; this pins the table form byte for byte
+    code, out = run(capsys, *argv.split(" "), "--format", "table")
+    assert code == 0
+    assert out == want
+
+
 class TestVerifyCommand:
     def test_minimal_run_passes(self, capsys):
         code, out = run(capsys, "verify", "--suite", "all", "--max-weight", "0", "--n", "1")
@@ -349,7 +381,10 @@ class TestInputBoundary:
             (("verify", "--suite", "eigen", "--n", " 1", "--max-weight", "1"), "invalid int value: ' 1'"),
             (("verify", "--suite", "eigen", "--n", "+1", "--max-weight", "1"), "invalid int value: '+1'"),
             (("verify", "--suite", "eigen", "--n", "1", "--max-weight", "1_0"), "argument --max-weight"),
-            (("basis", "--kind", "m", "--lambda", "1,0", "--n", "2", "--seed", "1_0"), "argument --seed"),
+            (("verify", "--suite", "eigen", "--n", "1", "--max-weight", "0", "--seed", "1_0"), "argument --seed"),
+            # only verify and quadrature draw random inputs; elsewhere --seed is an unknown flag
+            (("basis", "--kind", "m", "--lambda", "1,0", "--n", "2", "--seed", "5"), "unrecognized arguments: --seed 5"),
+            (("lift", "--basis", "s", "--lambda", "1", "--seed", "99"), "unrecognized arguments: --seed 99"),
         ],
         ids=[
             "missing-required-flag",
@@ -367,6 +402,8 @@ class TestInputBoundary:
             "n-plus",
             "max-weight-underscore",
             "seed-underscore",
+            "seed-on-basis",
+            "seed-on-lift",
         ],
     )
     def test_usage_error(self, capsys, argv, fragment):

@@ -301,12 +301,12 @@ class TestUniPoly:
         assert p.coeffs == (F(1, 2), 0, -1, 3)
         assert p.to_json() == ["1/2", "0", "-1", "3"]
         assert p.pretty() == "3*z^3 - z^2 + 1/2"
-        assert p.pretty("w") == "3*w^3 - w^2 + 1/2"
         assert UniPoly().pretty() == "0"
 
     def test_view_of_a_one_slot_polynomial(self):
         f = MultiPoly(1, {(2,): F(1, 3), (0,): 1}, ("t",))
         assert UniPoly.of(f) == UniPoly([1, 0, F(1, 3)])
         assert UniPoly.of(f).as_multipoly(1, 0) == f
+        assert UniPoly.of(f).pretty() == "1/3*z^2 + 1"  # printed in z, whatever the slot's name
         with pytest.raises(PolyError):
             UniPoly.of(MultiPoly.one(2))

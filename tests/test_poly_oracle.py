@@ -456,7 +456,7 @@ class TestResultTerms:
         f = MultiPoly.zero(3)
         for i, lam in enumerate(lams):
             f = f + basis_poly(basis, lam).raw * Fraction(2 * i + 1, i + 2)
-        g = spectral.diagonal_q(f, basis, BASES[basis].q_poly)
+        g = spectral.orbit_q(OrbitForm.of(f), basis, BASES[basis].q_poly).to_poly()
         results = [g, *expand_with_tail(g, basis, 3).values(), qe.apply_a(f, 3, 3)]
         results += [qm.apply_q(f), qm.apply_projector(f, 1, 3)]
         results += [spectral.rho0_orbit_q(OrbitForm.of(g, 3), basis, BASES[basis].q_poly), qm.apply_rho0_q(g, 3)]

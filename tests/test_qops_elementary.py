@@ -257,6 +257,14 @@ class TestSeparation:
         assert "[E]" in message and "n=2" in message
         assert "spectral product" in message and "A-chain" in message
 
+    def test_route_disagreement_names_the_leading_difference(self, monkeypatch):
+        # the chain gains 1/2 z1 z2 + 1 over prod_j (1 + z_j) / 2: they differ first at [1, 1]
+        chain = qe.separate_via_chain
+        extra = MultiPoly(2, {(1, 1): F(1, 2), (0, 0): 1})
+        monkeypatch.setattr(qe, "separate_via_chain", lambda f: chain(f) + extra)
+        with pytest.raises(InvariantViolation, match=r"A-chain at exponent \[1, 1\]: 1/4 vs 3/4$"):
+            qe.separate(ebar(1, 0))
+
     def test_differs_from_eps_coordinates(self):
         # the two separated forms genuinely differ
         f = ebar(1, 0)

@@ -10,9 +10,9 @@ from hypothesis import given, strategies as st
 from conftest import multipolys
 from symfact import qops_monomial as qm
 from symfact import spectral
-from symfact.bases import monomial_sym
+from symfact.bases import OrbitForm, monomial_sym
 from symfact.partitions import Partition, enumerate_partitions
-from symfact.poly import MultiPoly, PolyError, UniPoly
+from symfact.poly import InvariantViolation, MultiPoly, PolyError, UniPoly
 
 
 def mbar(*parts):
@@ -118,7 +118,7 @@ class TestQOperator:
     def test_agrees_with_spectral_route(self):
         for lam in enumerate_partitions(4, 3):
             f = monomial_sym(lam).normalized
-            assert qm.apply_q(f) == spectral.diagonal_q(f, "m", qm.q_poly)
+            assert qm.apply_q(f) == spectral.orbit_q(OrbitForm.of(f), "m", qm.q_poly).to_poly()
 
     def test_commutativity_on_symmetric_input(self):
         f = mbar(2, 1, 0) + mbar(1, 1, 1) * F(1, 3)
@@ -186,6 +186,17 @@ class TestSeparation:
     def test_symmetry_required(self):
         with pytest.raises(Exception):
             qm.separate(MultiPoly.variable(0, 2))
+
+    def test_route_disagreement_names_the_leading_difference(self, monkeypatch):
+        # the rho-Q route gains 1/2 z1 z2 + 1 over prod_j (1 + z_j) / 2: they differ first at [1, 1]
+        rho_q = qm.separate_via_q
+        extra = MultiPoly(2, {(1, 1): F(1, 2), (0, 0): 1})
+        monkeypatch.setattr(qm, "separate_via_q", lambda f: rho_q(f) + extra)
+        with pytest.raises(InvariantViolation) as err:
+            qm.separate(mbar(1, 0))
+        message = str(err.value)
+        assert "[m]" in message and "n=2" in message
+        assert message.endswith("A-chain vs rho-Q composition at exponent [1, 1]: 1/4 vs 3/4")
 
 
 class TestLift:

@@ -57,6 +57,11 @@ def full_diagonal_q(f: MultiPoly, basis: str, q_poly, n_x: int, z_name: str) -> 
     return MultiPoly(f.arity + 1, {e: Fraction(c, den) for e, c in num.items()}, f.names + (z_name,))
 
 
+def whole_orbit_q(f: MultiPoly, basis: str, q_poly, n_x: int, z_name: str) -> MultiPoly:
+    """``spectral.orbit_q`` on the orbit form of f's first n_x slots, spread back to a whole polynomial."""
+    return spectral.orbit_q(OrbitForm.of(f, n_x), basis, q_poly, z_name).to_poly()
+
+
 def unfused_separate_via_q(f: MultiPoly, apply_q) -> MultiPoly:
     """rho_0 after all n Q's, the last one's output built in full."""
     n = f.arity
@@ -120,12 +125,15 @@ class TestOrbitForm:
         assert all(got[lam].names == want[lam].names for lam in got)
 
     @given(head_symmetric())
-    def test_diagonal_q_matches_full_monomial_form(self, case):
+    def test_orbit_q_matches_full_monomial_form(self, case):
         basis, k, h = case
         q_poly = BASES[basis].q_poly
         want = full_diagonal_q(h, basis, q_poly, k, "z1")
-        assert_same(spectral.diagonal_q(h, basis, q_poly, n_x=k, z_name="z1"), want)
-        assert_same(BASES[basis].apply_q(h, n_x=k, z_name="z1"), want)
+        assert_same(whole_orbit_q(h, basis, q_poly, k, "z1"), want)
+        if basis == "m":
+            assert_same(qm.apply_q(h, n_x=k, z_name="z1"), want)
+        if k == h.arity:  # the E and s apply_q take the whole polynomial as the head
+            assert_same(BASES[basis].apply_q(h), full_diagonal_q(h, basis, q_poly, k, "z"))
 
     def test_asymmetric_head_rejected(self):
         with pytest.raises(NotSymmetric):
@@ -138,7 +146,7 @@ class TestFusedStep:
         basis, k, h = case
         q_poly = BASES[basis].q_poly
         fused = spectral.rho0_orbit_q(OrbitForm.of(h, k), basis, q_poly, z_name="z1")
-        assert_same(fused, rho0(BASES[basis].apply_q(h, n_x=k, z_name="z1"), k))
+        assert_same(fused, rho0(whole_orbit_q(h, basis, q_poly, k, "z1"), k))
         assert_same(fused, rho0(full_diagonal_q(h, basis, q_poly, k, "z1"), k))
 
     @given(multipolys(max_terms=3), st.data())
@@ -153,7 +161,8 @@ class TestSeparateViaQ:
     @given(symmetric_polys(max_n=3))
     def test_matches_unfused_composition(self, f):
         assert_same(qm.separate_via_q(f), unfused_separate_via_q(f, qm.apply_q))
-        assert_same(qe.separate_via_q(f), unfused_separate_via_q(f, qe.apply_q))
+        orbit_q = partial(whole_orbit_q, basis="E", q_poly=qe.q_poly)
+        assert_same(qe.separate_via_q(f), unfused_separate_via_q(f, orbit_q))
 
     @settings(max_examples=30)
     @given(symmetric_polys(max_n=4))
