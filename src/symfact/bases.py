@@ -18,7 +18,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import ge
+from operator import ge, gt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import Partition, dominance_leq
@@ -204,7 +204,7 @@ def over_vandermonde(g: MultiPoly) -> MultiPoly:
     coeffs = {
         Partition(tuple(m - (n - 1 - i) for i, m in enumerate(mu))): Fraction(c, g.den)
         for mu, c in g.num.items()
-        if all(a > b for a, b in zip(mu, mu[1:]))
+        if is_strict(mu)
     }
     return combine("s", n, coeffs).rename(g.names)
 
@@ -234,11 +234,20 @@ def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, MultiPoly]:
         minor = (-1) ** (row_sum + sum(cols)) * vandermonde_value(mu[j] for j in cols)
         rest = [mu[j] for j in range(n) if j not in cols]
         num.update((exp, sign * minor) for exp, sign in _alternant_terms(rest))
+    return MultiPoly._wrap(arity, num, 1, default_names("x", arity)), _restricted_denominator(n, k)
+
+
+@lru_cache(maxsize=None)
+def _restricted_denominator(n: int, k: int) -> MultiPoly:
+    """The denominator of :func:`restricted_schur`, the same for every lam of length n.
+
+    prod_(i=1..n-k) i! * prod_(j=1..k-1) (x_j - 1)^(n-k+1) * V(x_1..x_(k-1)).
+    """
+    arity = k - 1
     den = MultiPoly.const(arity, math.prod(math.factorial(i) for i in range(1, n - k + 1)))
-    for j in range(k - 1):
+    for j in range(arity):
         den = den * (MultiPoly.variable(j, arity) - 1) ** (n - k + 1)
-    den = den * vandermonde(arity)
-    return MultiPoly._wrap(arity, num, 1, default_names("x", arity)), den
+    return den * vandermonde(arity)
 
 
 def basis_poly(basis: str, lam: Partition) -> NormalizedBasisPoly:
@@ -272,10 +281,27 @@ def _is_partition(exp: tuple[int, ...]) -> bool:
     return all(map(ge, exp, exp[1:]))
 
 
+def is_strict(exp: tuple[int, ...]) -> bool:
+    """Whether the exponent is strictly decreasing: the exponents an antisymmetric polynomial is read at."""
+    return all(map(gt, exp, exp[1:]))
+
+
 @lru_cache(maxsize=None)
 def _orbit(mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The distinct permutations of the exponent vector mu: the monomials of m_mu."""
-    return tuple(set(itertools.permutations(mu)))
+    """The distinct permutations of the partition mu: the monomials of m_mu.
+
+    Each distinct part leads once, followed by the orbit of the rest, which
+    is again a partition; so the work grows with the orbit's size, not with
+    len(mu)!.
+    """
+    if len(mu) <= 1:
+        return (mu,)
+    return tuple(
+        (a,) + p
+        for i, a in enumerate(mu)
+        if not i or mu[i - 1] != a
+        for p in _orbit(mu[:i] + mu[i + 1 :])
+    )
 
 
 class OrbitForm(NamedTuple):

@@ -8,7 +8,7 @@ eigenvalue polynomial prod_j (1 + (z-1) j / n)^(lam_j - lam_{j+1}).
 H_j, Q, the separating map and the lift are the shared spectral forms of
 ``symfact.spectral`` on the E basis.  ``apply_h`` scales by ``h_eigenvalue``
 itself, so verify's eigenrelation check on E tests only the E expansion and
-``combine``; the explicit first-order form ``h_explicit_values`` is the
+its m-coordinate table; the explicit first-order form ``h_explicit_values`` is the
 independent check, and the tests also compare ``apply_h`` with the eps route.
 The chain links A_k act on the elementary polynomials of the first k
 variables by a two-term rule; the A-chain is kept as an independent route

@@ -9,14 +9,17 @@ eigenvalues (``spectral.diagonal_h``), so it never builds f a_delta.  The
 separating map has an exact differential-operator inverse built from
 K_n = prod_{i<j} (D_i - D_j), which ends on an antisymmetric polynomial; the
 Vandermonde is read off its strictly decreasing coefficients in the Schur
-basis, and ``separate_inverse`` computes only those coefficients.
+basis, and ``separate_inverse`` computes only those coefficients, from the
+orbit rows of its symmetric input (``orbit_separate_inverse``).  On a
+symmetric input K_n is diagonal on orbits, so ``orbit_k`` reads its
+strictly decreasing coefficients off the orbit rows.
 
 Q, the separating map and the lift are the shared spectral forms of
 ``symfact.spectral`` on the s basis.  Independent routes kept as
 cross-checks: ``q_via_restriction`` and ``q_via_restricted_determinant``
 for q, and ``separate_inverse`` against ``separate``.  ``apply_h`` scales
 by ``h_eigenvalue`` itself, so verify's eigenrelation check on s tests only
-the Schur expansion and ``combine``; the tests check the conjugation
+the Schur expansion and its m-coordinate table; the tests check the conjugation
 against ``over_vandermonde(qops_monomial.apply_h(f a_delta, j))`` and the
 inverse against ``over_vandermonde(apply_k(g prod_k (x_k - 1)^(n-1)))``.
 """
@@ -30,8 +33,10 @@ from functools import lru_cache
 from . import spectral
 from .bases import (
     OrbitForm,
+    _orbit,
     combine,
     elementary_value,
+    is_strict,
     restricted_schur,
     schur_poly,
     vandermonde_value,
@@ -48,6 +53,7 @@ from .poly import (
 )
 
 
+@lru_cache(maxsize=None)
 def phi(lam: Partition) -> UniPoly:
     """phi = sum_j c_j z^(mu_j) with c_j = prod_{k != j} (mu_j - mu_k)^(-1), verified.
 
@@ -190,6 +196,18 @@ def apply_k(f: MultiPoly) -> MultiPoly:
     return f.scale_terms(vandermonde_value)
 
 
+def orbit_k(o: OrbitForm) -> MultiPoly:
+    """K_n of a symmetric polynomial at its strictly decreasing exponents, read off its orbit rows.
+
+    K_n is diagonal on orbits: K_n m_nu = V(nu) a_nu for a strictly
+    decreasing nu and 0 otherwise, and [x^nu] a_nu = 1, so these
+    coefficients are V(nu) times the rows at nu; they determine the
+    antisymmetric K_n f.
+    """
+    num = {e: vandermonde_value(e) * c for e, c in o.num.items() if is_strict(e)}
+    return MultiPoly._make(len(o.names), num, o.den, o.names)
+
+
 def separate(f: MultiPoly) -> MultiPoly:
     """Factorizing map: each Schur component contributes prod_j q(z_j)."""
     return spectral.separate(f, "s", q_poly)
@@ -201,24 +219,57 @@ def separate_inverse(g: MultiPoly) -> MultiPoly:
     Multiply by prod_k (x_k - 1)^(n-1), apply K_n, which makes a symmetric
     polynomial antisymmetric, divide by the Vandermonde and scale by
     V(0..n-1) / ((n-1)!)^n; sends prod_j q_lam(x_j) back to the normalized
-    Schur polynomial.  The quotient K_n h / a_delta is sum_mu V(mu) [x^mu]h
-    s_(mu - delta) over the strictly decreasing mu (Macdonald, Symmetric
-    Functions and Hall Polynomials, I §3), so only those coefficients of h
-    are computed: the factors are multiplied in one slot at a time, and
-    after slot k every exponent whose first k+1 entries are not strictly
-    decreasing is dropped.  A g that is not symmetric is not in the image.
+    Schur polynomial.  A g that is not symmetric is not in the image; a
+    symmetric g goes to :func:`orbit_separate_inverse` as its orbit rows.
     """
     n = g.arity
     if n == 0:
         raise PolyError("the separating map needs at least one variable")
-    if not g.is_symmetric():
+    try:
+        o = OrbitForm.of(g)
+    except NotSymmetric:
         raise InvariantViolation(
             f"separate_inverse [s], n={n}: input is not in the image of the separating map:"
             f" it is not symmetric at exponent {list(g.asymmetric_exponent())}"
-        )
+        ) from None
+    return orbit_separate_inverse(o)
+
+
+@lru_cache(maxsize=None)
+def _feasible_orbit(e: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The permutations p of e that some b in [0, n-1]^n makes into a strictly decreasing p + b.
+
+    That is p_j + j <= p_i + i + n - 1 for every i < j: one pass with the
+    running minimum of p_i + i.
+    """
+    n = len(e)
+    out = []
+    for p in _orbit(e):
+        low = p[0]
+        for j in range(1, n):
+            if p[j] + j > low + n - 1:
+                break
+            low = min(low, p[j] + j)
+        else:
+            out.append(p)
+    return tuple(out)
+
+
+def orbit_separate_inverse(o: OrbitForm) -> MultiPoly:
+    """:func:`separate_inverse` of the polynomial whose orbit rows (over all its slots) are o.
+
+    The quotient K_n h / a_delta, h = g prod_k (x_k - 1)^(n-1), is
+    sum_mu V(mu) [x^mu]h s_(mu - delta) over the strictly decreasing mu
+    (Macdonald, Symmetric Functions and Hall Polynomials, I §3), so only
+    those coefficients of h are computed.  Each row is spread only over the
+    permutations that can reach a strictly decreasing mu; then the factors
+    are multiplied in one slot at a time, and after slot k every exponent
+    whose first k+1 entries are not strictly decreasing is dropped.
+    """
+    n = o.k
     # (x - 1)^(n-1) = sum_b C(n-1, b) (-1)^(n-1-b) x^b
     factor = [(b, math.comb(n - 1, b) * (-1) ** (n - 1 - b)) for b in range(n)]
-    num = g.num
+    num = {p: c for e, c in o.num.items() for p in _feasible_orbit(e)}
     for k in range(n):
         num = accumulate(
             {},
@@ -229,7 +280,7 @@ def separate_inverse(g: MultiPoly) -> MultiPoly:
                 if k == 0 or e[k - 1] > e[k] + b
             ),
         )
-    scale = Fraction(vandermonde_value(range(n)), g.den * math.factorial(n - 1) ** n)
+    scale = Fraction(vandermonde_value(range(n)), o.den * math.factorial(n - 1) ** n)
     coeffs = {
         Partition(tuple(m - (n - 1 - i) for i, m in enumerate(mu))): vandermonde_value(mu) * c * scale
         for mu, c in num.items()

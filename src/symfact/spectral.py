@@ -3,18 +3,23 @@
 Each basis (m, E, s) has a Q-operator that is diagonal with a univariate
 eigenvalue polynomial q_lam(z), a separating map sending the normalized
 basis element to prod_j q_lam(z_j), and a lift that appends a zero part.
-The E and s Hamiltonians H_j are diagonal too (:func:`diagonal_h`).
+The E and s Hamiltonians H_j are diagonal too (:func:`orbit_h`).
 Q, H_j, the separating map and the lift take the basis tag (and, where needed,
 the basis's ``q_poly``) and work through :func:`symfact.bases.expand_orbits`.
 The two separation routes are driven here too: the rho-Q composition
 (:func:`separate_via_q`) and the A-chain (:func:`separate_via_chain`), each
 given one basis's steps.
 
-The one diagonal Q is :func:`orbit_q`, a step on the
-:class:`~symfact.bases.OrbitForm` of its input: one row per head
-partition, not per monomial, so a chain of steps checks symmetry once and
-never builds a full intermediate.  The E and s ``apply_q`` are this step
-on the orbit form of a whole polynomial.  The rho-Q route
+Symmetric polynomials are carried as :class:`~symfact.bases.OrbitForm`
+rows: one row per head partition, not per monomial, so a chain of steps
+checks symmetry once and never builds a full intermediate.  The diagonal
+Q and H_j are the steps :func:`orbit_q` and :func:`orbit_h` on such rows;
+the E and s ``apply_q`` and ``apply_h`` are these steps on the orbit form
+of a whole polynomial.  Every separated polynomial is symmetric in its z's,
+so prod_j q(z_j) (:func:`orbit_product`) and the separating map
+(:func:`orbit_separate`) are orbit rows too, one per multiset of q's
+support instead of one per monomial; :func:`eigen_product` and
+:func:`separate` spread them into whole polynomials.  The rho-Q route
 S_n = rho_0 Q_{z_1}...Q_{z_n} runs n-1 Q's and then one fused step
 rho_0 Q_{z_1}, which never builds the last Q's output in the x's only to
 set them to 1: on a diagonal basis it is
@@ -23,6 +28,8 @@ sum_lam b_lam(1..1) * tail_lam * q_lam(z_1) (:func:`rho0_orbit_q`).
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -33,10 +40,25 @@ from .poly import MultiPoly, Pair, PolyError, UniPoly, default_names, tensor_sum
 QPoly = Callable[[Partition], UniPoly]
 
 
-def eigen_product(q: UniPoly, n: int) -> MultiPoly:
-    """prod_j q(z_j) over n z-slots."""
+def orbit_product(q: UniPoly, n: int) -> OrbitForm:
+    """prod_j q(z_j) over n z-slots, in orbit rows: one per multiset of q's support.
+
+    The row at e_1 >= .. >= e_n is prod_i [z^(e_i)]q over q's denominator to
+    the n-th power.  The pair is reduced: each prime of that denominator
+    misses some numerator c of q, so it misses the row c^n too.
+    """
     p = q.poly
-    return MultiPoly._wrap(n, *tensor_sum([[(p.num, p.den)] * n]), default_names("z", n))
+    support = sorted(p.num, reverse=True)
+    num = {
+        sum(es, ()): math.prod(p.num[e] for e in es)
+        for es in itertools.combinations_with_replacement(support, n)
+    }
+    return OrbitForm(n, num, p.den**n, default_names("z", n))
+
+
+def eigen_product(q: UniPoly, n: int) -> MultiPoly:
+    """prod_j q(z_j) over n z-slots: :func:`orbit_product` spread over every monomial."""
+    return orbit_product(q, n).to_poly()
 
 
 def _tensor_sum(o: OrbitForm, basis: str, q_poly: QPoly, head: Callable[[Partition], Pair]) -> Pair:
@@ -74,24 +96,49 @@ def rho0_orbit_q(o: OrbitForm, basis: str, q_poly: QPoly, z_name: str = "z") -> 
     return MultiPoly._wrap(len(o.names) - o.k + 1, num, den, o.names[o.k :] + (z_name,))
 
 
-def diagonal_h(f: MultiPoly, basis: str, eigenvalue: Callable[[Partition, int], Fraction], j: int) -> MultiPoly:
-    """H_j of a basis it is diagonal on: each component c b_lam goes to c eigenvalue(lam, j) b_lam."""
-    n = f.arity
-    if not 1 <= j <= n:
+Eigenvalue = Callable[[Partition, int], Fraction]
+
+
+def orbit_h(o: OrbitForm, basis: str, eigenvalue: Eigenvalue, j: int) -> OrbitForm:
+    """H_j in orbit coordinates, on a basis it is diagonal on: b_lam(head) * tail goes to eigenvalue(lam, j) times it.
+
+    The head is expanded over the basis, each tail is scaled by the
+    eigenvalue and b_lam goes back to m-coordinates through its cached
+    table, as in :func:`orbit_q`; the slots are o's.
+    """
+    if not 1 <= j <= o.k:
         raise PolyError(f"need 1 <= j <= n, got j={j}")
-    scaled = {lam: c * h for lam, c in expand_in_basis(f, basis).items() if (h := eigenvalue(lam, j))}
-    return combine(basis, n, scaled).rename(f.names)
+    num, den = tensor_sum(
+        ((m_coordinates(basis, lam), 1), (tail, o.den), ({(): h.numerator}, h.denominator))
+        for lam, tail in expand_orbits(o, basis).items()
+        if (h := eigenvalue(lam, j))
+    )
+    return OrbitForm(o.k, num, den, o.names)
+
+
+def diagonal_h(f: MultiPoly, basis: str, eigenvalue: Eigenvalue, j: int) -> MultiPoly:
+    """H_j of a whole symmetric polynomial: :func:`orbit_h` on its orbit form."""
+    return orbit_h(OrbitForm.of(f), basis, eigenvalue, j).to_poly()
+
+
+def orbit_separate(o: OrbitForm, basis: str, q_poly: QPoly) -> OrbitForm:
+    """Separating map on an orbit form symmetric in all its slots, output in orbit rows over z_1..z_n.
+
+    Each component c b_lam goes to c b_lam(1..1) prod_j q_lam(z_j), the
+    rows of :func:`orbit_product`.
+    """
+    n = o.k
+    num, den = tensor_sum(
+        ((tail, o.den), ({(): v.numerator}, v.denominator), (product.num, product.den))
+        for lam, tail in expand_orbits(o, basis).items()
+        for v, product in ((basis_poly(basis, lam).value_at_one, orbit_product(q_poly(lam), n)),)
+    )
+    return OrbitForm(n, num, den, default_names("z", n))
 
 
 def separate(f: MultiPoly, basis: str, q_poly: QPoly) -> MultiPoly:
-    """Separating map: each component c b_lam goes to c b_lam(1..1) prod_j q_lam(z_j)."""
-    n = f.arity
-    num, den = tensor_sum(
-        [({(): v.numerator}, v.denominator), *[(q.num, q.den)] * n]
-        for lam, c in expand_in_basis(f, basis).items()
-        for v, q in ((c * basis_poly(basis, lam).value_at_one, q_poly(lam).poly),)
-    )
-    return MultiPoly._wrap(n, num, den, default_names("z", n))
+    """Separating map: :func:`orbit_separate` on f's orbit form, spread over every monomial."""
+    return orbit_separate(OrbitForm.of(f), basis, q_poly).to_poly()
 
 
 def lift(f: MultiPoly, basis: str) -> MultiPoly:

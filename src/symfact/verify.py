@@ -5,6 +5,15 @@ against exact oracles) and returns a deterministic report: one record per
 checked identity, a pass flag, and the first counterexample on failure.
 The same suites back the command-line ``verify`` subcommand and the
 acceptance tests.
+
+The symmetric side stays in orbit rows (:class:`~symfact.bases.OrbitForm`)
+wherever a check can compare rows: the E and s Q and H_j eigenrelations
+and their commutators run ``spectral.orbit_q`` and ``spectral.orbit_h`` on
+one orbit form per basis element, and the inverse suite feeds the rows of
+``spectral.orbit_product`` and ``spectral.orbit_separate`` to
+``qops_schur.orbit_separate_inverse`` and ``qops_schur.orbit_k``.  The m
+routes (substitution average, Euler operators) and the chain suite's
+separation routes are the independent routes and stay whole.
 """
 
 from __future__ import annotations
@@ -26,13 +35,13 @@ from .bases import (
     elementary_sym,
     expand_in_basis,
     is_dominance_triangular,
+    is_strict,
     restricted_schur,
     schur_poly,
     schur_value_at_one,
 )
 from .partitions import Partition, enumerate_partitions
-from .poly import InvariantViolation, MultiPoly, NotDivisible, PolyError, UniPoly, accumulate, tensor_sum
-from .spectral import eigen_product
+from .poly import InvariantViolation, MultiPoly, NotDivisible, Pair, PolyError, accumulate, tensor_sum
 
 SUITES = ("eigen", "chain", "inverse", "ode", "lifting", "quadrature", "all")
 
@@ -40,10 +49,12 @@ SUITES = ("eigen", "chain", "inverse", "ode", "lifting", "quadrature", "all")
 BASES = {"m": qm, "E": qe, "s": qs}
 
 
-def _scaled(f: MultiPoly, q: UniPoly) -> MultiPoly:
-    """f(x) q(z) in the arity extended by one z slot."""
-    num, den = tensor_sum([[(f.num, f.den), (q.poly.num, q.poly.den)]])
-    return MultiPoly._wrap(f.arity + 1, num, den, f.names + ("z",))
+def _times(f: MultiPoly | OrbitForm, factor: Pair, names: tuple[str, ...] = ()) -> MultiPoly | OrbitForm:
+    """f times a factor in len(names) new slots, appended last; a whole polynomial or orbit rows, as f is."""
+    num, den = tensor_sum([[(f.num, f.den), factor]])
+    if isinstance(f, OrbitForm):
+        return OrbitForm(f.k, num, den, f.names + names)
+    return MultiPoly._wrap(f.arity + len(names), num, den, f.names + names)
 
 
 def random_symmetric(n: int, max_weight: int, rng: random.Random, basis: str = "m") -> MultiPoly:
@@ -103,23 +114,40 @@ class Reporter:
 # -- eigen: eigenrelations, commutators, bases -----------------------------------
 
 
+def _steps(basis: str):
+    """The (Q, H_j) suite_eigen checks on one basis: m's own routes on whole polynomials, E and s on orbit forms."""
+    ops = BASES[basis]
+    if basis == "m":
+        return ops.apply_q, ops.apply_h
+    return (
+        lambda o: spectral.orbit_q(o, basis, ops.q_poly),
+        lambda o, j: spectral.orbit_h(o, basis, ops.h_eigenvalue, j),
+    )
+
+
 def suite_eigen(max_weight: int, n: int, rng: random.Random) -> Reporter:
     rep = Reporter()
     sweep = enumerate_partitions(max_weight, n)
-    # H_1..H_n of each normalized basis element, read again by the commutator checks
-    images: dict[tuple[str, Partition], list[MultiPoly]] = {}
+    steps = {basis: _steps(basis) for basis in BASES}
+    # each normalized basis element as its steps take it, and its H_1..H_n,
+    # read again by the commutator checks
+    forms: dict[tuple[str, Partition], MultiPoly | OrbitForm] = {}
+    images: dict[tuple[str, Partition], list[MultiPoly | OrbitForm]] = {}
     for lam in sweep:
         tag = f"lambda={list(lam.parts)}, n={n}"
         for basis, ops in BASES.items():
             nb = basis_poly(basis, lam)
+            apply_q, apply_h = steps[basis]
+            f = forms[basis, lam] = nb.normalized if basis == "m" else OrbitForm.of(nb.normalized)
+            q = ops.q_poly(lam).poly
             rep.guarded(
                 f"Q eigenrelation [{basis}] {tag}",
-                lambda ops=ops, nb=nb, q=ops.q_poly(lam): ops.apply_q(nb.normalized) == _scaled(nb.normalized, q),
+                lambda apply_q=apply_q, f=f, q=q: apply_q(f) == _times(f, (q.num, q.den), ("z",)),
             )
-            hs = images[basis, lam] = [ops.apply_h(nb.normalized, j) for j in range(1, n + 1)]
+            hs = images[basis, lam] = [apply_h(f, j) for j in range(1, n + 1)]
             for j, got in enumerate(hs, start=1):
-                want = nb.normalized * ops.h_eigenvalue(lam, j)
-                rep.record(f"H_{j} eigenrelation [{basis}] {tag}", got == want)
+                h = ops.h_eigenvalue(lam, j)
+                rep.record(f"H_{j} eigenrelation [{basis}] {tag}", got == _times(f, ({(): h.numerator}, h.denominator)))
             rep.record(
                 f"self-expansion [{basis}] {tag}",
                 expand_in_basis(nb.raw, basis) == {lam: Fraction(1)},
@@ -151,21 +179,18 @@ def suite_eigen(max_weight: int, n: int, rng: random.Random) -> Reporter:
             ok_hh = False
     rep.record(f"[H_j, H_k] = 0 on monomials [m], n={n}", ok_hh)
     for basis in ("E", "s"):
-        ops = BASES[basis]
-        ok_qq = all(
-            _orbit_q_commute(basis_poly(basis, lam).normalized, basis, ops.q_poly) for lam in sweep
-        )
+        q_poly = BASES[basis].q_poly
+        ok_qq = all(_orbit_q_commute(forms[basis, lam], basis, q_poly) for lam in sweep)
         rep.record(f"[Q_z1, Q_z2] = 0 on basis [{basis}], n={n}", ok_qq)
-        ok_hh = all(_h_commute(images[basis, lam], ops.apply_h) for lam in sweep)
+        ok_hh = all(_h_commute(images[basis, lam], steps[basis][1]) for lam in sweep)
         rep.record(f"[H_j, H_k] = 0 on basis [{basis}], n={n}", ok_hh)
     if n >= 2:
-        f = random_symmetric(n, min(max_weight, 4), rng, basis="E")
+        f = OrbitForm.of(random_symmetric(n, min(max_weight, 4), rng, basis="E"))
+        hs = [steps["E"][1](f, j).to_poly() for j in range(1, n + 1)]
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
-                hk = qe.apply_h(f, k)
-                hj = qe.apply_h(f, j)
                 points = [_distinct_point(n, rng) for _ in range(20)]
-                ok = qe.h_explicit_values(hk, j, points) == qe.h_explicit_values(hj, k, points)
+                ok = qe.h_explicit_values(hs[k - 1], j, points) == qe.h_explicit_values(hs[j - 1], k, points)
                 rep.record(
                     f"[H_{j}, H_{k}] = 0 pointwise via explicit form [E], n={n}", ok
                 )
@@ -188,7 +213,7 @@ def _distinct_point(n: int, rng: random.Random) -> list[Fraction]:
             return pt
 
 
-def _h_commute(hs: list[MultiPoly], apply_h) -> bool:
+def _h_commute(hs: list, apply_h) -> bool:
     """H_j H_k f == H_k H_j f for all j < k, given hs = [H_1 f, .., H_n f]."""
     n = len(hs)
     return all(
@@ -204,13 +229,12 @@ def _compose_q_both_orders(f: MultiPoly, applyq, n: int) -> bool:
     return a == b.swap_slots(n, n + 1)
 
 
-def _orbit_q_commute(f: MultiPoly, basis: str, q_poly: spectral.QPoly) -> bool:
+def _orbit_q_commute(o: OrbitForm, basis: str, q_poly: spectral.QPoly) -> bool:
     """Q_z1 Q_z2 f == Q_z2 Q_z1 f for a diagonal Q, composed in orbit coordinates.
 
-    f's symmetry is checked once, by :meth:`OrbitForm.of`.  The two z's are
-    the last two tail slots, so swapping them maps rows to rows.
+    The two z's are the last two tail slots, so swapping them maps rows to
+    rows.
     """
-    o = OrbitForm.of(f)
     a = spectral.orbit_q(spectral.orbit_q(o, basis, q_poly, "z2"), basis, q_poly, "z1")
     b = spectral.orbit_q(spectral.orbit_q(o, basis, q_poly, "z1"), basis, q_poly, "z2")
     return a.den == b.den and a.num == {e[:-2] + (e[-1], e[-2]): c for e, c in b.num.items()}
@@ -228,17 +252,17 @@ def suite_chain(max_weight: int, n: int, rng: random.Random) -> Reporter:
         rep.guarded(
             f"separation both routes and product [m] {tag}",
             lambda mbar=mbar, lam=lam: qm.separate(mbar)
-            == eigen_product(qm.q_poly(lam), n),
+            == spectral.eigen_product(qm.q_poly(lam), n),
         )
         ebar = basis_poly("E", lam).normalized
         rep.guarded(
             f"separation eps/chain routes and product [E] {tag}",
             lambda ebar=ebar, lam=lam: qe.separate(ebar)
-            == eigen_product(qe.q_poly(lam), n),
+            == spectral.eigen_product(qe.q_poly(lam), n),
         )
         rep.record(
             f"separation rho-Q route [E] {tag}",
-            qe.separate_via_q(ebar) == eigen_product(qe.q_poly(lam), n),
+            qe.separate_via_q(ebar) == spectral.eigen_product(qe.q_poly(lam), n),
         )
         if lam.weight() <= min(max_weight, 4):
             for k in range(1, n + 1):
@@ -282,29 +306,37 @@ def suite_chain(max_weight: int, n: int, rng: random.Random) -> Reporter:
 
 def suite_inverse(max_weight: int, n: int, rng: random.Random) -> Reporter:
     rep = Reporter()
+
+    def inverse_of_separate(f: MultiPoly) -> MultiPoly:
+        return qs.orbit_separate_inverse(spectral.orbit_separate(OrbitForm.of(f), "s", qs.q_poly))
+
     for lam in enumerate_partitions(max_weight, n):
         tag = f"lambda={list(lam.parts)}, n={n}"
         sbar = schur_poly(lam).normalized
         rep.guarded(
             f"inverse separating map on eigenvalue products {tag}",
-            lambda lam=lam, sbar=sbar: qs.separate_inverse(eigen_product(qs.q_poly(lam), n)) == sbar,
+            lambda lam=lam, sbar=sbar: qs.orbit_separate_inverse(spectral.orbit_product(qs.q_poly(lam), n)) == sbar,
         )
         rep.guarded(
             f"inverse composed with separating map {tag}",
-            lambda sbar=sbar: qs.separate_inverse(qs.separate(sbar)) == sbar,
+            lambda sbar=sbar: inverse_of_separate(sbar) == sbar,
         )
         if lam.weight() <= min(max_weight, 4):
-            prod_phi = eigen_product(qs.phi(lam), n)
+            prod_phi = spectral.orbit_product(qs.phi(lam), n)
             mu = lam.shifted()
             delta_mu = math.prod(mu[i] - mu[j] for i in range(n) for j in range(i + 1, n))
             sign = -1 if (n * (n - 1) // 2) % 2 else 1
             rhs = alternant(mu, n) * Fraction(sign, delta_mu)
-            rep.record(f"K operator on phi products {tag}", qs.apply_k(prod_phi) == rhs)
+            strict = {e: c for e, c in rhs.num.items() if is_strict(e)}
+            rep.record(
+                f"K operator on phi products {tag}",
+                qs.orbit_k(prod_phi) == MultiPoly._make(n, strict, rhs.den, rhs.names),
+            )
     for trial in range(2):
         f = random_symmetric(n, min(max_weight, 4), rng, basis="s")
         rep.guarded(
             f"inverse round trip on random symmetric input n={n} trial={trial}",
-            lambda f=f: qs.separate_inverse(qs.separate(f)) == f,
+            lambda f=f: inverse_of_separate(f) == f,
         )
     return rep
 

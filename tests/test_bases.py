@@ -28,6 +28,7 @@ from symfact.bases import (
     vandermonde,
     vandermonde_value,
 )
+from symfact import bases
 from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
 from symfact.partitions import Partition, dominance_leq, enumerate_partitions
@@ -67,6 +68,13 @@ class TestMonomialSym:
         for lam in enumerate_partitions(5, 3):
             nb = monomial_sym(lam)
             assert nb.normalized.eval([1, 1, 1]) == 1
+
+    def test_orbit_is_every_distinct_permutation_once(self):
+        for n in range(1, 6):
+            for lam in enumerate_partitions(5, n):
+                orbit = bases._orbit(lam.parts)
+                assert len(orbit) == len(set(orbit))
+                assert set(orbit) == set(itertools.permutations(lam.parts))
 
 
 class TestElementary:

@@ -1,5 +1,6 @@
 """Schur-basis operator suite: interpolation data, equations, exact inverse."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -11,13 +12,23 @@ from conftest import fractions_small, symmetric_polys
 
 from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
-from symfact.bases import alternant, over_vandermonde, schur_poly, vandermonde, vandermonde_value
+from symfact import spectral
+from symfact.bases import OrbitForm, alternant, over_vandermonde, schur_poly, vandermonde, vandermonde_value
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import InvariantViolation, MultiPoly, PolyError, UniPoly, default_names
 
 
 def sbar(*parts):
     return schur_poly(Partition(parts)).normalized
+
+
+def strictly_decreasing(exp):
+    return all(a > b for a, b in zip(exp, exp[1:]))
+
+
+def strict_part(f):
+    """The terms of f at strictly decreasing exponents, in f's slots."""
+    return MultiPoly(f.arity, {e: c for e, c in f.terms.items() if strictly_decreasing(e)}, f.names)
 
 
 class TestPhi:
@@ -53,7 +64,9 @@ class TestPhi:
 
     def test_moment_check_refuses_wrong_weights(self, monkeypatch):
         # fault injection: every Fraction phi builds is off by 1/1000, so the c_j
-        # are wrong and the moment sums no longer vanish
+        # are wrong and the moment sums no longer vanish; phi is cached, so
+        # the cache is emptied first, or an earlier phi would be read back
+        qs.phi.cache_clear()
         monkeypatch.setattr(qs, "Fraction", lambda v: F(v) + F(1, 1000))
         with pytest.raises(InvariantViolation, match="moment condition k=0"):
             qs.phi(Partition((1, 0)))
@@ -192,6 +205,22 @@ class TestKOperator:
                 )
                 assert qs.apply_k(prod) == alternant(mu, n) * F(sign, delta_mu)
 
+    @given(symmetric_polys(max_n=4))
+    def test_orbit_rows_give_the_strictly_decreasing_coefficients(self, f):
+        # K_n f is antisymmetric, so these coefficients determine it
+        whole = qs.apply_k(f)
+        assert whole.is_antisymmetric()
+        got, want = qs.orbit_k(OrbitForm.of(f)), strict_part(whole)
+        assert (got.num, got.den, got.names) == (want.num, want.den, want.names)
+
+    def test_alternant_identity_sweep_on_orbit_rows(self):
+        for n in (2, 3, 4):
+            sign = -1 if (n * (n - 1) // 2) % 2 else 1
+            for lam in enumerate_partitions(3, n):
+                mu = lam.shifted()
+                rhs = alternant(mu, n) * F(sign, vandermonde_value(mu))
+                assert qs.orbit_k(spectral.orbit_product(qs.phi(lam), n)) == strict_part(rhs)
+
 
 class TestSeparationAndInverse:
     def test_frozen_products(self):
@@ -249,6 +278,28 @@ class TestSeparationAndInverse:
         want = self.full_inverse(g)
         got = qs.separate_inverse(g)
         assert (got.num, got.den, got.names) == (want.num, want.den, want.names)
+
+    @given(symmetric_polys(max_n=4), st.booleans())
+    def test_orbit_core_matches_the_full_product_route(self, f, in_image):
+        # the core takes orbit rows: the separating map's own, or those of the symmetric f
+        g = (qs.separate(f) if in_image else f).rename(default_names("z", f.arity))
+        want = self.full_inverse(g)
+        rows = spectral.orbit_separate(OrbitForm.of(f), "s", qs.q_poly) if in_image else OrbitForm.of(g)
+        got = qs.orbit_separate_inverse(rows)
+        assert (got.num, got.den, got.names) == (want.num, want.den, want.names)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_feasible_orbit_is_every_permutation_a_shift_makes_strictly_decreasing(self, n):
+        # brute force over every shift b in [0, n-1]^n
+        shifts = list(itertools.product(range(n), repeat=n))
+        for lam in enumerate_partitions(5, n):
+            want = {
+                p
+                for p in itertools.permutations(lam.parts)
+                if any(strictly_decreasing([a + b for a, b in zip(p, bs)]) for bs in shifts)
+            }
+            got = qs._feasible_orbit(lam.parts)
+            assert len(got) == len(want) and set(got) == want
 
     @given(symmetric_polys(min_n=2, max_n=4), st.data())
     def test_non_symmetric_input_is_rejected(self, f, data):

@@ -7,9 +7,12 @@ over an expansion by lex reduction on every monomial
 ``symfact``; here it is the composition the paper writes, the last Q's full
 output with its x slots then set to 1.  The inputs carry tail slots
 (earlier z's) and, for the diagonal bases, are symmetric in their head
-slots.  The separating map and prod_j q(z_j), each one ``tensor_sum`` in
-``symfact``, are checked against sums and products built one polynomial at
-a time.  Results must agree as polynomials and in their slot names.
+slots.  The E and s Hamiltonians, orbit rows in ``symfact``, are checked
+against the same full-monomial sum with eigenvalues in place of q.  The
+separating map and prod_j q(z_j), orbit rows in ``symfact``, are checked
+against sums and products built one polynomial at a time, and the
+products also against one ``tensor_sum`` over every monomial.  Results
+must agree as polynomials and in their slot names.
 """
 
 from fractions import Fraction
@@ -24,6 +27,7 @@ from conftest import (
     full_expand_with_tail,
     head_symmetric,
     multipolys,
+    outer,
     points_for,
     symmetric_polys,
 )
@@ -32,7 +36,7 @@ from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
 from symfact import spectral
 from symfact.bases import BASIS_TAGS, OrbitForm, basis_poly
-from symfact.partitions import Partition
+from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, PolyError, UniPoly, default_names, tensor_sum
 from symfact.verify import BASES
 
@@ -57,6 +61,14 @@ def full_diagonal_q(f: MultiPoly, basis: str, q_poly, n_x: int, z_name: str) -> 
     return MultiPoly(f.arity + 1, {e: Fraction(c, den) for e, c in num.items()}, f.names + (z_name,))
 
 
+def full_diagonal_h(f: MultiPoly, basis: str, eigenvalue, n_x: int, j: int) -> MultiPoly:
+    """sum_lam eigenvalue(lam, j) * b_lam(x) * tail_lam with every monomial of b_lam built."""
+    acc = MultiPoly.zero(f.arity, f.names)
+    for lam, tail in full_expand_with_tail(f, basis, n_x).items():
+        acc = acc + outer(basis_poly(basis, lam).raw, tail) * eigenvalue(lam, j)
+    return acc
+
+
 def whole_orbit_q(f: MultiPoly, basis: str, q_poly, n_x: int, z_name: str) -> MultiPoly:
     """``spectral.orbit_q`` on the orbit form of f's first n_x slots, spread back to a whole polynomial."""
     return spectral.orbit_q(OrbitForm.of(f, n_x), basis, q_poly, z_name).to_poly()
@@ -78,6 +90,12 @@ def looped_eigen_product(q: UniPoly, n: int) -> MultiPoly:
     for j in range(n):
         acc = acc * q.as_multipoly(n, j, names)
     return acc
+
+
+def tensor_sum_eigen_product(q: UniPoly, n: int) -> MultiPoly:
+    """prod_j q(z_j) as one tensor_sum over every monomial."""
+    num, den = tensor_sum([[(q.poly.num, q.poly.den)] * n])
+    return MultiPoly(n, {e: Fraction(c, den) for e, c in num.items()}, default_names("z", n))
 
 
 def accumulated_separate(f: MultiPoly, basis: str, q_poly) -> MultiPoly:
@@ -105,10 +123,53 @@ class TestProductsOfUnivariates:
         assert got.eval(point) == want
 
     @settings(max_examples=40)
-    @given(symmetric_polys(max_n=4), st.sampled_from(BASIS_TAGS))
+    @given(symmetric_polys(max_n=5), st.sampled_from(BASIS_TAGS))
     def test_separate(self, f, basis):
         q_poly = BASES[basis].q_poly
-        assert_same(spectral.separate(f, basis, q_poly), accumulated_separate(f, basis, q_poly))
+        want = accumulated_separate(f, basis, q_poly)
+        assert_same(spectral.separate(f, basis, q_poly), want)
+        # the orbit rows are the whole sum's at weakly decreasing exponents
+        assert spectral.orbit_separate(OrbitForm.of(f), basis, q_poly) == OrbitForm.of(want)
+
+    @pytest.mark.parametrize("basis", BASIS_TAGS)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_eigen_product_of_each_basis(self, basis, n):
+        # spread out, the orbit rows are the whole product; they are its rows
+        for lam in enumerate_partitions(3, n):
+            q = BASES[basis].q_poly(lam)
+            got, want = spectral.orbit_product(q, n), tensor_sum_eigen_product(q, n)
+            assert_same(got.to_poly(), want)
+            assert_same(spectral.eigen_product(q, n), want)
+            assert got == OrbitForm.of(want)
+
+
+class TestOrbitH:
+    """The E and s Hamiltonians in orbit rows against the full-monomial sum; diagonal_h is orbit_h spread out."""
+
+    @given(head_symmetric(), st.sampled_from(("E", "s")))
+    def test_matches_full_monomial_form(self, case, basis):
+        # the case's own basis tag is ignored: its input mixes all three bases
+        _, k, h = case
+        eigenvalue = BASES[basis].h_eigenvalue
+        o = OrbitForm.of(h, k)
+        for j in range(1, k + 1):
+            got = spectral.orbit_h(o, basis, eigenvalue, j)
+            assert_same(got.to_poly(), full_diagonal_h(h, basis, eigenvalue, k, j))
+
+    @given(symmetric_polys(max_n=4), st.sampled_from(("E", "s")))
+    def test_diagonal_h_on_whole_polynomials(self, f, basis):
+        ops = BASES[basis]
+        for j in range(1, f.arity + 1):
+            want = full_diagonal_h(f, basis, ops.h_eigenvalue, f.arity, j)
+            assert_same(spectral.diagonal_h(f, basis, ops.h_eigenvalue, j), want)
+            assert_same(ops.apply_h(f, j), want)
+            assert spectral.orbit_h(OrbitForm.of(f), basis, ops.h_eigenvalue, j) == OrbitForm.of(want)
+
+    def test_rejects_j_outside_the_head(self):
+        o = OrbitForm.of(basis_poly("E", Partition((1, 0))).raw.extend(1, ("z",)), 2)
+        for j in (0, 3):
+            with pytest.raises(PolyError, match="need 1 <= j <= n, got j="):
+                spectral.orbit_h(o, "E", qe.h_eigenvalue, j)
 
 
 class TestOrbitForm:

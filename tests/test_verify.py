@@ -68,6 +68,14 @@ def test_commutator_check_sees_operators_that_do_not_commute():
     assert verify._h_commute([qm.apply_h(f, j) for j in (1, 2)], qm.apply_h)
 
 
+def clear_caches():
+    """Cold caches, so that no result computed before a patch hides a slow route."""
+    for module in (bases, qe, qm, qs, spectral):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
 def test_eigen_suite_runs_without_cofactor_determinants_or_multivariate_division(monkeypatch):
     def refuse(*_args):
         raise AssertionError("the eigen suite took a slow route")
@@ -79,11 +87,7 @@ def test_eigen_suite_runs_without_cofactor_determinants_or_multivariate_division
             refuse()
         return divide_exact(self, den)
 
-    # cold caches, so no result computed before the patch hides a slow route
-    for module in (bases, qe, qm, qs, spectral):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+    clear_caches()
     with monkeypatch.context() as patch:
         patch.setattr(poly, "det", refuse)
         patch.setattr(poly, "_det_cofactor", refuse)
@@ -92,3 +96,21 @@ def test_eigen_suite_runs_without_cofactor_determinants_or_multivariate_division
     plain = verify.run_suite("eigen", max_weight=3, n=4)
     assert guarded["passed"]
     assert [c["name"] for c in guarded["checks"]] == [c["name"] for c in plain["checks"]]
+
+
+@pytest.mark.parametrize("suite", ["eigen", "inverse"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eigen_and_inverse_suites_keep_the_symmetric_side_in_orbit_rows(monkeypatch, suite, n):
+    # the whole-polynomial H, K and prod_j q(z_j) are refused; the m routes stay whole
+    def refuse(*_args):
+        raise AssertionError(f"the {suite} suite built a whole symmetric polynomial")
+
+    clear_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "diagonal_h", refuse)
+        patch.setattr(spectral, "eigen_product", refuse)
+        patch.setattr(qs, "apply_k", refuse)
+        guarded = verify.run_suite(suite, max_weight=3, n=n)
+    plain = verify.run_suite(suite, max_weight=3, n=n)
+    assert guarded["passed"]
+    assert [(c["name"], c["status"]) for c in guarded["checks"]] == [(c["name"], c["status"]) for c in plain["checks"]]
