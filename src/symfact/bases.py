@@ -94,11 +94,14 @@ def alternant(mu: tuple[int, ...], n: int) -> MultiPoly:
 
     a_mu = sum over permutations w of sign(w) prod_j x_w(j)^(mu_j)
     (Macdonald, Symmetric Functions and Hall Polynomials, I §3); a repeated
-    exponent makes the terms cancel to zero.
+    exponent makes the terms cancel to zero.  The n! signs are summed as
+    ints, once mu is checked.
     """
     if len(mu) != n:
         raise PolyError("exponent vector length must equal n")
-    return MultiPoly(n, _alternant_terms(mu))
+    if any(type(e) is not int or e < 0 for e in mu):
+        raise PolyError(f"exponent {tuple(mu)} must hold non-negative ints")
+    return MultiPoly._make(n, accumulate({}, _alternant_terms(mu)), 1, default_names("x", n))
 
 
 @lru_cache(maxsize=None)

@@ -498,11 +498,6 @@ class MultiPoly:
         out = {tuple(map(exp.__getitem__, source)): c for exp, c in self.num.items()}
         return MultiPoly._wrap(self.arity, out, self.den, tuple(names))
 
-    def swap_slots(self, i: int, j: int) -> "MultiPoly":
-        perm = list(range(self.arity))
-        perm[i], perm[j] = perm[j], perm[i]
-        return self.permute(perm)
-
     def rename(self, names: Sequence[str]) -> "MultiPoly":
         names = tuple(names)
         if len(names) != self.arity:

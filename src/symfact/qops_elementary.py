@@ -5,8 +5,10 @@ in coordinates eps_j = e_j(x).  The Hamiltonians are the Euler operators
 eps_j d/deps_j, and Q_z scales eps_j by 1 + (z-1) j / n, so E_lam has the
 eigenvalue polynomial prod_j (1 + (z-1) j / n)^(lam_j - lam_{j+1}).
 
-H_j, Q, the separating map and the lift are the shared spectral forms of
-``symfact.spectral`` on the E basis.  ``apply_h`` scales by ``h_eigenvalue``
+H_j, Q, the separating map and the lift are the one orbit map of
+``symfact.spectral`` (``orbit_h``, ``orbit_q``, ``orbit_separate``,
+``lift``) on the E basis, and so is the chain link ``_link``, with each
+E_lam's image under A_k on its left.  ``apply_h`` scales by ``h_eigenvalue``
 itself, so verify's eigenrelation check on E tests only the E expansion and
 its m-coordinate table; the explicit first-order form ``h_explicit_values`` is the
 independent check, and the tests also compare ``apply_h`` with the eps route.
@@ -23,9 +25,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import spectral
-from .bases import OrbitForm, elementary_sym, elementary_value, expand_in_basis, expand_orbits
+from .bases import OrbitForm, elementary_sym, elementary_value, expand_in_basis
 from .partitions import Partition
-from .poly import InvariantViolation, MultiPoly, PolyError, UniPoly, _contract, default_names, tensor_sum
+from .poly import MultiPoly, Pair, PolyError, UniPoly, _contract, default_names
 
 
 def _eps_names(n: int) -> tuple[str, ...]:
@@ -44,7 +46,7 @@ def to_eps(f: MultiPoly) -> MultiPoly:
 
 def apply_h(f: MultiPoly, j: int) -> MultiPoly:
     """Euler operator eps_j d/deps_j in the x variables: it scales E_lam by :func:`h_eigenvalue`."""
-    return spectral.diagonal_h(f, "E", h_eigenvalue, j)
+    return spectral.orbit_h(OrbitForm.of(f), "E", h_eigenvalue, j).to_poly()
 
 
 def h_eigenvalue(lam: Partition, j: int) -> Fraction:
@@ -150,17 +152,19 @@ def _chain_image(j: int, k: int, n: int) -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
-def _link_image(lam: Partition, k: int, n: int) -> OrbitForm:
+def _link_image(lam: Partition, k: int, n: int) -> Pair:
     """The k-th link's image of E_lam (lam of length k), prod_j A_k(e_j)^(lam_j - lam_(j+1)).
 
-    In orbit form over the k-1 x's, with z_k as its one tail slot.
+    The (numerators, denominator) pair of its orbit rows over the k-1 x's,
+    with z_k as its one tail slot.
     """
     image = MultiPoly.one(k)
     for j in range(1, k + 1):
         e = lam.diff(j, j + 1)
         if e:
             image = image * _chain_image(j, k, n) ** e
-    return OrbitForm.of(image, k - 1)
+    rows = OrbitForm.of(image, k - 1)
+    return rows.num, rows.den
 
 
 def _link(o: OrbitForm, k: int, n: int) -> OrbitForm:
@@ -169,11 +173,7 @@ def _link(o: OrbitForm, k: int, n: int) -> OrbitForm:
     The input's head is its first k slots; the output's head is the first
     k-1, slot k holds z_k, and the later slots ride along.
     """
-    num, den = tensor_sum(
-        ((image.num, image.den), (tail, o.den))
-        for lam, tail in expand_orbits(o, "E").items()
-        for image in (_link_image(lam, k, n),)
-    )
+    num, den = spectral.orbit_map(o, "E", lambda lam: _link_image(lam, k, n), lambda lam: ({(): 1}, 1))
     return OrbitForm(k - 1, num, den, o.names)
 
 
@@ -211,16 +211,9 @@ def separate_via_chain(f: MultiPoly) -> MultiPoly:
 
 
 def separate(f: MultiPoly) -> MultiPoly:
-    """Spectral separating map, checked against the A-chain."""
-    out = spectral.separate(f, "E", q_poly)
-    chain = separate_via_chain(f)
-    if out != chain:
-        lead = (out - chain).sorted_terms()[0][0]
-        raise InvariantViolation(
-            f"separation routes disagree [E] n={f.arity}: spectral product vs A-chain"
-            f" at exponent {list(lead)}: {out.terms.get(lead, 0)} vs {chain.terms.get(lead, 0)}"
-        )
-    return out
+    """Spectral separating map (:func:`symfact.spectral.orbit_separate`), checked against the A-chain."""
+    out = spectral.orbit_separate(OrbitForm.of(f), "E", q_poly).to_poly()
+    return spectral.agreeing(out, separate_via_chain(f), f"[E] n={f.arity}: spectral product vs A-chain")
 
 
 def lift(f: MultiPoly) -> MultiPoly:

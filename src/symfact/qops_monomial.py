@@ -23,7 +23,6 @@ from . import spectral
 from .bases import elementary_value
 from .partitions import Partition
 from .poly import (
-    InvariantViolation,
     MultiPoly,
     NotSymmetric,
     PolyError,
@@ -149,14 +148,7 @@ def separate(f: MultiPoly) -> MultiPoly:
         raise NotSymmetric("separation needs a symmetric polynomial")
     n = f.arity
     g = spectral.separate_via_chain(f, n, apply_a).rename(default_names("z", n))
-    rho_q = separate_via_q(f)
-    if g != rho_q:
-        lead = (g - rho_q).sorted_terms()[0][0]
-        raise InvariantViolation(
-            f"separation routes disagree [m] n={f.arity}: A-chain vs rho-Q composition"
-            f" at exponent {list(lead)}: {g.terms.get(lead, 0)} vs {rho_q.terms.get(lead, 0)}"
-        )
-    return g
+    return spectral.agreeing(g, separate_via_q(f), f"[m] n={n}: A-chain vs rho-Q composition")
 
 
 def lift(f: MultiPoly) -> MultiPoly:

@@ -5,7 +5,7 @@ where ``phi`` is the unique combination of the powers z^(mu_j) (mu the shifted
 partition) divisible by (z-1)^(n-1) and normalized to value 1 at z = 1.
 The Hamiltonians are Euler-operator polynomials conjugated by the
 Vandermonde: ``apply_h`` scales the Schur coordinates of f by their
-eigenvalues (``spectral.diagonal_h``), so it never builds f a_delta.  The
+eigenvalues (``spectral.orbit_h``), so it never builds f a_delta.  The
 separating map has an exact differential-operator inverse built from
 K_n = prod_{i<j} (D_i - D_j), which ends on an antisymmetric polynomial; the
 Vandermonde is read off its strictly decreasing coefficients in the Schur
@@ -14,8 +14,9 @@ orbit rows of its symmetric input (``orbit_separate_inverse``).  On a
 symmetric input K_n is diagonal on orbits, so ``orbit_k`` reads its
 strictly decreasing coefficients off the orbit rows.
 
-Q, the separating map and the lift are the shared spectral forms of
-``symfact.spectral`` on the s basis.  Independent routes kept as
+H_j, Q, the separating map and the lift are the one orbit map of
+``symfact.spectral`` (``orbit_h``, ``orbit_q``, ``orbit_separate``,
+``lift``) on the s basis.  Independent routes kept as
 cross-checks: ``q_via_restriction`` and ``q_via_restricted_determinant``
 for q, and ``separate_inverse`` against ``separate``.  ``apply_h`` scales
 by ``h_eigenvalue`` itself, so verify's eigenrelation check on s tests only
@@ -175,11 +176,11 @@ def apply_h(f: MultiPoly, j: int) -> MultiPoly:
 
     H_j scales x^a by e_j(a), so on s_lam * a_delta = a_(lam + delta) it is
     the scalar e_j(lam + delta) = :func:`h_eigenvalue`, and H_j is
-    :func:`symfact.spectral.diagonal_h` on the Schur basis.  f * a_delta is
+    :func:`symfact.spectral.orbit_h` on the Schur basis.  f * a_delta is
     never built; a non-symmetric f raises InvariantViolation.
     """
     try:
-        return spectral.diagonal_h(f, "s", h_eigenvalue, j)
+        return spectral.orbit_h(OrbitForm.of(f), "s", h_eigenvalue, j).to_poly()
     except NotSymmetric as exc:
         raise InvariantViolation(
             f"conjugated Hamiltonian H_{j} [s] left the symmetric ring, n={f.arity}: {exc}"
@@ -209,8 +210,8 @@ def orbit_k(o: OrbitForm) -> MultiPoly:
 
 
 def separate(f: MultiPoly) -> MultiPoly:
-    """Factorizing map: each Schur component contributes prod_j q(z_j)."""
-    return spectral.separate(f, "s", q_poly)
+    """Factorizing map: each Schur component contributes prod_j q(z_j) (:func:`symfact.spectral.orbit_separate`)."""
+    return spectral.orbit_separate(OrbitForm.of(f), "s", q_poly).to_poly()
 
 
 def separate_inverse(g: MultiPoly) -> MultiPoly:

@@ -3,27 +3,34 @@
 Each basis (m, E, s) has a Q-operator that is diagonal with a univariate
 eigenvalue polynomial q_lam(z), a separating map sending the normalized
 basis element to prod_j q_lam(z_j), and a lift that appends a zero part.
-The E and s Hamiltonians H_j are diagonal too (:func:`orbit_h`).
-Q, H_j, the separating map and the lift take the basis tag (and, where needed,
-the basis's ``q_poly``) and work through :func:`symfact.bases.expand_orbits`.
-The two separation routes are driven here too: the rho-Q composition
-(:func:`separate_via_q`) and the A-chain (:func:`separate_via_chain`), each
-given one basis's steps.
+The E and s Hamiltonians H_j are diagonal too.  In orbit coordinates every
+one of these operators is the same sum, :func:`orbit_map`: expand the head
+of an :class:`~symfact.bases.OrbitForm` over the basis
+(:func:`symfact.bases.expand_orbits`), then replace b_lam(head) * tail_lam
+by left(lam) * tail_lam * right(lam), two sides that depend on lam only:
 
-Symmetric polynomials are carried as :class:`~symfact.bases.OrbitForm`
-rows: one row per head partition, not per monomial, so a chain of steps
-checks symmetry once and never builds a full intermediate.  The diagonal
-Q and H_j are the steps :func:`orbit_q` and :func:`orbit_h` on such rows;
-the E and s ``apply_q`` and ``apply_h`` are these steps on the orbit form
-of a whole polynomial.  Every separated polynomial is symmetric in its z's,
-so prod_j q(z_j) (:func:`orbit_product`) and the separating map
-(:func:`orbit_separate`) are orbit rows too, one per multiset of q's
-support instead of one per monomial; :func:`eigen_product` and
-:func:`separate` spread them into whole polynomials.  The rho-Q route
-S_n = rho_0 Q_{z_1}...Q_{z_n} runs n-1 Q's and then one fused step
-rho_0 Q_{z_1}, which never builds the last Q's output in the x's only to
-set them to 1: on a diagonal basis it is
-sum_lam b_lam(1..1) * tail_lam * q_lam(z_1) (:func:`rho0_orbit_q`).
+    operator            left(lam)                        right(lam)
+    orbit_q             b_lam's m-coordinate rows        q_lam(z)
+    rho0_orbit_q        b_lam(1..1)                      q_lam(z)
+    orbit_h             b_lam's m-coordinate rows        its eigenvalue (no term for 0)
+    orbit_separate      b_lam(1..1)                      the rows of prod_j q_lam(z_j)
+    lift                b_(lam, 0)'s m-coordinate rows   b_lam(1..1) / b_(lam, 0)(1..1)
+    qe._link (E chain)  the rows of A_k(E_lam)           1
+
+Symmetric polynomials are carried as orbit rows: one row per head
+partition, not per monomial, so a chain of steps checks symmetry once and
+never builds a full intermediate; the E and s ``apply_q``, ``apply_h`` and
+``separate`` are these steps on the orbit form of a whole polynomial.
+Every separated polynomial is symmetric in its z's, so prod_j q(z_j)
+(:func:`orbit_product`) and the separating map are orbit rows too, one per
+multiset of q's support instead of one per monomial; :func:`eigen_product`
+spreads them into a whole polynomial.  The two separation routes are
+driven here too: the rho-Q composition (:func:`separate_via_q`) and the
+A-chain (:func:`separate_via_chain`), each given one basis's steps.  The
+rho-Q route S_n = rho_0 Q_{z_1}...Q_{z_n} runs n-1 Q's and then the one
+fused step rho_0 Q_{z_1} (:func:`rho0_orbit_q` on a diagonal basis), which
+never builds the last Q's output in the x's only to set them to 1.
+:func:`agreeing` is the one check that two routes gave the same result.
 """
 
 from __future__ import annotations
@@ -33,9 +40,9 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .bases import OrbitForm, basis_poly, combine, expand_in_basis, expand_orbits, m_coordinates
+from .bases import OrbitForm, basis_poly, expand_orbits, m_coordinates
 from .partitions import Partition
-from .poly import MultiPoly, Pair, PolyError, UniPoly, default_names, tensor_sum
+from .poly import InvariantViolation, MultiPoly, Pair, PolyError, UniPoly, default_names, tensor_sum
 
 QPoly = Callable[[Partition], UniPoly]
 
@@ -61,13 +68,41 @@ def eigen_product(q: UniPoly, n: int) -> MultiPoly:
     return orbit_product(q, n).to_poly()
 
 
-def _tensor_sum(o: OrbitForm, basis: str, q_poly: QPoly, head: Callable[[Partition], Pair]) -> Pair:
-    """The pair of sum_lam head(lam) * tail_lam * q_lam(z), o expanded over the basis in its head."""
-    return tensor_sum(
-        (head(lam), (tail, o.den), (q.num, q.den))
-        for lam, tail in expand_orbits(o, basis).items()
-        for q in (q_poly(lam).poly,)
-    )
+Side = Callable[[Partition], Pair]
+
+
+def _pair(f: MultiPoly | OrbitForm) -> Pair:
+    """The (numerators, denominator) pair of a whole polynomial or of orbit rows."""
+    return f.num, f.den
+
+
+def _scalar(v: Fraction) -> Pair:
+    """A scalar as a pair in no slots; zero is the empty pair."""
+    return ({(): v.numerator} if v else {}), v.denominator
+
+
+def orbit_map(o: OrbitForm, basis: str, left: Side, right: Side) -> Pair:
+    """The reduced pair of sum_lam left(lam) * tail_lam * right(lam), o expanded over the basis in its head.
+
+    Every diagonal operator is this one sum with its own two sides; each
+    side is a pair whose slots are concatenated in that order.
+    """
+    return tensor_sum((left(lam), (tail, o.den), right(lam)) for lam, tail in expand_orbits(o, basis).items())
+
+
+def _rows(basis: str) -> Side:
+    """lam -> b_lam's m-coordinate rows: the left side that keeps the head in orbit rows."""
+    return lambda lam: (m_coordinates(basis, lam), 1)
+
+
+def _at_one(basis: str) -> Side:
+    """lam -> b_lam(1..1): the left side that sets the head slots to 1."""
+    return lambda lam: _scalar(basis_poly(basis, lam).value_at_one)
+
+
+def _eigenvalue_poly(q_poly: QPoly) -> Side:
+    """lam -> q_lam(z): the right side that appends one z slot."""
+    return lambda lam: _pair(q_poly(lam).poly)
 
 
 def orbit_q(o: OrbitForm, basis: str, q_poly: QPoly, z_name: str = "z") -> OrbitForm:
@@ -77,7 +112,7 @@ def orbit_q(o: OrbitForm, basis: str, q_poly: QPoly, z_name: str = "z") -> Orbit
     and b_lam goes back to m-coordinates through its cached table; the new
     z slot is appended last.
     """
-    num, den = _tensor_sum(o, basis, q_poly, lambda lam: (m_coordinates(basis, lam), 1))
+    num, den = orbit_map(o, basis, _rows(basis), _eigenvalue_poly(q_poly))
     return OrbitForm(o.k, num, den, o.names + (z_name,))
 
 
@@ -87,12 +122,7 @@ def rho0_orbit_q(o: OrbitForm, basis: str, q_poly: QPoly, z_name: str = "z") -> 
     The result is sum_lam b_lam(1..1) * tail_lam * q_lam(z) in the tail
     slots and the new z slot.
     """
-
-    def at_one(lam: Partition) -> Pair:
-        value = basis_poly(basis, lam).value_at_one
-        return {(): value.numerator}, value.denominator
-
-    num, den = _tensor_sum(o, basis, q_poly, at_one)
+    num, den = orbit_map(o, basis, _at_one(basis), _eigenvalue_poly(q_poly))
     return MultiPoly._wrap(len(o.names) - o.k + 1, num, den, o.names[o.k :] + (z_name,))
 
 
@@ -108,46 +138,49 @@ def orbit_h(o: OrbitForm, basis: str, eigenvalue: Eigenvalue, j: int) -> OrbitFo
     """
     if not 1 <= j <= o.k:
         raise PolyError(f"need 1 <= j <= n, got j={j}")
-    num, den = tensor_sum(
-        ((m_coordinates(basis, lam), 1), (tail, o.den), ({(): h.numerator}, h.denominator))
-        for lam, tail in expand_orbits(o, basis).items()
-        if (h := eigenvalue(lam, j))
-    )
+    num, den = orbit_map(o, basis, _rows(basis), lambda lam: _scalar(eigenvalue(lam, j)))
     return OrbitForm(o.k, num, den, o.names)
-
-
-def diagonal_h(f: MultiPoly, basis: str, eigenvalue: Eigenvalue, j: int) -> MultiPoly:
-    """H_j of a whole symmetric polynomial: :func:`orbit_h` on its orbit form."""
-    return orbit_h(OrbitForm.of(f), basis, eigenvalue, j).to_poly()
 
 
 def orbit_separate(o: OrbitForm, basis: str, q_poly: QPoly) -> OrbitForm:
     """Separating map on an orbit form symmetric in all its slots, output in orbit rows over z_1..z_n.
 
     Each component c b_lam goes to c b_lam(1..1) prod_j q_lam(z_j), the
-    rows of :func:`orbit_product`.
+    rows of :func:`orbit_product`; the tails are empty.
     """
     n = o.k
-    num, den = tensor_sum(
-        ((tail, o.den), ({(): v.numerator}, v.denominator), (product.num, product.den))
-        for lam, tail in expand_orbits(o, basis).items()
-        for v, product in ((basis_poly(basis, lam).value_at_one, orbit_product(q_poly(lam), n)),)
-    )
+    num, den = orbit_map(o, basis, _at_one(basis), lambda lam: _pair(orbit_product(q_poly(lam), n)))
     return OrbitForm(n, num, den, default_names("z", n))
 
 
-def separate(f: MultiPoly, basis: str, q_poly: QPoly) -> MultiPoly:
-    """Separating map: :func:`orbit_separate` on f's orbit form, spread over every monomial."""
-    return orbit_separate(OrbitForm.of(f), basis, q_poly).to_poly()
-
-
 def lift(f: MultiPoly, basis: str) -> MultiPoly:
-    """Variable-adding operator: normalized b_lam goes to normalized b_(lam, 0)."""
-    coeffs = {}
-    for lam, c in expand_in_basis(f, basis).items():
-        long = lam.with_trailing_zero()
-        coeffs[long] = c * basis_poly(basis, lam).value_at_one / basis_poly(basis, long).value_at_one
-    return combine(basis, f.arity + 1, coeffs)
+    """Variable-adding operator: normalized b_lam goes to normalized b_(lam, 0).
+
+    On f's orbit rows: b_lam goes to v(lam) / v(lam, 0) times the rows of
+    b_(lam, 0), v the value at (1..1).
+    """
+    n = f.arity + 1
+
+    def ratio(lam: Partition) -> Pair:
+        return _scalar(basis_poly(basis, lam).value_at_one / basis_poly(basis, lam.with_trailing_zero()).value_at_one)
+
+    num, den = orbit_map(OrbitForm.of(f), basis, lambda lam: (m_coordinates(basis, lam.with_trailing_zero()), 1), ratio)
+    return OrbitForm(n, num, den, default_names("x", n)).to_poly()
+
+
+def agreeing(a: MultiPoly, b: MultiPoly, label: str) -> MultiPoly:
+    """a, once checked equal to b, the same map by another route.
+
+    Otherwise raises, naming ``label`` (basis, n and the two routes), the
+    grevlex-leading exponent of a - b and both coefficients there.
+    """
+    if a != b:
+        lead = (a - b).sorted_terms()[0][0]
+        raise InvariantViolation(
+            f"separation routes disagree {label}"
+            f" at exponent {list(lead)}: {a.terms.get(lead, 0)} vs {b.terms.get(lead, 0)}"
+        )
+    return a
 
 
 def separate_via_q(h, n: int, apply_q: Callable, apply_rho0_q: Callable[..., MultiPoly]) -> MultiPoly:

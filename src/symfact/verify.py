@@ -18,9 +18,9 @@ separation routes are the independent routes and stay whole.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
+from functools import partial
 
 from . import qops_elementary as qe
 from . import qops_monomial as qm
@@ -39,6 +39,7 @@ from .bases import (
     restricted_schur,
     schur_poly,
     schur_value_at_one,
+    vandermonde_value,
 )
 from .partitions import Partition, enumerate_partitions
 from .poly import InvariantViolation, MultiPoly, NotDivisible, Pair, PolyError, accumulate, tensor_sum
@@ -114,13 +115,16 @@ class Reporter:
 # -- eigen: eigenrelations, commutators, bases -----------------------------------
 
 
-def _steps(basis: str):
-    """The (Q, H_j) suite_eigen checks on one basis: m's own routes on whole polynomials, E and s on orbit forms."""
+def _steps(basis: str, n: int):
+    """The (Q, H_j) suite_eigen checks on one basis: m's own routes on whole polynomials, E and s on orbit forms.
+
+    Q takes ``z_name`` on every basis; m's averages over the n x slots only.
+    """
     ops = BASES[basis]
     if basis == "m":
-        return ops.apply_q, ops.apply_h
+        return partial(ops.apply_q, n_x=n), ops.apply_h
     return (
-        lambda o: spectral.orbit_q(o, basis, ops.q_poly),
+        lambda o, z_name="z": spectral.orbit_q(o, basis, ops.q_poly, z_name),
         lambda o, j: spectral.orbit_h(o, basis, ops.h_eigenvalue, j),
     )
 
@@ -128,7 +132,7 @@ def _steps(basis: str):
 def suite_eigen(max_weight: int, n: int, rng: random.Random) -> Reporter:
     rep = Reporter()
     sweep = enumerate_partitions(max_weight, n)
-    steps = {basis: _steps(basis) for basis in BASES}
+    steps = {basis: _steps(basis, n) for basis in BASES}
     # each normalized basis element as its steps take it, and its H_1..H_n,
     # read again by the commutator checks
     forms: dict[tuple[str, Partition], MultiPoly | OrbitForm] = {}
@@ -168,19 +172,13 @@ def suite_eigen(max_weight: int, n: int, rng: random.Random) -> Reporter:
 
     # commutators on spanning sets
     monomials = [exp for lam in sweep for exp in basis_poly("m", lam).raw.num]
-    ok_qq = all(
-        _compose_q_both_orders(MultiPoly(n, {exp: 1}), qm.apply_q, n) for exp in monomials
-    )
+    singles = [MultiPoly(n, {exp: 1}) for exp in monomials]
+    ok_qq = all(_q_commute(f, steps["m"][0]) for f in singles)
     rep.record(f"[Q_z1, Q_z2] = 0 on monomials, n={n}", ok_qq)
-    ok_hh = True
-    for exp in monomials:
-        f = MultiPoly(n, {exp: 1})
-        if not _h_commute([qm.apply_h(f, j) for j in range(1, n + 1)], qm.apply_h):
-            ok_hh = False
+    ok_hh = all(_h_commute([qm.apply_h(f, j) for j in range(1, n + 1)], qm.apply_h) for f in singles)
     rep.record(f"[H_j, H_k] = 0 on monomials [m], n={n}", ok_hh)
     for basis in ("E", "s"):
-        q_poly = BASES[basis].q_poly
-        ok_qq = all(_orbit_q_commute(forms[basis, lam], basis, q_poly) for lam in sweep)
+        ok_qq = all(_q_commute(forms[basis, lam], steps[basis][0]) for lam in sweep)
         rep.record(f"[Q_z1, Q_z2] = 0 on basis [{basis}], n={n}", ok_qq)
         ok_hh = all(_h_commute(images[basis, lam], steps[basis][1]) for lam in sweep)
         rep.record(f"[H_j, H_k] = 0 on basis [{basis}], n={n}", ok_hh)
@@ -223,20 +221,14 @@ def _h_commute(hs: list, apply_h) -> bool:
     )
 
 
-def _compose_q_both_orders(f: MultiPoly, applyq, n: int) -> bool:
-    a = applyq(applyq(f, n_x=n, z_name="z2"), n_x=n, z_name="z1")
-    b = applyq(applyq(f, n_x=n, z_name="z1"), n_x=n, z_name="z2")
-    return a == b.swap_slots(n, n + 1)
+def _q_commute(f: MultiPoly | OrbitForm, apply_q) -> bool:
+    """Q_z1 Q_z2 f == Q_z2 Q_z1 f, for f a whole polynomial or orbit rows, as apply_q takes it.
 
-
-def _orbit_q_commute(o: OrbitForm, basis: str, q_poly: spectral.QPoly) -> bool:
-    """Q_z1 Q_z2 f == Q_z2 Q_z1 f for a diagonal Q, composed in orbit coordinates.
-
-    The two z's are the last two tail slots, so swapping them maps rows to
-    rows.
+    Both forms keep the two z's in their last two slots, so swapping those
+    maps the one's numerators onto the other's.
     """
-    a = spectral.orbit_q(spectral.orbit_q(o, basis, q_poly, "z2"), basis, q_poly, "z1")
-    b = spectral.orbit_q(spectral.orbit_q(o, basis, q_poly, "z1"), basis, q_poly, "z2")
+    a = apply_q(apply_q(f, z_name="z2"), z_name="z1")
+    b = apply_q(apply_q(f, z_name="z1"), z_name="z2")
     return a.den == b.den and a.num == {e[:-2] + (e[-1], e[-2]): c for e, c in b.num.items()}
 
 
@@ -293,7 +285,7 @@ def suite_chain(max_weight: int, n: int, rng: random.Random) -> Reporter:
     if n >= 2 and any(lam.weight() > 0 for lam in sweep):
         witness = any(
             qe.to_eps(basis_poly("E", lam).normalized)
-            != spectral.separate(basis_poly("E", lam).normalized, "E", qe.q_poly)
+            != spectral.orbit_separate(OrbitForm.of(basis_poly("E", lam).normalized), "E", qe.q_poly).to_poly()
             for lam in sweep
             if lam.weight() > 0
         )
@@ -324,7 +316,7 @@ def suite_inverse(max_weight: int, n: int, rng: random.Random) -> Reporter:
         if lam.weight() <= min(max_weight, 4):
             prod_phi = spectral.orbit_product(qs.phi(lam), n)
             mu = lam.shifted()
-            delta_mu = math.prod(mu[i] - mu[j] for i in range(n) for j in range(i + 1, n))
+            delta_mu = vandermonde_value(mu)
             sign = -1 if (n * (n - 1) // 2) % 2 else 1
             rhs = alternant(mu, n) * Fraction(sign, delta_mu)
             strict = {e: c for e, c in rhs.num.items() if is_strict(e)}

@@ -409,6 +409,6 @@ class TestOverVandermonde:
         # antisymmetric under the first swap only: the others must be checked too
         n = f.arity
         m = MultiPoly(n, {(3, 1) + (0,) * (n - 2): 1})
-        g = f * vandermonde(n) + m - m.swap_slots(0, 1)
+        g = f * vandermonde(n) + m - m.permute([1, 0, *range(2, n)])
         with pytest.raises(NotDivisible):
             over_vandermonde(g)

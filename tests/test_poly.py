@@ -177,7 +177,7 @@ class TestSubstitutionAndSlots:
         x1, x2 = xvars(2)
         assert (x1 + x2).is_symmetric()
         assert not x1.is_symmetric()
-        assert x1.swap_slots(0, 1) == x2
+        assert x1.permute([1, 0]) == x2
 
     def test_antisymmetry(self):
         y1, y2 = xvars(2)

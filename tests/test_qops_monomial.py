@@ -124,7 +124,7 @@ class TestQOperator:
         f = mbar(2, 1, 0) + mbar(1, 1, 1) * F(1, 3)
         ab = qm.apply_q(qm.apply_q(f, n_x=3, z_name="z2"), n_x=3, z_name="z1")
         ba = qm.apply_q(qm.apply_q(f, n_x=3, z_name="z1"), n_x=3, z_name="z2")
-        assert ab == ba.swap_slots(3, 4)
+        assert ab == ba.permute([0, 1, 2, 4, 3])
 
 
 class TestProjectorChain:

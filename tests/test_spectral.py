@@ -35,7 +35,7 @@ from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
 from symfact import spectral
-from symfact.bases import BASIS_TAGS, OrbitForm, basis_poly
+from symfact.bases import BASIS_TAGS, OrbitForm, basis_poly, combine, expand_in_basis
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, PolyError, UniPoly, default_names, tensor_sum
 from symfact.verify import BASES
@@ -127,9 +127,10 @@ class TestProductsOfUnivariates:
     def test_separate(self, f, basis):
         q_poly = BASES[basis].q_poly
         want = accumulated_separate(f, basis, q_poly)
-        assert_same(spectral.separate(f, basis, q_poly), want)
+        got = spectral.orbit_separate(OrbitForm.of(f), basis, q_poly)
+        assert_same(got.to_poly(), want)
         # the orbit rows are the whole sum's at weakly decreasing exponents
-        assert spectral.orbit_separate(OrbitForm.of(f), basis, q_poly) == OrbitForm.of(want)
+        assert got == OrbitForm.of(want)
 
     @pytest.mark.parametrize("basis", BASIS_TAGS)
     @pytest.mark.parametrize("n", range(1, 6))
@@ -144,7 +145,7 @@ class TestProductsOfUnivariates:
 
 
 class TestOrbitH:
-    """The E and s Hamiltonians in orbit rows against the full-monomial sum; diagonal_h is orbit_h spread out."""
+    """The E and s Hamiltonians in orbit rows against the full-monomial sum; apply_h is orbit_h spread out."""
 
     @given(head_symmetric(), st.sampled_from(("E", "s")))
     def test_matches_full_monomial_form(self, case, basis):
@@ -161,7 +162,6 @@ class TestOrbitH:
         ops = BASES[basis]
         for j in range(1, f.arity + 1):
             want = full_diagonal_h(f, basis, ops.h_eigenvalue, f.arity, j)
-            assert_same(spectral.diagonal_h(f, basis, ops.h_eigenvalue, j), want)
             assert_same(ops.apply_h(f, j), want)
             assert spectral.orbit_h(OrbitForm.of(f), basis, ops.h_eigenvalue, j) == OrbitForm.of(want)
 
@@ -170,6 +170,21 @@ class TestOrbitH:
         for j in (0, 3):
             with pytest.raises(PolyError, match="need 1 <= j <= n, got j="):
                 spectral.orbit_h(o, "E", qe.h_eigenvalue, j)
+
+
+def combined_lift(f: MultiPoly, basis: str) -> MultiPoly:
+    """The lift as the coordinates c_lam v(lam) / v(lam, 0) at (lam, 0), recombined over the basis."""
+    coeffs = {}
+    for lam, c in expand_in_basis(f, basis).items():
+        long = lam.with_trailing_zero()
+        coeffs[long] = c * basis_poly(basis, lam).value_at_one / basis_poly(basis, long).value_at_one
+    return combine(basis, f.arity + 1, coeffs)
+
+
+@settings(max_examples=40)
+@given(symmetric_polys(max_n=3), st.sampled_from(("E", "s")))
+def test_lift_matches_recombined_coordinates(f, basis):
+    assert_same(spectral.lift(f, basis), combined_lift(f, basis))
 
 
 class TestOrbitForm:

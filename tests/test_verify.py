@@ -6,7 +6,8 @@ from symfact import bases, poly, spectral, verify
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
-from symfact.poly import MultiPoly
+from symfact.bases import OrbitForm
+from symfact.poly import MultiPoly, accumulate
 
 
 def test_unknown_suite_rejected():
@@ -68,6 +69,31 @@ def test_commutator_check_sees_operators_that_do_not_commute():
     assert verify._h_commute([qm.apply_h(f, j) for j in (1, 2)], qm.apply_h)
 
 
+def q_step(rule):
+    """A Q on whole polynomials and orbit rows alike: row e goes to the (exponent, weight) pairs rule(e, z_name)."""
+
+    def apply_q(f, z_name="z"):
+        num = accumulate({}, ((e2, c * w) for e, c in f.num.items() for e2, w in rule(e, z_name)))
+        names = f.names + (z_name,)
+        if isinstance(f, OrbitForm):
+            return f._replace(num=num, names=names)
+        return MultiPoly._make(len(names), num, f.den, names)
+
+    return apply_q
+
+
+def test_q_commutator_check_sees_operators_that_do_not_commute():
+    # times 1 + y z, y the previous last slot: Q_z1 Q_z2 f = f (1 + y z2)(1 + z2 z1) is not Q_z2 Q_z1 f
+    skewed = q_step(lambda e, z: [(e + (0,), 1), (e[:-1] + (e[-1] + 1, 1), 1)])
+    # times 1 + z1 or 1 + z2^2: commutes, but is not symmetric in the two z's, so only the swap makes it agree
+    asymmetric = q_step(lambda e, z: [(e + (0,), 1), (e + (1 if z == "z1" else 2,), 1)])
+    f = MultiPoly(2, {(2, 1): 1, (1, 2): 1, (3, 0): 2, (0, 3): 2})
+    for g, q in ((f, verify._steps("m", 2)[0]), (OrbitForm.of(f), verify._steps("E", 2)[0])):
+        assert not verify._q_commute(g, skewed)
+        assert verify._q_commute(g, asymmetric)
+        assert verify._q_commute(g, q)
+
+
 def clear_caches():
     """Cold caches, so that no result computed before a patch hides a slow route."""
     for module in (bases, qe, qm, qs, spectral):
@@ -107,7 +133,8 @@ def test_eigen_and_inverse_suites_keep_the_symmetric_side_in_orbit_rows(monkeypa
 
     clear_caches()
     with monkeypatch.context() as patch:
-        patch.setattr(spectral, "diagonal_h", refuse)
+        patch.setattr(qe, "apply_h", refuse)
+        patch.setattr(qs, "apply_h", refuse)
         patch.setattr(spectral, "eigen_product", refuse)
         patch.setattr(qs, "apply_k", refuse)
         guarded = verify.run_suite(suite, max_weight=3, n=n)
