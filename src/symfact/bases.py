@@ -61,16 +61,6 @@ def vandermonde_value(values: Iterable[Scalar]) -> Scalar:
 
 
 @lru_cache(maxsize=None)
-def vandermonde(n: int) -> MultiPoly:
-    """prod_{i<j} (x_i - x_j)."""
-    acc = MultiPoly.one(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = acc * (MultiPoly.variable(i, n) - MultiPoly.variable(j, n))
-    return acc
-
-
-@lru_cache(maxsize=None)
 def _signed_permutations(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Every permutation w of range(m) with its sign (-1)^inversions."""
     return tuple(
@@ -102,6 +92,12 @@ def alternant(mu: tuple[int, ...], n: int) -> MultiPoly:
     if any(type(e) is not int or e < 0 for e in mu):
         raise PolyError(f"exponent {tuple(mu)} must hold non-negative ints")
     return MultiPoly._make(n, accumulate({}, _alternant_terms(mu)), 1, default_names("x", n))
+
+
+@lru_cache(maxsize=None)
+def vandermonde(n: int) -> MultiPoly:
+    """prod_{i<j} (x_i - x_j), the staircase alternant a_delta, delta = (n-1, ..., 0)."""
+    return alternant(tuple(range(n - 1, -1, -1)), n)
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +138,7 @@ def elementary_product(lam: Partition) -> NormalizedBasisPoly:
     n = lam.n
     raw = MultiPoly.one(n)
     value = Fraction(1)
-    for j in range(1, n + 1):
-        mult = lam.diff(j, j + 1)
+    for j, mult in enumerate(lam.steps(), start=1):
         if mult:
             raw = raw * elementary_sym(j, n) ** mult
             value *= Fraction(math.comb(n, j)) ** mult

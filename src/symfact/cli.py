@@ -4,12 +4,22 @@ Output is canonical JSON by default (sorted keys, compact separators, terms
 in grevlex order, rationals as "num/den" strings), so identical invocations
 are byte-identical.  Exit codes: 0 success, 1 verification failure, 2 usage
 error.
+
+An operator command first estimates, from its input alone, how many terms
+the polynomials it builds may have, and refuses with exit code 2 an input
+whose estimate exceeds :data:`MAX_TERMS`.  The estimate uses n and the
+partition's weight and first part, or the input polynomial's degree: there
+are C(d+n-1, n-1) monomials of degree d in n variables, at most
+(lam_1 + 1)^n of them in a basis element b_lam, and a separated product
+prod_j q(z_j) has (deg q + 1)^n terms; each basis's q_lam has degree
+lam_1.  The library itself is unbounded; ``verify`` is not estimated.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from .bases import BASIS_TAGS, basis_poly
@@ -19,6 +29,9 @@ from .spectral import eigen_product
 
 # verify.SUITES, repeated so that parsing a command never imports verify
 _SUITES = ("eigen", "chain", "inverse", "ode", "lifting", "quadrature", "all")
+
+# the most terms an operator command may build, by the estimate of the module docstring
+MAX_TERMS = 10**6
 
 
 def _ops(basis: str):
@@ -80,6 +93,22 @@ def _read_poly(path: str, n: int | None) -> MultiPoly:
     return p
 
 
+def _within_budget(terms: int):
+    """Refuse an input whose output may have more than MAX_TERMS terms, before anything is built."""
+    if terms > MAX_TERMS:
+        raise PolyError(f"input too large: the output may have more than {MAX_TERMS} terms")
+
+
+def _separated_terms(lam: Partition) -> int:
+    """(lam_1 + 1)^n: the terms of prod_j q_lam(z_j)."""
+    return (lam.parts[0] + 1) ** lam.n
+
+
+def _basis_terms(lam: Partition) -> int:
+    """A bound on the terms of b_lam: the monomials of degree |lam| in n variables, none above lam_1."""
+    return min(math.comb(lam.weight() + lam.n - 1, lam.n - 1), _separated_terms(lam))
+
+
 def _emit_poly(p: MultiPoly, fmt: str):
     if fmt == "table":
         print(p.pretty())
@@ -89,6 +118,7 @@ def _emit_poly(p: MultiPoly, fmt: str):
 
 def cmd_basis(args) -> int:
     lam = _parse_partition(args.lam, args.n)
+    _within_budget(_basis_terms(lam))
     nb = basis_poly(args.kind, lam)
     _emit_poly(nb.normalized if args.normalized else nb.raw, args.format)
     return 0
@@ -99,10 +129,15 @@ def cmd_apply_q(args) -> int:
     out = {}
     if args.lam is not None:
         lam = _parse_partition(args.lam, args.n)
+        # b_lam(x) q_lam(z): the monomials of b_lam times 1, z, .., z^lam_1
+        _within_budget(_basis_terms(lam) * (lam.parts[0] + 1))
         f = basis_poly(args.basis, lam).normalized
         out["eigenvalue"] = ops.q_poly(lam).to_json()
     else:
         f = _read_poly(args.input, args.n)
+        # each degree d of f: the C(d+n-1, n-1) monomials of degree d in the x's times 1, z, .., z^d
+        n = f.arity
+        _within_budget(sum(math.comb(d + n - 1, n - 1) * (d + 1) for d in set(map(sum, f.num))))
     result = ops.apply_q(f)
     if args.format == "table":
         if "eigenvalue" in out:
@@ -116,6 +151,7 @@ def cmd_apply_q(args) -> int:
 
 def cmd_separate(args) -> int:
     lam = _parse_partition(args.lam, args.n)
+    _within_budget(_separated_terms(lam))
     q = _ops(args.basis).q_poly(lam)
     product = eigen_product(q, lam.n)
     out = {"q": q.to_json(), "product": product.to_json()}
@@ -131,10 +167,13 @@ def cmd_invert(args) -> int:
     qs = _ops("s")
     if args.lam is not None:
         lam = _parse_partition(args.lam, args.n)
+        _within_budget(_separated_terms(lam))
         g = eigen_product(qs.q_poly(lam), lam.n)
         result = qs.separate_inverse(g)
     else:
         g = _read_poly(args.input, args.n)
+        # a separated product of degree e in each slot, read back into s_lam with lam_1 <= e
+        _within_budget((max(map(max, g.num), default=0) + 1) ** g.arity)
         try:
             result = qs.separate_inverse(g)
         except InvariantViolation as exc:
@@ -149,6 +188,7 @@ def cmd_invert(args) -> int:
 
 def cmd_lift(args) -> int:
     lam = _parse_partition(args.lam)
+    _within_budget(_basis_terms(lam.with_trailing_zero()))
     f = basis_poly(args.basis, lam).normalized
     _emit_poly(_ops(args.basis).lift(f), args.format)
     return 0

@@ -62,15 +62,9 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    def part(self, i: int) -> int:
-        """1-based part, with the convention that part(n+1) is 0."""
-        if not 1 <= i <= self.n + 1:
-            raise PolyError(f"part index {i} out of range")
-        return self.parts[i - 1] if i <= self.n else 0
-
-    def diff(self, i: int, j: int) -> int:
-        """The difference part(i) - part(j), 1-based indices."""
-        return self.part(i) - self.part(j)
+    def steps(self) -> tuple[int, ...]:
+        """(lam_1 - lam_2, ..., lam_(n-1) - lam_n, lam_n): the exponent of each e_j in E_lam."""
+        return tuple(a - b for a, b in zip(self.parts, self.parts[1:] + (0,)))
 
     def shifted(self) -> tuple[int, ...]:
         """mu = lambda + staircase (n-1, n-2, ..., 0), strictly decreasing."""

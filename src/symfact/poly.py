@@ -14,10 +14,13 @@ Fractions, never floats or bools.  Results the kernel builds itself go
 through the trusted constructors: :meth:`MultiPoly._make` reduces a fresh
 (numerators, denominator) pair and :meth:`MultiPoly._wrap` takes one already
 reduced, as slot surgery and negation leave it.  The hot loops -- products,
-partial evaluation, evaluation at a point (on one integer power table per
-slot) and :func:`tensor_sum`, which the spectral operators use -- multiply
-and add Python ints only.  :func:`accumulate` is the one sparse
-add-and-drop-zeros loop.
+partial evaluation (on one integer power table per slot set to a value
+other than 1) and :func:`tensor_sum`, which the spectral operators use --
+multiply and add Python ints only.  Evaluation at a point is partial
+evaluation of every slot.  :func:`accumulate` is the one sparse
+add-and-drop-zeros loop.  :func:`_contract` sums numerators against one
+power table per slot; the two checks that evaluate one polynomial at many
+points (box integrals, the explicit first-order H) build their own tables.
 
 :class:`UniPoly` is a dense view of a one-slot MultiPoly: its arithmetic,
 evaluation and checks are the kernel's, and it adds only the coefficient
@@ -33,7 +36,7 @@ import math
 import re
 from fractions import Fraction
 from operator import add, getitem, neg
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 Scalar = int | Fraction
@@ -381,28 +384,19 @@ class MultiPoly:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
-        """The value at one point, on integer power tables.
-
-        Each slot's value p/q with top exponent E gives the table p^e q^(E-e)
-        for e = 0..E, so the sum runs in ints over den * prod q^E.
-        """
+        """The value at one point: :meth:`partial_eval` of every slot."""
         if len(point) != self.arity:
             raise PolyError("point length != arity")
-        vals = [_scalar(v) for v in point]
-        tables = []
-        den = self.den
-        for v, top in zip(vals, map(max, zip(*self.num))):
-            p, q = v.numerator, v.denominator
-            tables.append([p**e * q ** (top - e) for e in range(top + 1)])
-            den *= q**top
-        return Fraction(_contract(self.num, tables), den)
+        value = self.partial_eval(dict(enumerate(point)))
+        return Fraction(value.num.get((), 0), value.den)
 
     def partial_eval(self, assignments: Mapping[int, Scalar]) -> "MultiPoly":
         """Evaluate some slots at fixed values and drop them from the arity.
 
         A slot set to 1 is only dropped.  Every other value p/q is cleared of
-        its denominator: with E the slot's top exponent, x^e becomes
-        p^e q^(E-e) over a common denominator carrying q^E.
+        its denominator on an integer power table: with E the slot's top
+        exponent, x^e becomes p^e q^(E-e) over a common denominator carrying
+        q^E.
         """
         for slot in assignments:
             if not 0 <= slot < self.arity:
@@ -413,16 +407,17 @@ class MultiPoly:
         if not self.num:
             return MultiPoly._wrap(len(keep), {}, 1, names)
         num, den = self.num, self.den
-        scaled = []
+        tables = []
         for s, v in vals.items():
             if v != 1:
                 top = max(exp[s] for exp in num)
-                scaled.append((s, v.numerator, v.denominator, top))
-                den *= v.denominator**top
+                p, q = v.numerator, v.denominator
+                tables.append((s, [p**e * q ** (top - e) for e in range(top + 1)]))
+                den *= q**top
         pairs = []
         for exp, c in num.items():
-            for s, p, q, top in scaled:
-                c *= p ** exp[s] * q ** (top - exp[s])
+            for s, table in tables:
+                c *= table[exp[s]]
             pairs.append((tuple(map(exp.__getitem__, keep)), c))
         return MultiPoly._make(len(keep), accumulate({}, pairs), den, names)
 
@@ -448,13 +443,6 @@ class MultiPoly:
             raise PolyError(f"slot {slot} out of range")
         out = {e: c * e[slot] for e, c in self.num.items() if e[slot]}
         return MultiPoly._make(self.arity, out, self.den, self.names)
-
-    def scale_terms(self, weight: Callable[[Exponent], Scalar]) -> "MultiPoly":
-        """Multiply each term's coefficient by a function of its exponent."""
-        weights = [(e, c, _scalar(weight(e))) for e, c in self.num.items()]
-        lcm = math.lcm(*(w.denominator for _, _, w in weights))
-        out = {e: c * w.numerator * (lcm // w.denominator) for e, c, w in weights if w}
-        return MultiPoly._make(self.arity, out, self.den * lcm, self.names)
 
     # -- slot surgery --------------------------------------------------------
 

@@ -30,18 +30,11 @@ from .partitions import Partition
 from .poly import MultiPoly, Pair, PolyError, UniPoly, _contract, default_names
 
 
-def _eps_names(n: int) -> tuple[str, ...]:
-    return default_names("eps", n)
-
-
 def to_eps(f: MultiPoly) -> MultiPoly:
     """Rewrite a symmetric polynomial as a polynomial in eps_1..eps_n."""
     n = f.arity
-    terms = {}
-    for lam, c in expand_in_basis(f, "E").items():
-        exp = tuple(lam.diff(j, j + 1) for j in range(1, n + 1))
-        terms[exp] = c
-    return MultiPoly(n, terms, _eps_names(n))
+    terms = {lam.steps(): c for lam, c in expand_in_basis(f, "E").items()}
+    return MultiPoly(n, terms, default_names("eps", n))
 
 
 def apply_h(f: MultiPoly, j: int) -> MultiPoly:
@@ -51,7 +44,9 @@ def apply_h(f: MultiPoly, j: int) -> MultiPoly:
 
 def h_eigenvalue(lam: Partition, j: int) -> Fraction:
     """Eigenvalue of H_j on E_lam: the exponent lam_j - lam_{j+1} of e_j."""
-    return Fraction(lam.diff(j, j + 1))
+    if not 1 <= j <= lam.n:
+        raise PolyError(f"need 1 <= j <= n, got j={j}")
+    return Fraction(lam.steps()[j - 1])
 
 
 def h_explicit_values(f: MultiPoly, j: int, points: list[list[Fraction]]) -> list[Fraction]:
@@ -93,8 +88,7 @@ def q_poly(lam: Partition) -> UniPoly:
     """prod_j (1 + (z-1) j / n)^(lam_j - lam_{j+1}); value 1 at z = 1."""
     n = lam.n
     acc = UniPoly([1])
-    for j in range(1, n + 1):
-        mult = lam.diff(j, j + 1)
+    for j, mult in enumerate(lam.steps(), start=1):
         if mult:
             acc = acc * UniPoly([Fraction(n - j, n), Fraction(j, n)]) ** mult
     return acc
@@ -114,8 +108,7 @@ def q_ode_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
     for w in linear:
         full = full * w
     residual = q.derivative() * full
-    for j in range(1, n + 1):
-        mult = lam.diff(j, j + 1)
+    for j, mult in enumerate(lam.steps(), start=1):
         if not mult:
             continue
         rest = UniPoly([1])
@@ -135,14 +128,14 @@ def apply_q(f: MultiPoly) -> MultiPoly:
 def _chain_image(j: int, k: int, n: int) -> MultiPoly:
     """Image of e_j of the first k variables under the k-th chain link.
 
-    Lives in k slots: the first k-1 are x's, the last is z_k.
+    Lives in k slots: the first k-1 are x's, the last is z_k.  Only the
+    pair is read (:func:`_link_image`), so the slots keep default names.
     """
-    names = default_names("x", k - 1) + (f"z{k}",)
-    z = MultiPoly.variable(k - 1, k, names)
-    one = MultiPoly.one(k, names)
+    z = MultiPoly.variable(k - 1, k)
+    one = MultiPoly.one(k)
 
     def embed(i: int) -> MultiPoly:
-        return elementary_sym(i, k - 1).extend(1, (f"z{k}",))
+        return elementary_sym(i, k - 1).extend(1)
 
     if j == k:
         return z * embed(k - 1)
@@ -159,8 +152,7 @@ def _link_image(lam: Partition, k: int, n: int) -> Pair:
     with z_k as its one tail slot.
     """
     image = MultiPoly.one(k)
-    for j in range(1, k + 1):
-        e = lam.diff(j, j + 1)
+    for j, e in enumerate(lam.steps(), start=1):
         if e:
             image = image * _chain_image(j, k, n) ** e
     rows = OrbitForm.of(image, k - 1)

@@ -60,8 +60,8 @@ def h_eigenvalue(lam: Partition, j: int) -> Fraction:
     return Fraction(elementary_value(lam.parts, j))
 
 
-def _substitution_average(f: MultiPoly, n_x: int | None, z_name: str, drop: bool) -> MultiPoly:
-    """(1/n) sum_j f(..., z x_j, ...) over the first n slots, new z slot last.
+def _substitution_average(f: MultiPoly, n_x: int | None, drop: bool) -> MultiPoly:
+    """(1/n) sum_j f(..., z x_j, ...) over the first n slots, new slot z last.
 
     With ``drop`` the first n slots are then set to 1 (dropped): x^a t goes
     to (1/n) sum_j t z^(a_j).
@@ -71,21 +71,21 @@ def _substitution_average(f: MultiPoly, n_x: int | None, z_name: str, drop: bool
         raise PolyError("n_x out of range")
     start = n if drop else 0  # the first slot the result keeps
     out = accumulate({}, ((exp[start:] + (exp[j],), c) for exp, c in f.num.items() for j in range(n)))
-    return MultiPoly._make(f.arity - start + 1, out, f.den * n, f.names[start:] + (z_name,))
+    return MultiPoly._make(f.arity - start + 1, out, f.den * n, f.names[start:] + ("z",))
 
 
-def apply_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:
-    """Substitution average (1/n) sum_j f(..., z x_j, ...), new z slot last.
+def apply_q(f: MultiPoly, n_x: int | None = None) -> MultiPoly:
+    """Substitution average (1/n) sum_j f(..., z x_j, ...), new slot z last.
 
     Well defined on any polynomial, symmetric or not.  ``n_x`` restricts the
     average to the leading slots when trailing slots hold earlier z's.
     """
-    return _substitution_average(f, n_x, z_name, drop=False)
+    return _substitution_average(f, n_x, drop=False)
 
 
-def apply_rho0_q(f: MultiPoly, n_x: int | None = None, z_name: str = "z") -> MultiPoly:
+def apply_rho0_q(f: MultiPoly, n_x: int | None = None) -> MultiPoly:
     """rho_0 after :func:`apply_q`, as one step: the first ``n_x`` slots set to 1."""
-    return _substitution_average(f, n_x, z_name, drop=True)
+    return _substitution_average(f, n_x, drop=True)
 
 
 def apply_projector(f: MultiPoly, j: int, k: int) -> MultiPoly:

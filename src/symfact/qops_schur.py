@@ -129,24 +129,20 @@ def h_eigenvalue(lam: Partition, j: int) -> Fraction:
     return Fraction(elementary_value(lam.shifted(), j))
 
 
-def _apply_big_z(num: UniPoly, order: int, n: int) -> tuple[UniPoly, int]:
-    """One application of z (d/dz + (n-1)/(z-1)) on num / (z-1)^order."""
-    z = UniPoly([0, 1])
-    zm1 = UniPoly([-1, 1])
-    return z * (num.derivative() * zm1 + num * (n - 1 - order)), order + 1
-
-
 def z_powers(q: UniPoly, n: int) -> list[UniPoly]:
     """Z^0 q .. Z^n q for Z = z (d/dz + (n-1)/(z-1)), as numerators over (z-1)^n.
 
-    Z^m q has a pole of order m, so its numerator over (z-1)^n is the
-    numerator of the pair times (z-1)^(n-m).
+    Z^m q is a numerator over (z-1)^m, and Z sends num / (z-1)^m to
+    z (num' (z-1) + (n-1-m) num) / (z-1)^(m+1); so its numerator over
+    (z-1)^n is that numerator times (z-1)^(n-m).
     """
+    z = UniPoly([0, 1])
     zm1 = UniPoly([-1, 1])
-    powers = [(q, 0)]
-    for _ in range(n):
-        powers.append(_apply_big_z(*powers[-1], n))
-    return [num * zm1 ** (n - order) for num, order in powers]
+    nums = [q]
+    for m in range(n):
+        num = nums[-1]
+        nums.append(z * (num.derivative() * zm1 + num * (n - 1 - m)))
+    return [num * zm1 ** (n - m) for m, num in enumerate(nums)]
 
 
 def residual_of_powers(lam: Partition, powers: list[UniPoly]) -> UniPoly:
@@ -194,7 +190,8 @@ def apply_q(f: MultiPoly) -> MultiPoly:
 
 def apply_k(f: MultiPoly) -> MultiPoly:
     """K_n = prod_{i<j} (D_i - D_j): scales x^a by prod_{i<j} (a_i - a_j)."""
-    return f.scale_terms(vandermonde_value)
+    num = {e: c * w for e, c in f.num.items() if (w := vandermonde_value(e))}
+    return MultiPoly._make(f.arity, num, f.den, f.names)
 
 
 def orbit_k(o: OrbitForm) -> MultiPoly:

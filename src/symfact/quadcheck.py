@@ -26,9 +26,7 @@ from typing import NamedTuple
 from . import qops_schur
 from .bases import alternant, schur_poly, vandermonde, vandermonde_value
 from .partitions import Partition
-from .poly import InvariantViolation, MultiPoly, PolyError, _contract, _scalar
-
-Scalar = int | Fraction
+from .poly import InvariantViolation, MultiPoly, PolyError, Scalar, _contract, _scalar
 
 
 def _as_fractions(values) -> tuple[Fraction, ...]:

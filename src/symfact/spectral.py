@@ -29,7 +29,9 @@ driven here too: the rho-Q composition (:func:`separate_via_q`) and the
 A-chain (:func:`separate_via_chain`), each given one basis's steps.  The
 rho-Q route S_n = rho_0 Q_{z_1}...Q_{z_n} runs n-1 Q's and then the one
 fused step rho_0 Q_{z_1} (:func:`rho0_orbit_q` on a diagonal basis), which
-never builds the last Q's output in the x's only to set them to 1.
+never builds the last Q's output in the x's only to set them to 1.  The
+Q_z differ only in the slot they append: every Q step appends one slot
+named z, and the route names its output's slots z_1..z_n once, at the end.
 :func:`agreeing` is the one check that two routes gave the same result.
 """
 
@@ -105,25 +107,25 @@ def _eigenvalue_poly(q_poly: QPoly) -> Side:
     return lambda lam: _pair(q_poly(lam).poly)
 
 
-def orbit_q(o: OrbitForm, basis: str, q_poly: QPoly, z_name: str = "z") -> OrbitForm:
+def orbit_q(o: OrbitForm, basis: str, q_poly: QPoly) -> OrbitForm:
     """One diagonal Q in orbit coordinates: sum_lam b_lam(x) * tail_lam * q_lam(z).
 
     The head is expanded over the basis, each tail is multiplied by q_lam(z)
     and b_lam goes back to m-coordinates through its cached table; the new
-    z slot is appended last.
+    slot, named z, is appended last.
     """
     num, den = orbit_map(o, basis, _rows(basis), _eigenvalue_poly(q_poly))
-    return OrbitForm(o.k, num, den, o.names + (z_name,))
+    return OrbitForm(o.k, num, den, o.names + ("z",))
 
 
-def rho0_orbit_q(o: OrbitForm, basis: str, q_poly: QPoly, z_name: str = "z") -> MultiPoly:
+def rho0_orbit_q(o: OrbitForm, basis: str, q_poly: QPoly) -> MultiPoly:
     """rho_0 after :func:`orbit_q`, as one step: the head slots set to 1.
 
     The result is sum_lam b_lam(1..1) * tail_lam * q_lam(z) in the tail
     slots and the new z slot.
     """
     num, den = orbit_map(o, basis, _at_one(basis), _eigenvalue_poly(q_poly))
-    return MultiPoly._wrap(len(o.names) - o.k + 1, num, den, o.names[o.k :] + (z_name,))
+    return MultiPoly._wrap(len(o.names) - o.k + 1, num, den, o.names[o.k :] + ("z",))
 
 
 Eigenvalue = Callable[[Partition, int], Fraction]
@@ -188,13 +190,14 @@ def separate_via_q(h, n: int, apply_q: Callable, apply_rho0_q: Callable[..., Mul
 
     ``h`` is the input in the form the steps take: a MultiPoly for the
     substitution average, its :class:`~symfact.bases.OrbitForm` for a
-    diagonal Q.  ``apply_q(h, z_name=...)`` runs Q_{z_n}..Q_{z_2}; the last
-    Q and rho_0 are the one fused step ``apply_rho0_q``, which returns the
-    MultiPoly in (z_n..z_1).
+    diagonal Q.  ``apply_q(h)`` runs Q_{z_n}..Q_{z_2}, each appending one
+    slot; the last Q and rho_0 are the one fused step ``apply_rho0_q``,
+    which returns the MultiPoly in (z_n..z_1).  Its slots are reversed and
+    named z_1..z_n once, at the end.
     """
-    for i in range(n, 1, -1):
-        h = apply_q(h, z_name=f"z{i}")
-    return apply_rho0_q(h, z_name="z1").permute(list(range(n - 1, -1, -1)))
+    for _ in range(n - 1):
+        h = apply_q(h)
+    return apply_rho0_q(h).permute(list(range(n - 1, -1, -1))).rename(default_names("z", n))
 
 
 def separate_via_chain(h, n: int, apply_a: Callable):

@@ -13,7 +13,9 @@ one orbit form per basis element, and the inverse suite feeds the rows of
 ``spectral.orbit_product`` and ``spectral.orbit_separate`` to
 ``qops_schur.orbit_separate_inverse`` and ``qops_schur.orbit_k``.  The m
 routes (substitution average, Euler operators) and the chain suite's
-separation routes are the independent routes and stay whole.
+separation routes are the independent routes and stay whole.  On every
+basis, ``[Q_z1, Q_z2] = 0`` applies Q twice and checks that the result is
+symmetric in its two z slots.
 """
 
 from __future__ import annotations
@@ -118,13 +120,13 @@ class Reporter:
 def _steps(basis: str, n: int):
     """The (Q, H_j) suite_eigen checks on one basis: m's own routes on whole polynomials, E and s on orbit forms.
 
-    Q takes ``z_name`` on every basis; m's averages over the n x slots only.
+    m's Q averages over the n x slots only.
     """
     ops = BASES[basis]
     if basis == "m":
         return partial(ops.apply_q, n_x=n), ops.apply_h
     return (
-        lambda o, z_name="z": spectral.orbit_q(o, basis, ops.q_poly, z_name),
+        partial(spectral.orbit_q, basis=basis, q_poly=ops.q_poly),
         lambda o, j: spectral.orbit_h(o, basis, ops.h_eigenvalue, j),
     )
 
@@ -224,12 +226,12 @@ def _h_commute(hs: list, apply_h) -> bool:
 def _q_commute(f: MultiPoly | OrbitForm, apply_q) -> bool:
     """Q_z1 Q_z2 f == Q_z2 Q_z1 f, for f a whole polynomial or orbit rows, as apply_q takes it.
 
-    Both forms keep the two z's in their last two slots, so swapping those
-    maps the one's numerators onto the other's.
+    g = Q Q f holds the first Q's z in its second-last slot and the second's
+    in its last, and Q_z2 Q_z1 f is g with those two swapped: so the
+    operators commute on f iff g is symmetric in its last two slots.
     """
-    a = apply_q(apply_q(f, z_name="z2"), z_name="z1")
-    b = apply_q(apply_q(f, z_name="z1"), z_name="z2")
-    return a.den == b.den and a.num == {e[:-2] + (e[-1], e[-2]): c for e, c in b.num.items()}
+    g = apply_q(apply_q(f))
+    return g.num == {e[:-2] + (e[-1], e[-2]): c for e, c in g.num.items()}
 
 
 # -- chain: separation routes and chain-link identities ---------------------------

@@ -142,9 +142,8 @@ class TestElementaryProduct:
     def test_value_formula(self):
         for lam in enumerate_partitions(5, 3):
             nb = elementary_product(lam)
-            expected = math.prod(
-                math.comb(3, j) ** lam.diff(j, j + 1) for j in range(1, 4)
-            )
+            a, b, c = lam.parts
+            expected = math.comb(3, 1) ** (a - b) * math.comb(3, 2) ** (b - c) * math.comb(3, 3) ** c
             assert nb.value_at_one == expected == nb.raw.eval([1, 1, 1])
 
 
@@ -166,6 +165,15 @@ class TestSchur:
         for n in (2, 3, 4):
             mu = tuple(range(n - 1, -1, -1))
             assert alternant(mu, n) == vandermonde(n)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_vandermonde_is_the_product_of_differences(self, n):
+        want = MultiPoly.one(n)
+        for i, j in itertools.combinations(range(n), 2):
+            want = want * (MultiPoly.variable(i, n) - MultiPoly.variable(j, n))
+        got = vandermonde(n)
+        assert got == want
+        assert got.names == want.names
 
     @staticmethod
     def _power_matrix_det(mu, n):

@@ -330,6 +330,42 @@ class TestInputBoundary:
         code = cli.main(list(argv))
         self.assert_input_error(code, capsys.readouterr().err, fragment)
 
+    HUGE = 99999999999
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (("separate", "--basis", "m", "--lambda", "9999999999999999,0", "--n", "2"), ""),
+            (("apply-q", "--basis", "s", "--input", "-"), _poly([{"e": [HUGE, 0], "c": "1"}, {"e": [0, HUGE], "c": "1"}])),
+            (("apply-q", "--basis", "E", "--lambda", "3000,0", "--n", "2"), ""),
+            (("basis", "--kind", "s", "--lambda", f"{HUGE},0,0", "--n", "3"), ""),
+            (("invert", "--lambda", f"{HUGE},0"), ""),
+            (INVERT, _poly([{"e": [HUGE, HUGE], "c": "1"}], ("z1", "z2"))),
+            (("lift", "--basis", "E", "--lambda", f"{HUGE},0"), ""),
+        ],
+        ids=["separate", "apply-q-input", "apply-q-lambda", "basis", "invert-lambda", "invert-input", "lift"],
+    )
+    def test_oversized_input_is_refused_before_anything_is_built(self, capsys, monkeypatch, argv, stdin):
+        import io
+
+        from symfact import bases
+        from symfact import qops_elementary as qe
+        from symfact import qops_monomial as qm
+        from symfact import qops_schur as qs
+
+        def refuse(*_args):
+            raise AssertionError("a polynomial was built before the size check")
+
+        for module, name in [(bases, "_schur_numerators"), (cli, "basis_poly"), (cli, "eigen_product")]:
+            monkeypatch.setattr(module, name, refuse)
+        for ops in (qm, qe, qs):
+            monkeypatch.setattr(ops, "q_poly", refuse)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        self.assert_input_error(code, captured.err, f"input too large: the output may have more than {cli.MAX_TERMS} terms")
+
     def test_missing_input_file(self, capsys, tmp_path):
         code = cli.main(["apply-q", "--basis", "s", "--input", str(tmp_path / "absent.json")])
         self.assert_input_error(code, capsys.readouterr().err, "cannot read")

@@ -39,11 +39,11 @@ def test_validation():
         Partition((True, False))
 
 
-def test_part_accessor_with_virtual_zero():
-    lam = Partition((3, 1))
-    assert lam.part(1) == 3 and lam.part(2) == 1 and lam.part(3) == 0
-    assert lam.diff(1, 2) == 2
-    assert lam.diff(2, 3) == 1
+def test_steps_end_with_the_last_part():
+    assert Partition((3, 1, 0)).steps() == (2, 1, 0)
+    assert Partition((3, 1)).steps() == (2, 1)
+    assert Partition((4,)).steps() == (4,)
+    assert Partition((2, 2, 1)).steps() == (0, 1, 1)
 
 
 def test_dominance():

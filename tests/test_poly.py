@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from symfact.poly import MultiPoly, NotDivisible, PolyError, UniPoly, det, grevlex_key
+from symfact.poly import MultiPoly, NotDivisible, PolyError, UniPoly, default_names, det, grevlex_key
 
 from conftest import fractions_small, multipoly_pairs, multipoly_triples, multipolys
 
@@ -265,6 +265,15 @@ class TestScalarBoundary:
         f = MultiPoly(2, {(1, 1): F(1, 3), (0, 1): 2})
         assert f.eval([F(1, 2), 3]) == F(13, 2)
         assert f.partial_eval({0: F(-2, 3)}) == MultiPoly(1, {(1,): F(16, 9)}, ("x2",))
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_zero_polynomial_evaluates_to_zero(self, arity):
+        zero = MultiPoly.zero(arity)
+        value = zero.eval([F(-2, 3)] * arity)
+        assert value == 0 and type(value) is F
+        rest = zero.partial_eval({0: F(5, 7)})
+        assert rest.is_zero and rest.arity == arity - 1 and rest.den == 1
+        assert rest.names == default_names("x", arity)[1:]
 
 
 class TestUniPoly:

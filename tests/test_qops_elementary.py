@@ -22,8 +22,9 @@ def full_link(f: MultiPoly, k: int, n: int) -> MultiPoly:
     out = MultiPoly.zero(f.arity, f.names)
     for lam, tail in expand_with_tail(f, "E", k).items():
         image = MultiPoly.one(k)
+        parts = lam.parts + (0,)
         for j in range(1, k + 1):
-            image = image * qe._chain_image(j, k, n) ** lam.diff(j, j + 1)
+            image = image * qe._chain_image(j, k, n) ** (parts[j - 1] - parts[j])
         out = out + MultiPoly(
             f.arity, {h + t: hc * tc for h, hc in image.terms.items() for t, tc in tail.terms.items()}
         )
@@ -84,8 +85,14 @@ class TestHamiltonians:
     def test_eigenrelation_sweep(self):
         for lam in enumerate_partitions(5, 3):
             f = ebar(*lam.parts)
-            for j in (1, 2, 3):
-                assert qe.apply_h(f, j) == f * lam.diff(j, j + 1)
+            a, b, c = lam.parts
+            for j, mult in ((1, a - b), (2, b - c), (3, c)):
+                assert qe.apply_h(f, j) == f * mult
+
+    def test_eigenvalue_rejects_j_out_of_range(self):
+        for j in (0, 4):
+            with pytest.raises(PolyError, match="need 1 <= j <= n"):
+                qe.h_eigenvalue(Partition((2, 1, 0)), j)
 
     @given(symmetric_polys(max_n=4), st.data())
     def test_matches_the_eps_euler_operator(self, f, data):

@@ -51,14 +51,14 @@ def assert_same(got: MultiPoly, want: MultiPoly):
     assert got.names == want.names
 
 
-def full_diagonal_q(f: MultiPoly, basis: str, q_poly, n_x: int, z_name: str) -> MultiPoly:
+def full_diagonal_q(f: MultiPoly, basis: str, q_poly, n_x: int) -> MultiPoly:
     """sum_lam b_lam(x) * tail_lam * q_lam(z) with every monomial of b_lam built."""
     num, den = tensor_sum(
         ((b.num, b.den), (tail.num, tail.den), (q.poly.num, q.poly.den))
         for lam, tail in full_expand_with_tail(f, basis, n_x).items()
         for b, q in ((basis_poly(basis, lam).raw, q_poly(lam)),)
     )
-    return MultiPoly(f.arity + 1, {e: Fraction(c, den) for e, c in num.items()}, f.names + (z_name,))
+    return MultiPoly(f.arity + 1, {e: Fraction(c, den) for e, c in num.items()}, f.names + ("z",))
 
 
 def full_diagonal_h(f: MultiPoly, basis: str, eigenvalue, n_x: int, j: int) -> MultiPoly:
@@ -69,18 +69,18 @@ def full_diagonal_h(f: MultiPoly, basis: str, eigenvalue, n_x: int, j: int) -> M
     return acc
 
 
-def whole_orbit_q(f: MultiPoly, basis: str, q_poly, n_x: int, z_name: str) -> MultiPoly:
+def whole_orbit_q(f: MultiPoly, basis: str, q_poly, n_x: int) -> MultiPoly:
     """``spectral.orbit_q`` on the orbit form of f's first n_x slots, spread back to a whole polynomial."""
-    return spectral.orbit_q(OrbitForm.of(f, n_x), basis, q_poly, z_name).to_poly()
+    return spectral.orbit_q(OrbitForm.of(f, n_x), basis, q_poly).to_poly()
 
 
 def unfused_separate_via_q(f: MultiPoly, apply_q) -> MultiPoly:
-    """rho_0 after all n Q's, the last one's output built in full."""
+    """rho_0 after all n Q's, the last one's output built in full; the Q's append z_n..z_1, so the slots are reversed and named at the end."""
     n = f.arity
     h = f
-    for i in range(n, 0, -1):
-        h = apply_q(h, n_x=n, z_name=f"z{i}")
-    return rho0(h, n).permute(list(range(n - 1, -1, -1)))
+    for _ in range(n):
+        h = apply_q(h, n_x=n)
+    return rho0(h, n).permute(list(range(n - 1, -1, -1))).rename(default_names("z", n))
 
 
 def looped_eigen_product(q: UniPoly, n: int) -> MultiPoly:
@@ -204,12 +204,12 @@ class TestOrbitForm:
     def test_orbit_q_matches_full_monomial_form(self, case):
         basis, k, h = case
         q_poly = BASES[basis].q_poly
-        want = full_diagonal_q(h, basis, q_poly, k, "z1")
-        assert_same(whole_orbit_q(h, basis, q_poly, k, "z1"), want)
+        want = full_diagonal_q(h, basis, q_poly, k)
+        assert_same(whole_orbit_q(h, basis, q_poly, k), want)
         if basis == "m":
-            assert_same(qm.apply_q(h, n_x=k, z_name="z1"), want)
+            assert_same(qm.apply_q(h, n_x=k), want)
         if k == h.arity:  # the E and s apply_q take the whole polynomial as the head
-            assert_same(BASES[basis].apply_q(h), full_diagonal_q(h, basis, q_poly, k, "z"))
+            assert_same(BASES[basis].apply_q(h), want)
 
     def test_asymmetric_head_rejected(self):
         with pytest.raises(NotSymmetric):
@@ -221,15 +221,15 @@ class TestFusedStep:
     def test_diagonal(self, case):
         basis, k, h = case
         q_poly = BASES[basis].q_poly
-        fused = spectral.rho0_orbit_q(OrbitForm.of(h, k), basis, q_poly, z_name="z1")
-        assert_same(fused, rho0(whole_orbit_q(h, basis, q_poly, k, "z1"), k))
-        assert_same(fused, rho0(full_diagonal_q(h, basis, q_poly, k, "z1"), k))
+        fused = spectral.rho0_orbit_q(OrbitForm.of(h, k), basis, q_poly)
+        assert_same(fused, rho0(whole_orbit_q(h, basis, q_poly, k), k))
+        assert_same(fused, rho0(full_diagonal_q(h, basis, q_poly, k), k))
 
     @given(multipolys(max_terms=3), st.data())
     def test_substitution_average(self, h, data):
         # the substitution average needs no symmetry in the head
         k = data.draw(st.integers(min_value=1, max_value=h.arity))
-        assert_same(qm.apply_rho0_q(h, n_x=k, z_name="z1"), rho0(qm.apply_q(h, n_x=k, z_name="z1"), k))
+        assert_same(qm.apply_rho0_q(h, n_x=k), rho0(qm.apply_q(h, n_x=k), k))
 
 
 class TestSeparateViaQ:

@@ -70,11 +70,11 @@ def test_commutator_check_sees_operators_that_do_not_commute():
 
 
 def q_step(rule):
-    """A Q on whole polynomials and orbit rows alike: row e goes to the (exponent, weight) pairs rule(e, z_name)."""
+    """A Q on whole polynomials and orbit rows alike: row e goes to the (exponent, weight) pairs rule(e)."""
 
-    def apply_q(f, z_name="z"):
-        num = accumulate({}, ((e2, c * w) for e, c in f.num.items() for e2, w in rule(e, z_name)))
-        names = f.names + (z_name,)
+    def apply_q(f):
+        num = accumulate({}, ((e2, c * w) for e, c in f.num.items() for e2, w in rule(e)))
+        names = f.names + ("z",)
         if isinstance(f, OrbitForm):
             return f._replace(num=num, names=names)
         return MultiPoly._make(len(names), num, f.den, names)
@@ -82,16 +82,29 @@ def q_step(rule):
     return apply_q
 
 
+COMMUTATOR_INPUT = MultiPoly(2, {(2, 1): 1, (1, 2): 1, (3, 0): 2, (0, 3): 2})
+
+
 def test_q_commutator_check_sees_operators_that_do_not_commute():
     # times 1 + y z, y the previous last slot: Q_z1 Q_z2 f = f (1 + y z2)(1 + z2 z1) is not Q_z2 Q_z1 f
-    skewed = q_step(lambda e, z: [(e + (0,), 1), (e[:-1] + (e[-1] + 1, 1), 1)])
-    # times 1 + z1 or 1 + z2^2: commutes, but is not symmetric in the two z's, so only the swap makes it agree
-    asymmetric = q_step(lambda e, z: [(e + (0,), 1), (e + (1 if z == "z1" else 2,), 1)])
-    f = MultiPoly(2, {(2, 1): 1, (1, 2): 1, (3, 0): 2, (0, 3): 2})
+    skewed = q_step(lambda e: [(e + (0,), 1), (e[:-1] + (e[-1] + 1, 1), 1)])
+    f = COMMUTATOR_INPUT
     for g, q in ((f, verify._steps("m", 2)[0]), (OrbitForm.of(f), verify._steps("E", 2)[0])):
         assert not verify._q_commute(g, skewed)
-        assert verify._q_commute(g, asymmetric)
         assert verify._q_commute(g, q)
+
+
+def test_q_commutator_check_applies_q_twice():
+    f = COMMUTATOR_INPUT
+    for g, q in ((f, verify._steps("m", 2)[0]), (OrbitForm.of(f), verify._steps("s", 2)[0])):
+        calls = []
+
+        def counting(h, q=q):
+            calls.append(h)
+            return q(h)
+
+        assert verify._q_commute(g, counting)
+        assert len(calls) == 2
 
 
 def clear_caches():
