@@ -7,9 +7,9 @@ Vandermonde, is its test oracle).  Every basis element also comes in a
 normalized form with value 1 at the all-ones point.
 :func:`expand_in_basis` writes a symmetric polynomial as coordinates over
 one basis, and :func:`combine` is the one sum of basis elements that takes
-coordinates back.  Any other antisymmetric polynomial is divided by the
-Vandermonde without division: :func:`over_vandermonde` reads its
-coefficients off in the Schur basis.
+coordinates back.  A symmetric polynomial is multiplied by the
+Vandermonde without a product: :func:`times_vandermonde` gives a_delta * f
+at its strictly decreasing exponents, which fix an antisymmetric polynomial.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import ge, gt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import add, ge, gt
+from typing import Iterable, NamedTuple
 
 from .partitions import Partition, dominance_leq
 from .poly import (
     InvariantViolation,
     MultiPoly,
-    NotDivisible,
     NotSymmetric,
     PolyError,
     Scalar,
@@ -69,16 +68,6 @@ def _signed_permutations(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     )
 
 
-def _alternant_terms(mu: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The (exponent, sign) of each permutation w in det{x_i^(mu_j)}: x_w(j) carries mu_j."""
-    m = len(mu)
-    for w, sign in _signed_permutations(m):
-        exp = [0] * m
-        for j, i in enumerate(w):
-            exp[i] = mu[j]
-        yield tuple(exp), sign
-
-
 def alternant(mu: tuple[int, ...], n: int) -> MultiPoly:
     """det{x_i^(mu_j)}, written as its permutation sum.
 
@@ -91,7 +80,13 @@ def alternant(mu: tuple[int, ...], n: int) -> MultiPoly:
         raise PolyError("exponent vector length must equal n")
     if any(type(e) is not int or e < 0 for e in mu):
         raise PolyError(f"exponent {tuple(mu)} must hold non-negative ints")
-    return MultiPoly._make(n, accumulate({}, _alternant_terms(mu)), 1, default_names("x", n))
+    terms = []
+    for w, sign in _signed_permutations(n):
+        exp = [0] * n
+        for j, i in enumerate(w):  # x_w(j) carries mu_j
+            exp[i] = mu[j]
+        terms.append((tuple(exp), sign))
+    return MultiPoly._make(n, accumulate({}, terms), 1, default_names("x", n))
 
 
 @lru_cache(maxsize=None)
@@ -186,25 +181,27 @@ def schur_poly(lam: Partition) -> NormalizedBasisPoly:
     return NormalizedBasisPoly(raw, direct, raw * (1 / direct))
 
 
-def over_vandermonde(g: MultiPoly) -> MultiPoly:
-    """g / a_delta for an antisymmetric g, read off instead of divided.
+def times_vandermonde(o: OrbitForm) -> MultiPoly:
+    """a_delta * f at its strictly decreasing exponents, for the f symmetric in every slot of o.
 
-    An antisymmetric g is sum_mu [x^mu]g * a_mu over its strictly decreasing
-    exponents mu, and a_mu / a_delta = s_(mu - delta) (Macdonald, Symmetric
-    Functions and Hall Polynomials, I §3), so the quotient is
-    sum_mu [x^mu]g * s_(mu - delta), built by :func:`combine` in g's slot
-    names.  A g that is not antisymmetric is not a_delta times a symmetric
-    polynomial and raises NotDivisible.
+    An antisymmetric polynomial is fixed by those coefficients (Macdonald,
+    Symmetric Functions and Hall Polynomials, I §3).  a_delta * m_nu is the
+    sum of a_(alpha + delta) over the orbit of nu, and a_beta is zero when
+    beta repeats an entry and sign(w) a_(w beta) for the w sorting beta
+    into decreasing order, whose only strictly decreasing term is x^(w beta).
     """
-    n = g.arity
-    if not g.is_antisymmetric():
-        raise NotDivisible(f"polynomial in {n} variables is not antisymmetric")
-    coeffs = {
-        Partition(tuple(m - (n - 1 - i) for i, m in enumerate(mu))): Fraction(c, g.den)
-        for mu, c in g.num.items()
-        if is_strict(mu)
-    }
-    return combine("s", n, coeffs).rename(g.names)
+    n = len(o.names)
+    if o.k != n:
+        raise PolyError(f"need an orbit form over all {n} slots, got k={o.k}")
+    delta = range(n - 1, -1, -1)
+    terms = []
+    for nu, c in o.num.items():
+        for alpha in _orbit(nu):
+            beta = tuple(map(add, alpha, delta))
+            if len(set(beta)) == n:
+                inversions = sum(a < b for a, b in itertools.combinations(beta, 2))
+                terms.append((tuple(sorted(beta, reverse=True)), -c if inversions % 2 else c))
+    return MultiPoly._make(n, accumulate({}, terms), o.den, o.names)
 
 
 def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, MultiPoly]:
@@ -212,13 +209,17 @@ def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, MultiPoly]:
 
     The numerator is a mixed determinant: k-1 rows x_i^(mu_j) of powers of
     the free variables, then the rows mu_j^e, e = n-k..0, of descending
-    powers of the shifted parts mu.  It is written as its Laplace expansion
-    along the constant rows (Macdonald, Symmetric Functions and Hall
-    Polynomials, I §3): a sum over the sets S of n-k+1 columns of
-    (-1)^(sum of those rows and columns) V(mu_S) times the alternant of the
-    monomial rows on the other k-1 columns, itself a signed permutation
-    sum.  The denominator is the closed-form product; their exact ratio
-    equals the Schur polynomial with its last n-k+1 arguments set to 1.
+    powers of the shifted parts mu.  It is antisymmetric in x_1..x_(k-1),
+    so only its strictly decreasing coefficients are returned.  By the
+    Laplace expansion along the constant rows (Macdonald, Symmetric
+    Functions and Hall Polynomials, I §3) it is a sum over the sets S of
+    n-k+1 columns of (-1)^(sum of those rows and columns) V(mu_S) times the
+    alternant of the monomial rows on the other columns, whose one strictly
+    decreasing term is x^(mu off S).  The denominator is the closed-form
+    product without its Vandermonde, so the numerator is
+    :func:`times_vandermonde` of the denominator times the Schur polynomial
+    with its last n-k+1 arguments set to 1.  For k <= 2 every exponent is
+    strictly decreasing, and the plain ratio is that Schur polynomial.
     """
     n = lam.n
     if not 1 <= k <= n:
@@ -226,12 +227,11 @@ def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, MultiPoly]:
     mu = lam.shifted()
     arity = k - 1
     row_sum = sum(range(arity, n))
-    # the parts mu are distinct, so no exponent comes from two column sets
-    num = {}
-    for cols in itertools.combinations(range(n), n - arity):
-        minor = (-1) ** (row_sum + sum(cols)) * vandermonde_value(mu[j] for j in cols)
-        rest = [mu[j] for j in range(n) if j not in cols]
-        num.update((exp, sign * minor) for exp, sign in _alternant_terms(rest))
+    num = {
+        tuple(mu[j] for j in range(n) if j not in cols): (-1) ** (row_sum + sum(cols))
+        * vandermonde_value(mu[j] for j in cols)
+        for cols in itertools.combinations(range(n), n - arity)
+    }
     return MultiPoly._wrap(arity, num, 1, default_names("x", arity)), _restricted_denominator(n, k)
 
 
@@ -239,13 +239,13 @@ def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, MultiPoly]:
 def _restricted_denominator(n: int, k: int) -> MultiPoly:
     """The denominator of :func:`restricted_schur`, the same for every lam of length n.
 
-    prod_(i=1..n-k) i! * prod_(j=1..k-1) (x_j - 1)^(n-k+1) * V(x_1..x_(k-1)).
+    prod_(i=1..n-k) i! * prod_(j=1..k-1) (x_j - 1)^(n-k+1).
     """
     arity = k - 1
     den = MultiPoly.const(arity, math.prod(math.factorial(i) for i in range(1, n - k + 1)))
     for j in range(arity):
         den = den * (MultiPoly.variable(j, arity) - 1) ** (n - k + 1)
-    return den * vandermonde(arity)
+    return den
 
 
 def basis_poly(basis: str, lam: Partition) -> NormalizedBasisPoly:

@@ -507,27 +507,11 @@ class MultiPoly:
         k = self.arity if k is None else k
         if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= self.arity:
             raise PolyError(f"need 0 <= k <= arity {self.arity}, got k={k!r}")
-        return self._swap_mismatch(k, symmetric=True)
-
-    def is_antisymmetric(self) -> bool:
-        """Every adjacent swap of slots negates the polynomial.
-
-        The same in-place lookup as :meth:`is_symmetric`, with the swapped
-        exponent's coefficient negated; a term with two equal exponents in
-        adjacent slots cannot occur.
-        """
-        return self._swap_mismatch(self.arity, symmetric=False) is None
-
-    def _swap_mismatch(self, k: int, symmetric: bool) -> Exponent | None:
-        """The first exponent that breaks (anti)symmetry under an adjacent swap of the first k slots."""
         num = self.num
         for i in range(k - 1):
             for exp, c in num.items():
                 a, b = exp[i], exp[i + 1]
-                if a == b:
-                    if not symmetric:
-                        return exp
-                elif num.get(exp[:i] + (b, a) + exp[i + 2 :]) != (c if symmetric else -c):
+                if a != b and num.get(exp[:i] + (b, a) + exp[i + 2 :]) != c:
                     return exp
         return None
 

@@ -99,30 +99,32 @@ def apply_projector(f: MultiPoly, j: int, k: int) -> MultiPoly:
     return MultiPoly._make(f.arity, out, f.den, f.names)
 
 
+def _projector_sum(f: MultiPoly, k: int, n: int) -> MultiPoly:
+    """sum_{j<k} P_jk f, the one sum behind A_k and its inverse, once k is checked."""
+    if not 1 <= k <= n:
+        raise PolyError(f"need 1 <= k <= n, got k={k}")
+    if f.arity < k:
+        raise PolyError("polynomial must have at least k slots")
+    acc = MultiPoly.zero(f.arity, f.names)
+    for j in range(1, k):
+        acc = acc + apply_projector(f, j, k)
+    return acc
+
+
 def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:
     """Projector average (1/n)(n-k+1 + sum_{j<k} P_jk); slot k doubles as z_k.
 
     Only the first k slots are touched, so trailing slots may hold the z's
     produced by later links of the chain.
     """
-    if not 1 <= k <= n:
-        raise PolyError(f"need 1 <= k <= n, got k={k}")
-    if f.arity < k:
-        raise PolyError("polynomial must have at least k slots")
-    acc = f * Fraction(n - k + 1, n)
-    for j in range(1, k):
-        acc = acc + apply_projector(f, j, k) * Fraction(1, n)
-    return acc
+    s = _projector_sum(f, k, n)
+    return f * Fraction(n - k + 1, n) + s * Fraction(1, n)
 
 
 def apply_a_inv(f: MultiPoly, k: int, n: int) -> MultiPoly:
     """Inverse of the projector average, from P_jk P_lk = P_jk."""
-    if not 1 <= k <= n:
-        raise PolyError(f"need 1 <= k <= n, got k={k}")
-    acc = f * Fraction(n, n - k + 1)
-    for j in range(1, k):
-        acc = acc - apply_projector(f, j, k) * Fraction(1, n - k + 1)
-    return acc
+    s = _projector_sum(f, k, n)
+    return f * Fraction(n, n - k + 1) - s * Fraction(1, n - k + 1)
 
 
 def rho(f: MultiPoly, k: int) -> MultiPoly:

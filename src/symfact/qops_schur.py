@@ -20,9 +20,11 @@ H_j, Q, the separating map and the lift are the one orbit map of
 cross-checks: ``q_via_restriction`` and ``q_via_restricted_determinant``
 for q, and ``separate_inverse`` against ``separate``.  ``apply_h`` scales
 by ``h_eigenvalue`` itself, so verify's eigenrelation check on s tests only
-the Schur expansion and its m-coordinate table; the tests check the conjugation
-against ``over_vandermonde(qops_monomial.apply_h(f a_delta, j))`` and the
-inverse against ``over_vandermonde(apply_k(g prod_k (x_k - 1)^(n-1)))``.
+the Schur expansion and its m-coordinate table.  The tests check the
+conjugation and the inverse against their whole routes at strictly
+decreasing exponents: there ``bases.times_vandermonde`` of ``apply_h(f, j)``
+must equal ``qops_monomial.apply_h(f a_delta, j)``, and that of
+``separate_inverse(g)`` the scaled ``apply_k(g prod_k (x_k - 1)^(n-1))``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 from hypothesis import HealthCheck, settings, strategies as st
 
-from symfact.bases import BASIS_TAGS, OrbitForm, basis_poly, expand_orbits
+from symfact.bases import BASIS_TAGS, OrbitForm, alternant, basis_poly, expand_orbits
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import MultiPoly
 
@@ -128,3 +128,20 @@ def expand_with_tail(f, basis, k=None):
         lam: MultiPoly._make(f.arity - o.k, tail, o.den, f.names[o.k :])
         for lam, tail in expand_orbits(o, basis).items()
     }
+
+
+def strictly_decreasing(exp):
+    return all(a > b for a, b in zip(exp, exp[1:]))
+
+
+def strict_part(f):
+    """The terms of f at strictly decreasing exponents, in f's slots: those that fix an antisymmetric f."""
+    return MultiPoly(f.arity, {e: c for e, c in f.terms.items() if strictly_decreasing(e)}, f.names)
+
+
+def alternant_sum(strict):
+    """The antisymmetric polynomial sum_mu c_mu a_mu that the strictly decreasing coefficients c_mu fix."""
+    out = MultiPoly.zero(strict.arity)
+    for mu, c in strict.terms.items():
+        out = out + alternant(mu, strict.arity) * c
+    return out

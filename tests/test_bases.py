@@ -8,9 +8,18 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import expand_with_tail, fractions_small, head_symmetric, outer, symmetric_polys
+from conftest import (
+    alternant_sum,
+    expand_with_tail,
+    fractions_small,
+    head_symmetric,
+    outer,
+    strict_part,
+    symmetric_polys,
+)
 from symfact.bases import (
     BASIS_TAGS,
+    OrbitForm,
     alternant,
     basis_poly,
     combine,
@@ -21,18 +30,16 @@ from symfact.bases import (
     expand_in_basis,
     is_dominance_triangular,
     monomial_sym,
-    over_vandermonde,
     restricted_schur,
     schur_poly,
     schur_value_at_one,
+    times_vandermonde,
     vandermonde,
     vandermonde_value,
 )
 from symfact import bases
-from symfact import qops_monomial as qm
-from symfact import qops_schur as qs
 from symfact.partitions import Partition, dominance_leq, enumerate_partitions
-from symfact.poly import MultiPoly, NotDivisible, NotSymmetric, PolyError, det
+from symfact.poly import MultiPoly, NotSymmetric, PolyError, det
 
 
 def symmetrized_average(lam):
@@ -216,11 +223,14 @@ class TestSchur:
 
 
 class TestRestrictedSchur:
+    """The numerator holds the strictly decreasing coefficients of the mixed determinant."""
+
     def test_k_equals_n_is_plain_restriction(self):
         lam = Partition((2, 1, 0))
         num, den = restricted_schur(lam, 3)
         direct = schur_poly(lam).raw.partial_eval({2: 1})
-        assert num.divide_exact(den) == direct
+        assert alternant_sum(num).divide_exact(den * vandermonde(2)) == direct
+        assert num == times_vandermonde(OrbitForm.of(den * direct))
 
     def test_k_one_gives_value_at_one(self):
         num, den = restricted_schur(Partition((1, 0)), 1)
@@ -240,7 +250,7 @@ class TestRestrictedSchur:
                     direct = schur_poly(lam).raw.partial_eval(
                         {i: 1 for i in range(k - 1, n)}
                     )
-                    assert num.divide_exact(den) == direct, (lam, k)
+                    assert alternant_sum(num).divide_exact(den * vandermonde(k - 1)) == direct, (lam, k)
 
     @staticmethod
     def _cofactor_numerator(lam, k):
@@ -252,16 +262,19 @@ class TestRestrictedSchur:
 
     def test_laplace_sum_every_case(self):
         # every (lam, k) with n <= 5 and weight <= 4: the ratio holds without
-        # dividing, and the numerator is the cofactor determinant's
+        # dividing, the numerator is the strictly decreasing part of the
+        # cofactor determinant, and those coefficients give back all of it
         cases = 0
         for n in range(1, 6):
             for lam in enumerate_partitions(4, n):
                 for k in range(1, n + 1):
                     num, den = restricted_schur(lam, k)
                     direct = schur_poly(lam).raw.partial_eval({i: 1 for i in range(k - 1, n)})
-                    assert num == den * direct, (lam, k)
-                    want = self._cofactor_numerator(lam, k)
+                    assert num == times_vandermonde(OrbitForm.of(den * direct)), (lam, k)
+                    whole = self._cofactor_numerator(lam, k)
+                    want = strict_part(whole)
                     assert (num.num, num.den, num.names) == (want.num, want.den, want.names), (lam, k)
+                    assert alternant_sum(num) == whole, (lam, k)
                     cases += 1
         assert cases == 164
 
@@ -372,51 +385,31 @@ class TestExpansionWithTail:
             expand_with_tail(f + bump, basis, k)
 
 
-class TestOverVandermonde:
-    """The read-off quotient against exact long division, the route it replaced."""
+class TestTimesVandermonde:
+    """a_delta * f at its strictly decreasing exponents, against the whole product."""
 
-    @given(symmetric_polys())
-    def test_recovers_the_symmetric_factor(self, f):
-        g = f * vandermonde(f.arity)
-        assert over_vandermonde(g) == f == g.divide_exact(vandermonde(f.arity))
+    @pytest.mark.parametrize("n", range(6))
+    def test_is_the_strict_part_of_the_whole_product(self, n):
+        rng = random.Random(n)
+        lams = enumerate_partitions(3, n) if n else []
+        for _ in range(3):
+            f = MultiPoly.const(n, F(rng.randint(-5, 5), rng.randint(1, 4)))
+            for lam in rng.sample(lams, min(3, len(lams))):
+                f = f + basis_poly(rng.choice(BASIS_TAGS), lam).raw * F(rng.randint(-5, 5), rng.randint(1, 4))
+            got, want = times_vandermonde(OrbitForm.of(f)), strict_part(vandermonde(n) * f)
+            assert (got.num, got.den) == (want.num, want.den)
 
-    @given(symmetric_polys())
-    def test_keeps_the_slot_names(self, f):
-        names = tuple(f"y{i}" for i in range(f.arity))
-        g = (f * vandermonde(f.arity)).rename(names)
-        assert over_vandermonde(g).names == names
+    def test_keeps_a_denominator_and_the_slot_names(self):
+        f = schur_poly(Partition((2, 1, 0))).normalized.rename(("y1", "y2", "y3"))
+        assert f.den != 1
+        got = times_vandermonde(OrbitForm.of(f))
+        assert got == strict_part(vandermonde(3) * f)
+        assert got.den == f.den and got.names == f.names
 
-    @given(symmetric_polys(), st.integers(min_value=1, max_value=4))
-    def test_agrees_with_division_after_a_hamiltonian(self, f, j):
-        vand = vandermonde(f.arity)
-        g = qm.apply_h(f * vand, min(j, f.arity))
-        assert over_vandermonde(g) == g.divide_exact(vand)
+    @given(symmetric_polys(max_n=4))
+    def test_fixes_the_whole_product(self, f):
+        assert alternant_sum(times_vandermonde(OrbitForm.of(f))) == vandermonde(f.arity) * f
 
-    @given(symmetric_polys())
-    def test_agrees_with_division_after_the_k_operator(self, f):
-        n = f.arity
-        h = f
-        for k in range(n):
-            h = h * (MultiPoly.variable(k, n) - 1) ** (n - 1)
-        g = qs.apply_k(h)
-        assert over_vandermonde(g) == g.divide_exact(vandermonde(n))
-
-    @given(symmetric_polys(min_n=2))
-    def test_symmetric_input_rejected(self, f):
-        g = f * f + 1  # symmetric, and nonzero at the origin
-        with pytest.raises(NotDivisible):
-            over_vandermonde(g)
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_single_monomial_rejected(self, n):
-        with pytest.raises(NotDivisible):
-            over_vandermonde(MultiPoly(n, {tuple(range(n, 0, -1)): 1}))
-
-    @given(symmetric_polys(min_n=3))
-    def test_half_swapped_sum_rejected(self, f):
-        # antisymmetric under the first swap only: the others must be checked too
-        n = f.arity
-        m = MultiPoly(n, {(3, 1) + (0,) * (n - 2): 1})
-        g = f * vandermonde(n) + m - m.permute([1, 0, *range(2, n)])
-        with pytest.raises(NotDivisible):
-            over_vandermonde(g)
+    def test_needs_every_slot_in_the_head(self):
+        with pytest.raises(PolyError, match="all 3 slots"):
+            times_vandermonde(OrbitForm.of(MultiPoly.one(3), 2))

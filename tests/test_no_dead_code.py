@@ -19,7 +19,6 @@ PACKAGE = ROOT / "src" / "symfact"
 
 ORACLES = {
     "bases.elementary_generating": "generating-function oracle for e_r and the E-basis q-polynomials",
-    "bases.over_vandermonde": "reference for the Schur Hamiltonian and inverse tests",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*")

@@ -179,17 +179,6 @@ class TestSubstitutionAndSlots:
         assert not x1.is_symmetric()
         assert x1.permute([1, 0]) == x2
 
-    def test_antisymmetry(self):
-        y1, y2 = xvars(2)
-        assert (y1 - y2).is_antisymmetric()
-        x1, x2, x3 = xvars(3)
-        assert not (x1 - x2).is_antisymmetric()  # not in the third slot
-        assert ((x1 - x2) * (x1 - x3) * (x2 - x3)).is_antisymmetric()
-        assert MultiPoly.zero(3).is_antisymmetric()
-        assert not (x1 + x2).is_antisymmetric()
-        assert not (x1 * x2).is_antisymmetric()  # equal exponents in adjacent slots
-        assert not (x1 - x2 + x3).is_antisymmetric()
-
     def test_is_symmetric_slot_count_bounds(self):
         f = MultiPoly(3, {(1, 1, 0): 1})
         assert f.is_symmetric(0) and f.is_symmetric(2) and not f.is_symmetric(3)

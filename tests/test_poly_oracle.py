@@ -19,13 +19,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import expand_with_tail
+from conftest import alternant_sum, expand_with_tail, strict_part
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
 from symfact import quadcheck as qc
 from symfact import spectral
-from symfact.bases import OrbitForm, basis_poly, over_vandermonde, restricted_schur, schur_poly, vandermonde
+from symfact.bases import OrbitForm, basis_poly, restricted_schur, schur_poly, times_vandermonde, vandermonde
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import InvariantViolation, MultiPoly, UniPoly, default_names, tensor_sum
 from symfact.verify import BASES
@@ -236,7 +236,10 @@ class TestRestrictedSchurAgainstSympy:
         num, _ = restricted_schur(lam, k)
         assert_kernel_terms(num)
         want, xs = mixed_matrix_det(lam, k)
-        assert num.terms == terms_of(want, xs)
+        # num holds the strictly decreasing coefficients, and they fix the whole determinant
+        want = MultiPoly(k - 1, terms_of(want, xs))
+        assert num.terms == strict_part(want).terms
+        assert alternant_sum(num) == want
 
 
 uni_coefficients = st.lists(st.just(Fraction(0)) | coefficients, max_size=5)
@@ -461,6 +464,6 @@ class TestResultTerms:
         results += [spectral.rho0_orbit_q(OrbitForm.of(g, 3), basis, BASES[basis].q_poly), qm.apply_rho0_q(g, 3)]
         results += [OrbitForm.of(g, 3).to_poly(), qm.separate_via_q(f), qe.separate_via_q(f), qe.separate_via_chain(f)]
         results.append(qs.apply_h(f, 2))
-        results.append(over_vandermonde(vandermonde(3) * f))
+        results.append(times_vandermonde(OrbitForm.of(f)))
         for r in results:
             assert_kernel_terms(r)

@@ -152,6 +152,26 @@ class TestProjectorChain:
         f = MultiPoly(2, {(2, 0): 1, (0, 2): 1})
         assert qm.apply_a_inv(qm.apply_a(f, 2, 2), 2, 2) == f
 
+    @given(multipolys(max_exp=2), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2))
+    def test_inverse_both_ways(self, f, k, extra):
+        n = k + extra
+        if f.arity < k:
+            return
+        assert qm.apply_a_inv(qm.apply_a(f, k, n), k, n) == f
+        assert qm.apply_a(qm.apply_a_inv(f, k, n), k, n) == f
+
+    @pytest.mark.parametrize("op", [qm.apply_a, qm.apply_a_inv])
+    @pytest.mark.parametrize("f, k, n", [(MultiPoly.one(0), 1, 1), (MultiPoly.variable(0, 1), 2, 2)])
+    def test_link_and_inverse_need_k_slots(self, op, f, k, n):
+        with pytest.raises(PolyError, match="^polynomial must have at least k slots$"):
+            op(f, k, n)
+
+    @pytest.mark.parametrize("op", [qm.apply_a, qm.apply_a_inv])
+    @pytest.mark.parametrize("k, n", [(0, 2), (3, 2), (1, 0)])
+    def test_link_and_inverse_need_k_in_range(self, op, k, n):
+        with pytest.raises(PolyError, match=f"^need 1 <= k <= n, got k={k}$"):
+            op(MultiPoly.one(3), k, n)
+
     def test_chain_link_identity_sweep(self):
         # restriction of Q equals the chain link applied to the restriction
         n = 3

@@ -1,8 +1,10 @@
 """Suite runner: determinism, report shape, failure surfacing."""
 
+import json
+
 import pytest
 
-from symfact import bases, poly, spectral, verify
+from symfact import bases, cli, poly, spectral, verify
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
@@ -154,3 +156,43 @@ def test_eigen_and_inverse_suites_keep_the_symmetric_side_in_orbit_rows(monkeypa
     plain = verify.run_suite(suite, max_weight=3, n=n)
     assert guarded["passed"]
     assert [(c["name"], c["status"]) for c in guarded["checks"]] == [(c["name"], c["status"]) for c in plain["checks"]]
+
+
+def test_an_asymmetric_restricted_denominator_fails_its_checks(monkeypatch, capsys):
+    # a den that is not symmetric in its k-1 >= 2 slots makes den * direct
+    # asymmetric: each such check fails with the reason, and verify exits 1
+    def skewed(lam, k):
+        num, den = bases.restricted_schur(lam, k)
+        return num, den + MultiPoly.variable(0, den.arity) if k >= 3 else den
+
+    monkeypatch.setattr(verify, "restricted_schur", skewed)
+    report = verify.run_suite("eigen", max_weight=2, n=3)
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert report["counts"] == {"total": 98, "failed": 4}
+    assert all(c["name"].startswith("restricted-Schur determinant ratio k=3 ") for c in failed)
+    assert all("is not symmetric in its first 2 of 2 slots" in c["error"] for c in failed)
+    assert cli.main(["verify", "--suite", "eigen", "--max-weight", "2", "--n", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["counts"] == report["counts"]
+
+
+@pytest.mark.parametrize("suite", ["eigen", "inverse"])
+def test_eigen_and_inverse_suites_build_no_vandermonde_or_alternant(monkeypatch, suite):
+    def refuse(*_args):
+        raise AssertionError(f"the {suite} suite built a Vandermonde or an alternant")
+
+    clear_caches()
+    with monkeypatch.context() as patch:
+        for module in (bases, qe, qm, qs, spectral, verify):
+            for name in ("vandermonde", "alternant"):
+                if hasattr(module, name):
+                    patch.setattr(module, name, refuse)
+        guarded = verify.run_suite(suite, max_weight=3, n=5)
+    plain = verify.run_suite(suite, max_weight=3, n=5)
+    assert guarded["passed"]
+    assert [c["name"] for c in guarded["checks"]] == [c["name"] for c in plain["checks"]]
+
+
+def test_eigen_suite_at_nine_variables():
+    # the restricted-Schur checks at every k <= 9 build no 8!-term Vandermonde
+    report = verify.run_suite("eigen", max_weight=0, n=9)
+    assert report["passed"] and report["counts"]["total"] == 95
