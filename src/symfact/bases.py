@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, ge, gt
@@ -26,8 +27,10 @@ from .poly import (
     InvariantViolation,
     MultiPoly,
     NotSymmetric,
+    Pair,
     PolyError,
     Scalar,
+    UniPoly,
     _reduce,
     accumulate,
     default_names,
@@ -204,7 +207,55 @@ def times_vandermonde(o: OrbitForm) -> MultiPoly:
     return MultiPoly._make(n, accumulate({}, terms), o.den, o.names)
 
 
-def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, MultiPoly]:
+@lru_cache(maxsize=None)
+def _feasible_orbit(e: tuple[int, ...], top: int, step: int) -> tuple[tuple[int, ...], ...]:
+    """The permutations p of e that some b in [0, top]^n makes into a p + b whose entries fall by at least step.
+
+    That is p_j + step j <= p_i + step i + top for every i < j: one pass
+    with the running minimum of p_i + step i.
+    """
+    out = []
+    for p in _orbit(e):
+        low = math.inf
+        for j, a in enumerate(p):
+            if a + step * j > low + top:
+                break
+            low = min(low, a + step * j)
+        else:
+            out.append(p)
+    return tuple(out)
+
+
+def times_product(o: OrbitForm, p: UniPoly, step: int) -> Pair:
+    """f * prod_j p(x_j) at its exponents whose entries fall by at least step, for the f symmetric in every slot of o.
+
+    Step 0 gives the orbit rows of that symmetric product, step 1 its
+    strictly decreasing coefficients.  Each row of f is spread only over the
+    permutations that some degrees of p can lift to such an exponent; then
+    p is multiplied in one slot at a time, slot k taking only the degrees b
+    with e_k + b <= e_(k-1) - step.  Returns the (numerators, denominator)
+    pair.
+    """
+    n = len(o.names)
+    if o.k != n:
+        raise PolyError(f"need an orbit form over all {n} slots, got k={o.k}")
+    factor = sorted((b, c) for (b,), c in p.poly.num.items())
+    degrees = [b for b, _ in factor]
+    below = [factor[:i] for i in range(len(factor) + 1)]  # the terms of p below each cut
+    num = {q: c for e, c in o.num.items() for q in _feasible_orbit(e, degrees[-1], step)}
+    for k in range(n):
+        num = accumulate(
+            {},
+            (
+                (e[:k] + (e[k] + b,) + e[k + 1 :], c * w)
+                for e, c in num.items()
+                for b, w in (factor if k == 0 else below[bisect_right(degrees, e[k - 1] - step - e[k])])
+            ),
+        )
+    return num, o.den * p.poly.den**n
+
+
+def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, int]:
     """Numerator and denominator of the Schur restriction x_k = ... = x_n = 1.
 
     The numerator is a mixed determinant: k-1 rows x_i^(mu_j) of powers of
@@ -216,7 +267,8 @@ def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, MultiPoly]:
     n-k+1 columns of (-1)^(sum of those rows and columns) V(mu_S) times the
     alternant of the monomial rows on the other columns, whose one strictly
     decreasing term is x^(mu off S).  The denominator is the closed-form
-    product without its Vandermonde, so the numerator is
+    product without its Vandermonde, c prod_(j=1..k-1) (x_j - 1)^(n-k+1)
+    with c = prod_(i=1..n-k) i!, and only c is returned: the numerator is
     :func:`times_vandermonde` of the denominator times the Schur polynomial
     with its last n-k+1 arguments set to 1.  For k <= 2 every exponent is
     strictly decreasing, and the plain ratio is that Schur polynomial.
@@ -232,20 +284,8 @@ def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, MultiPoly]:
         * vandermonde_value(mu[j] for j in cols)
         for cols in itertools.combinations(range(n), n - arity)
     }
-    return MultiPoly._wrap(arity, num, 1, default_names("x", arity)), _restricted_denominator(n, k)
-
-
-@lru_cache(maxsize=None)
-def _restricted_denominator(n: int, k: int) -> MultiPoly:
-    """The denominator of :func:`restricted_schur`, the same for every lam of length n.
-
-    prod_(i=1..n-k) i! * prod_(j=1..k-1) (x_j - 1)^(n-k+1).
-    """
-    arity = k - 1
-    den = MultiPoly.const(arity, math.prod(math.factorial(i) for i in range(1, n - k + 1)))
-    for j in range(arity):
-        den = den * (MultiPoly.variable(j, arity) - 1) ** (n - k + 1)
-    return den
+    c = math.prod(math.factorial(i) for i in range(1, n - k + 1))
+    return MultiPoly._wrap(arity, num, 1, default_names("x", arity)), c
 
 
 def basis_poly(basis: str, lam: Partition) -> NormalizedBasisPoly:
@@ -311,12 +351,20 @@ class OrbitForm(NamedTuple):
     polynomial.  :meth:`of` checks the symmetry once, where a polynomial
     enters; ``num`` is never mutated, and the pair is reduced whenever the
     whole polynomial's is.
+
+    ``z`` is None, or the number of last slots that make up a separation
+    route's z block: the z slots the route has made so far, in which the
+    polynomial is symmetric too, so only the exponents whose block is
+    weakly decreasing are kept.  A route starts with an empty block
+    (:meth:`z_block`), and each step that makes a z slot adds it to the block
+    (:meth:`grown`); a form whose ``z`` is None gets its new z slots whole.
     """
 
     k: int
     num: dict[tuple[int, ...], int]
     den: int
     names: tuple[str, ...]
+    z: int | None = None
 
     @classmethod
     def of(cls, f: MultiPoly, k: int | None = None) -> "OrbitForm":
@@ -331,10 +379,21 @@ class OrbitForm(NamedTuple):
             )
         return cls(k, {e: c for e, c in f.num.items() if _is_partition(e[:k])}, f.den, f.names)
 
+    def z_block(self) -> "OrbitForm":
+        """The same rows as a separation route's start: with an empty z block."""
+        return self._replace(z=0)
+
+    def grown(self) -> int | None:
+        """``z`` after a step that makes one z slot: the block gains it, if there is one."""
+        return None if self.z is None else self.z + 1
+
     def to_poly(self) -> MultiPoly:
-        """The whole polynomial: each row spread over its head orbit."""
-        k = self.k
-        num = {p + e[k:]: c for e, c in self.num.items() for p in _orbit(e[:k])}
+        """The whole polynomial: each row spread over its head orbit and its z block's."""
+        k, z = self.k, self.z or 0
+        num = self.num
+        if k > 1 or z > 1:  # an orbit of one slot or none is the row itself
+            b = len(self.names) - z
+            num = {p + e[k:b] + t: c for e, c in num.items() for p in _orbit(e[:k]) for t in _orbit(e[b:])}
         return MultiPoly._wrap(len(self.names), num, self.den, self.names)
 
 

@@ -135,6 +135,8 @@ def cmd_apply_q(args) -> int:
         out["eigenvalue"] = ops.q_poly(lam).to_json()
     else:
         f = _read_poly(args.input, args.n)
+        if "z" in f.names:
+            raise PolyError('input polynomial has a variable named "z", the name of the slot apply-q appends')
         # each degree d of f: the C(d+n-1, n-1) monomials of degree d in the x's times 1, z, .., z^d
         n = f.arity
         _within_budget(sum(math.comb(d + n - 1, n - 1) * (d + 1) for d in set(map(sum, f.num))))

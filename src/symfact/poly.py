@@ -115,13 +115,16 @@ def _contract(num: Mapping[Exponent, int], tables: Sequence[Sequence[int]]) -> i
     return sum(c * math.prod(map(getitem, tables, e)) for e, c in num.items())
 
 
-def tensor_sum(groups: Iterable[Sequence[Pair]]) -> Pair:
+def tensor_sum(groups: Iterable[Sequence[Pair]], block: int = 0) -> Pair:
     """The reduced (numerators, denominator) pair of sum_g prod_i f_gi.
 
     Each group is a sequence of (numerators, denominator) pairs whose
     factors sit in disjoint slots: a product term's exponent is the
     concatenation of its factors' exponents, in order.  The sum runs over
-    one running common denominator.
+    one running common denominator.  The last ``block`` slots of the
+    product are kept in sorted rows: each factor's share of them is weakly
+    decreasing, and a product is built only where each join of two factors
+    inside them is too.
     """
     out: dict[Exponent, int] = {}
     den = 1
@@ -136,12 +139,23 @@ def tensor_sum(groups: Iterable[Sequence[Pair]]) -> Pair:
         # product starts at the group's scale to the common denominator
         rest: dict[Exponent, int] = {(): den // d}
         for num, _ in reversed(factors[1:]):
-            rest = {e1 + e2: c1 * c2 for e1, c1 in num.items() for e2, c2 in rest.items()}
-        accumulate(
-            out,
-            ((e1 + e2, c1 * c2) for e1, c1 in factors[0][0].items() for e2, c2 in rest.items()),
-        )
+            rest = dict(_joined(num, rest, block))
+        accumulate(out, _joined(factors[0][0], rest, block))
     return _reduce(out, den)
+
+
+def _joined(left: dict[Exponent, int], right: dict[Exponent, int], block: int) -> Iterable[tuple[Exponent, int]]:
+    """Every product (e1 + e2, c1 * c2) of a left and a right term, in :func:`tensor_sum`.
+
+    When e1's last slot and e2's first both lie in the last ``block`` slots,
+    only the products with e1[-1] >= e2[0] are made.
+    """
+    width = len(next(iter(right), ()))
+    if 0 < width < block and len(next(iter(left), ())):
+        return (
+            (e1 + e2, c1 * c2) for e1, c1 in left.items() for e2, c2 in right.items() if e1[-1] >= e2[0]
+        )
+    return ((e1 + e2, c1 * c2) for e1, c1 in left.items() for e2, c2 in right.items())
 
 
 class MultiPoly:
@@ -529,9 +543,10 @@ class MultiPoly:
     def from_json(cls, data: Mapping) -> "MultiPoly":
         """Parse the JSON form strictly; any schema violation is a PolyError.
 
-        ``vars`` is a list of strings; each term's ``e`` is a list of one
-        non-negative int per variable and its ``c`` an int or a string
-        "p" or "p/q".  Floats, bools and repeated exponents are rejected.
+        ``vars`` is a list of pairwise distinct ASCII identifiers; each
+        term's ``e`` is a list of one non-negative int per variable and its
+        ``c`` an int or a string "p" or "p/q".  Floats, bools and repeated
+        exponents are rejected.
         """
         if not isinstance(data, Mapping) or not all(
             isinstance(data.get(key), list) for key in ("vars", "terms")
@@ -540,6 +555,13 @@ class MultiPoly:
         names = tuple(data["vars"])
         if not all(isinstance(v, str) for v in names):
             raise PolyError("variable names must be strings")
+        seen = set()
+        for v in names:
+            if not (v.isascii() and v.isidentifier()):
+                raise PolyError(f"variable name {v!r} is not an ASCII identifier")
+            if v in seen:
+                raise PolyError(f"variable name {v!r} appears twice")
+            seen.add(v)
         terms: dict[Exponent, Fraction] = {}
         for t in data["terms"]:
             if not isinstance(t, Mapping) or "e" not in t or "c" not in t:

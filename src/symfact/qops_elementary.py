@@ -15,7 +15,9 @@ independent check, and the tests also compare ``apply_h`` with the eps route.
 The chain links A_k act on the elementary polynomials of the first k
 variables by a two-term rule; the A-chain is kept as an independent route
 and checked against the spectral separating map (``separate``) and the
-rho-Q composition (``separate_via_q``).
+rho-Q composition (``separate_via_q``).  All three return the separated
+polynomial as orbit rows over z_1..z_n: the routes carry the z's they make
+in the z block of their orbit form, never as whole monomials.
 """
 
 from __future__ import annotations
@@ -163,10 +165,13 @@ def _link(o: OrbitForm, k: int, n: int) -> OrbitForm:
     """The k-th chain link in orbit coordinates: E_lam(head) * tail goes to A_k(E_lam) * tail.
 
     The input's head is its first k slots; the output's head is the first
-    k-1, slot k holds z_k, and the later slots ride along.
+    k-1, slot k holds z_k, and the later slots ride along.  On a chain's
+    form z_k joins the z block in front: a product is kept only when z_k's
+    exponent is at least the first z after it.
     """
-    num, den = spectral.orbit_map(o, "E", lambda lam: _link_image(lam, k, n), lambda lam: ({(): 1}, 1))
-    return OrbitForm(k - 1, num, den, o.names)
+    z = o.grown()
+    num, den = spectral.orbit_map(o, "E", lambda lam: _link_image(lam, k, n), lambda lam: ({(): 1}, 1), z)
+    return OrbitForm(k - 1, num, den, o.names, z)
 
 
 def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:
@@ -182,29 +187,29 @@ def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:
     return _link(OrbitForm.of(f, k), k, n).to_poly()
 
 
-def separate_via_q(f: MultiPoly) -> MultiPoly:
-    """rho_0 composed with n spectral Q's, output in z_1..z_n; the last Q fused with rho_0.
+def separate_via_q(f: MultiPoly) -> OrbitForm:
+    """rho_0 composed with n spectral Q's, in orbit rows over z_1..z_n; the last Q fused with rho_0.
 
-    Symmetry is checked once, on entry; the steps run on the orbit form.
+    Symmetry is checked once, on entry; the steps run on the orbit form,
+    with the z's they make in its z block.
     """
     q = partial(spectral.orbit_q, basis="E", q_poly=q_poly)
     rho0_q = partial(spectral.rho0_orbit_q, basis="E", q_poly=q_poly)
-    return spectral.separate_via_q(OrbitForm.of(f), f.arity, q, rho0_q)
+    return spectral.separate_via_q(OrbitForm.of(f).z_block(), f.arity, q, rho0_q)
 
 
-def separate_via_chain(f: MultiPoly) -> MultiPoly:
-    """The A-chain, output in z_1..z_n.
+def separate_via_chain(f: MultiPoly) -> OrbitForm:
+    """The A-chain, in orbit rows over z_1..z_n.
 
     Symmetry is checked once, on entry; the links (:func:`apply_a` is one)
-    run on the orbit form.
+    run on the orbit form, with the z's they make in its z block.
     """
-    n = f.arity
-    return spectral.separate_via_chain(OrbitForm.of(f), n, _link).to_poly().rename(default_names("z", n))
+    return spectral.separate_via_chain(OrbitForm.of(f).z_block(), f.arity, _link)
 
 
-def separate(f: MultiPoly) -> MultiPoly:
-    """Spectral separating map (:func:`symfact.spectral.orbit_separate`), checked against the A-chain."""
-    out = spectral.orbit_separate(OrbitForm.of(f), "E", q_poly).to_poly()
+def separate(f: MultiPoly) -> OrbitForm:
+    """Spectral separating map (:func:`symfact.spectral.orbit_separate`) in orbit rows, checked against the A-chain."""
+    out = spectral.orbit_separate(OrbitForm.of(f), "E", q_poly)
     return spectral.agreeing(out, separate_via_chain(f), f"[E] n={f.arity}: spectral product vs A-chain")
 
 

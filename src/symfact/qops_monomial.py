@@ -11,7 +11,11 @@ This module keeps the paper's own definitions, which serve as independent
 cross-check routes for the shared spectral core in ``symfact.spectral``:
 the substitution-average Q (vs ``spectral.orbit_q`` on the m basis),
 the A-chain separating map (checked against the rho-Q composition), and
-the insertion-average lift (vs ``spectral.lift`` on the m basis).
+the insertion-average lift (vs ``spectral.lift`` on the m basis).  The two
+separation routes keep the x's whole, so they share nothing with the orbit
+expansions, and keep the z's they make in the z block of an
+:class:`~symfact.bases.OrbitForm` with no head; they return orbit rows over
+z_1..z_n.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import spectral
-from .bases import elementary_value
+from .bases import OrbitForm, elementary_value
 from .partitions import Partition
 from .poly import (
     MultiPoly,
     NotSymmetric,
     PolyError,
     UniPoly,
+    _reduce,
     accumulate,
     default_names,
 )
@@ -60,18 +65,26 @@ def h_eigenvalue(lam: Partition, j: int) -> Fraction:
     return Fraction(elementary_value(lam.parts, j))
 
 
-def _substitution_average(f: MultiPoly, n_x: int | None, drop: bool) -> MultiPoly:
-    """(1/n) sum_j f(..., z x_j, ...) over the first n slots, new slot z last.
+def _form(f: MultiPoly) -> OrbitForm:
+    """f as the m steps take it: every slot whole, no head and no z block."""
+    return OrbitForm(0, f.num, f.den, f.names)
+
+
+def _substitution_average(o: OrbitForm, n_x: int | None, drop: bool) -> OrbitForm:
+    """(1/n) sum_j f(..., z x_j, ...) over the first n slots of o, whose slots are whole but a z block; new slot z last.
 
     With ``drop`` the first n slots are then set to 1 (dropped): x^a t goes
-    to (1/n) sum_j t z^(a_j).
+    to (1/n) sum_j t z^(a_j).  The new z joins o's z block if it has one, and
+    when the block holds z's, x^a t z^(a_j) is made only for a_j at most the
+    block's last entry.
     """
-    n = f.arity if n_x is None else n_x
-    if not 1 <= n <= f.arity:
+    n = len(o.names) if n_x is None else n_x
+    if not 1 <= n <= len(o.names):
         raise PolyError("n_x out of range")
     start = n if drop else 0  # the first slot the result keeps
-    out = accumulate({}, ((exp[start:] + (exp[j],), c) for exp, c in f.num.items() for j in range(n)))
-    return MultiPoly._make(f.arity - start + 1, out, f.den * n, f.names[start:] + ("z",))
+    rows = bool(o.z)
+    pairs = ((e[start:] + (e[j],), c) for e, c in o.num.items() for j in range(n) if not rows or e[j] <= e[-1])
+    return OrbitForm(0, *_reduce(accumulate({}, pairs), o.den * n), o.names[start:] + ("z",), o.grown())
 
 
 def apply_q(f: MultiPoly, n_x: int | None = None) -> MultiPoly:
@@ -80,35 +93,40 @@ def apply_q(f: MultiPoly, n_x: int | None = None) -> MultiPoly:
     Well defined on any polynomial, symmetric or not.  ``n_x`` restricts the
     average to the leading slots when trailing slots hold earlier z's.
     """
-    return _substitution_average(f, n_x, drop=False)
+    return _substitution_average(_form(f), n_x, drop=False).to_poly()
 
 
 def apply_rho0_q(f: MultiPoly, n_x: int | None = None) -> MultiPoly:
     """rho_0 after :func:`apply_q`, as one step: the first ``n_x`` slots set to 1."""
-    return _substitution_average(f, n_x, drop=True)
+    return _substitution_average(_form(f), n_x, drop=True).to_poly()
 
 
-def apply_projector(f: MultiPoly, j: int, k: int) -> MultiPoly:
-    """Substitution x_j <- x_j x_k, x_k <- 1 (1-based, j < k)."""
-    if not 1 <= j < k:
-        raise PolyError(f"need 1 <= j < k, got j={j}, k={k}")
-    if k > f.arity:
-        raise PolyError("projector index exceeds arity")
-    sj, sk = j - 1, k - 1
-    out = accumulate({}, ((exp[:sk] + (exp[sj],) + exp[k:], c) for exp, c in f.num.items()))
-    return MultiPoly._make(f.arity, out, f.den, f.names)
+def _projector_combination(o: OrbitForm, k: int, own: int, other: int, den: int) -> OrbitForm:
+    """(own f + other sum_{j<k} P_jk f) / den over o's slots, whole but a z block.
+
+    P_jk, the substitution x_j <- x_j x_k, x_k <- 1, puts a_j in slot k of
+    x^a; so slot k doubles as z_k.  z_k joins o's z block in front if it
+    has one, and when the block holds z's, a term is made only for a_j at
+    least the block's first entry.
+    """
+    weights = list(enumerate([other] * (k - 1) + [own]))
+    ks, rows = k - 1, bool(o.z)
+    pairs = ((e[:ks] + (e[j],) + e[k:], c * w) for e, c in o.num.items() for j, w in weights if not rows or e[j] >= e[k])
+    return OrbitForm(0, *_reduce(accumulate({}, pairs), o.den * den), o.names, o.grown())
 
 
-def _projector_sum(f: MultiPoly, k: int, n: int) -> MultiPoly:
-    """sum_{j<k} P_jk f, the one sum behind A_k and its inverse, once k is checked."""
+def _link(o: OrbitForm, k: int, n: int) -> OrbitForm:
+    """The projector average (1/n)(n-k+1 + sum_{j<k} P_jk) on o."""
+    return _projector_combination(o, k, n - k + 1, 1, n)
+
+
+def _checked(f: MultiPoly, k: int, n: int) -> OrbitForm:
+    """f as the links take it (every slot whole), once 1 <= k <= n and its k slots are checked."""
     if not 1 <= k <= n:
         raise PolyError(f"need 1 <= k <= n, got k={k}")
     if f.arity < k:
         raise PolyError("polynomial must have at least k slots")
-    acc = MultiPoly.zero(f.arity, f.names)
-    for j in range(1, k):
-        acc = acc + apply_projector(f, j, k)
-    return acc
+    return _form(f)
 
 
 def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:
@@ -117,14 +135,12 @@ def apply_a(f: MultiPoly, k: int, n: int) -> MultiPoly:
     Only the first k slots are touched, so trailing slots may hold the z's
     produced by later links of the chain.
     """
-    s = _projector_sum(f, k, n)
-    return f * Fraction(n - k + 1, n) + s * Fraction(1, n)
+    return _link(_checked(f, k, n), k, n).to_poly()
 
 
 def apply_a_inv(f: MultiPoly, k: int, n: int) -> MultiPoly:
-    """Inverse of the projector average, from P_jk P_lk = P_jk."""
-    s = _projector_sum(f, k, n)
-    return f * Fraction(n, n - k + 1) - s * Fraction(1, n - k + 1)
+    """Inverse of the projector average, from P_jk P_lk = P_jk: (n - sum_{j<k} P_jk) / (n-k+1)."""
+    return _projector_combination(_checked(f, k, n), k, n, -1, n - k + 1).to_poly()
 
 
 def rho(f: MultiPoly, k: int) -> MultiPoly:
@@ -134,14 +150,27 @@ def rho(f: MultiPoly, k: int) -> MultiPoly:
     return f.partial_eval({i: 1 for i in range(k, f.arity)})
 
 
-def separate_via_q(f: MultiPoly) -> MultiPoly:
-    """rho_0 composed with n substitution-average Q's, output in z_1..z_n."""
+def separate_via_q(f: MultiPoly) -> OrbitForm:
+    """rho_0 composed with n substitution-average Q's, in orbit rows over z_1..z_n.
+
+    The x's stay whole; the z's the Q's make are kept in the z block.
+    """
     n = f.arity
-    return spectral.separate_via_q(f, n, partial(apply_q, n_x=n), partial(apply_rho0_q, n_x=n))
+    q = partial(_substitution_average, n_x=n, drop=False)
+    rho0_q = partial(_substitution_average, n_x=n, drop=True)
+    return spectral.separate_via_q(_form(f).z_block(), n, q, rho0_q)
 
 
-def separate(f: MultiPoly) -> MultiPoly:
-    """Factorizing map: on a normalized basis element, prod_j q(z_j).
+def separate_via_chain(f: MultiPoly) -> OrbitForm:
+    """The A-chain of projector averages (:func:`apply_a`), in orbit rows over z_1..z_n.
+
+    The x's stay whole; the z's the links make are kept in the z block.
+    """
+    return spectral.separate_via_chain(_form(f).z_block(), f.arity, _link)
+
+
+def separate(f: MultiPoly) -> OrbitForm:
+    """Factorizing map in orbit rows: on a normalized basis element, prod_j q(z_j).
 
     Runs the triangular A-chain and checks it against the rho-Q composition;
     any disagreement raises.
@@ -149,8 +178,7 @@ def separate(f: MultiPoly) -> MultiPoly:
     if not f.is_symmetric():
         raise NotSymmetric("separation needs a symmetric polynomial")
     n = f.arity
-    g = spectral.separate_via_chain(f, n, apply_a).rename(default_names("z", n))
-    return spectral.agreeing(g, separate_via_q(f), f"[m] n={n}: A-chain vs rho-Q composition")
+    return spectral.agreeing(separate_via_chain(f), separate_via_q(f), f"[m] n={n}: A-chain vs rho-Q composition")
 
 
 def lift(f: MultiPoly) -> MultiPoly:

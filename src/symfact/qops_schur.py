@@ -36,12 +36,12 @@ from functools import lru_cache
 from . import spectral
 from .bases import (
     OrbitForm,
-    _orbit,
     combine,
     elementary_value,
     is_strict,
     restricted_schur,
     schur_poly,
+    times_product,
     vandermonde_value,
 )
 from .partitions import Partition
@@ -86,11 +86,17 @@ def phi(lam: Partition) -> UniPoly:
 
 
 @lru_cache(maxsize=None)
+def _pole(n: int) -> UniPoly:
+    """(z - 1)^(n-1): what q divides phi by, and the factor the inverse multiplies each slot by."""
+    return UniPoly([-1, 1]) ** (n - 1)
+
+
+@lru_cache(maxsize=None)
 def q_poly(lam: Partition) -> UniPoly:
     """(n-1)! phi(z) / (z-1)^(n-1), an exact polynomial with q(1) = 1."""
     n = lam.n
     try:
-        q = (phi(lam) * math.factorial(n - 1)).divide_exact(UniPoly([-1, 1]) ** (n - 1))
+        q = (phi(lam) * math.factorial(n - 1)).divide_exact(_pole(n))
     except NotDivisible as exc:
         raise InvariantViolation(f"phi for {lam} not divisible by (z-1)^(n-1)") from exc
     if q.eval(1) != 1:
@@ -116,8 +122,8 @@ def q_via_restriction(lam: Partition) -> UniPoly:
 
 def q_via_restricted_determinant(lam: Partition) -> UniPoly:
     """Second oracle: the mixed-determinant restriction with k = 2."""
-    num, den = restricted_schur(lam, 2)
-    ratio = UniPoly.of(num.divide_exact(den))
+    num, c = restricted_schur(lam, 2)
+    ratio = UniPoly.of(num).divide_exact(_pole(lam.n) * c)
     return ratio * (1 / schur_poly(lam).value_at_one)
 
 
@@ -235,52 +241,18 @@ def separate_inverse(g: MultiPoly) -> MultiPoly:
     return orbit_separate_inverse(o)
 
 
-@lru_cache(maxsize=None)
-def _feasible_orbit(e: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The permutations p of e that some b in [0, n-1]^n makes into a strictly decreasing p + b.
-
-    That is p_j + j <= p_i + i + n - 1 for every i < j: one pass with the
-    running minimum of p_i + i.
-    """
-    n = len(e)
-    out = []
-    for p in _orbit(e):
-        low = p[0]
-        for j in range(1, n):
-            if p[j] + j > low + n - 1:
-                break
-            low = min(low, p[j] + j)
-        else:
-            out.append(p)
-    return tuple(out)
-
-
 def orbit_separate_inverse(o: OrbitForm) -> MultiPoly:
     """:func:`separate_inverse` of the polynomial whose orbit rows (over all its slots) are o.
 
     The quotient K_n h / a_delta, h = g prod_k (x_k - 1)^(n-1), is
     sum_mu V(mu) [x^mu]h s_(mu - delta) over the strictly decreasing mu
     (Macdonald, Symmetric Functions and Hall Polynomials, I §3), so only
-    those coefficients of h are computed.  Each row is spread only over the
-    permutations that can reach a strictly decreasing mu; then the factors
-    are multiplied in one slot at a time, and after slot k every exponent
-    whose first k+1 entries are not strictly decreasing is dropped.
+    those coefficients of h are computed, by
+    :func:`~symfact.bases.times_product` with step 1.
     """
     n = o.k
-    # (x - 1)^(n-1) = sum_b C(n-1, b) (-1)^(n-1-b) x^b
-    factor = [(b, math.comb(n - 1, b) * (-1) ** (n - 1 - b)) for b in range(n)]
-    num = {p: c for e, c in o.num.items() for p in _feasible_orbit(e)}
-    for k in range(n):
-        num = accumulate(
-            {},
-            (
-                (e[:k] + (e[k] + b,) + e[k + 1 :], c * w)
-                for e, c in num.items()
-                for b, w in factor
-                if k == 0 or e[k - 1] > e[k] + b
-            ),
-        )
-    scale = Fraction(vandermonde_value(range(n)), o.den * math.factorial(n - 1) ** n)
+    num, den = times_product(o, _pole(n), 1)
+    scale = Fraction(vandermonde_value(range(n)), den * math.factorial(n - 1) ** n)
     coeffs = {
         Partition(tuple(m - (n - 1 - i) for i, m in enumerate(mu))): vandermonde_value(mu) * c * scale
         for mu, c in num.items()

@@ -29,10 +29,16 @@ driven here too: the rho-Q composition (:func:`separate_via_q`) and the
 A-chain (:func:`separate_via_chain`), each given one basis's steps.  The
 rho-Q route S_n = rho_0 Q_{z_1}...Q_{z_n} runs n-1 Q's and then the one
 fused step rho_0 Q_{z_1} (:func:`rho0_orbit_q` on a diagonal basis), which
-never builds the last Q's output in the x's only to set them to 1.  The
-Q_z differ only in the slot they append: every Q step appends one slot
-named z, and the route names its output's slots z_1..z_n once, at the end.
-:func:`agreeing` is the one check that two routes gave the same result.
+never builds the last Q's output in the x's only to set them to 1.  Every
+Q step appends one slot named z.  A route's intermediates are symmetric in
+the z's made so far (for rho-Q by [Q_z1, Q_z2] = 0, for the A-chains by
+the rho Q = A rho identities the chain suite checks), so a route keeps them
+in the z block of its :class:`~symfact.bases.OrbitForm`, at weakly
+decreasing exponents only: a Q step makes a product only when its new z
+exponent is at most the block's last, and a chain link keeps z_k only when
+it is at least the first z after it.  Each route returns the orbit rows
+over z_1..z_n, and :func:`agreeing` is the one check that two routes gave
+the same rows.
 """
 
 from __future__ import annotations
@@ -83,13 +89,16 @@ def _scalar(v: Fraction) -> Pair:
     return ({(): v.numerator} if v else {}), v.denominator
 
 
-def orbit_map(o: OrbitForm, basis: str, left: Side, right: Side) -> Pair:
+def orbit_map(o: OrbitForm, basis: str, left: Side, right: Side, z: int | None = None) -> Pair:
     """The reduced pair of sum_lam left(lam) * tail_lam * right(lam), o expanded over the basis in its head.
 
     Every diagonal operator is this one sum with its own two sides; each
-    side is a pair whose slots are concatenated in that order.
+    side is a pair whose slots are concatenated in that order.  ``z`` is
+    the result's z block (:class:`~symfact.bases.OrbitForm`), which only
+    the products whose block is weakly decreasing enter.
     """
-    return tensor_sum((left(lam), (tail, o.den), right(lam)) for lam, tail in expand_orbits(o, basis).items())
+    groups = ((left(lam), (tail, o.den), right(lam)) for lam, tail in expand_orbits(o, basis).items())
+    return tensor_sum(groups, z or 0)
 
 
 def _rows(basis: str) -> Side:
@@ -112,20 +121,22 @@ def orbit_q(o: OrbitForm, basis: str, q_poly: QPoly) -> OrbitForm:
 
     The head is expanded over the basis, each tail is multiplied by q_lam(z)
     and b_lam goes back to m-coordinates through its cached table; the new
-    slot, named z, is appended last.
+    slot, named z, is appended last, and joins o's z block if it has one.
     """
-    num, den = orbit_map(o, basis, _rows(basis), _eigenvalue_poly(q_poly))
-    return OrbitForm(o.k, num, den, o.names + ("z",))
+    z = o.grown()
+    num, den = orbit_map(o, basis, _rows(basis), _eigenvalue_poly(q_poly), z)
+    return OrbitForm(o.k, num, den, o.names + ("z",), z)
 
 
-def rho0_orbit_q(o: OrbitForm, basis: str, q_poly: QPoly) -> MultiPoly:
+def rho0_orbit_q(o: OrbitForm, basis: str, q_poly: QPoly) -> OrbitForm:
     """rho_0 after :func:`orbit_q`, as one step: the head slots set to 1.
 
     The result is sum_lam b_lam(1..1) * tail_lam * q_lam(z) in the tail
-    slots and the new z slot.
+    slots and the new z slot, with no head.
     """
-    num, den = orbit_map(o, basis, _at_one(basis), _eigenvalue_poly(q_poly))
-    return MultiPoly._wrap(len(o.names) - o.k + 1, num, den, o.names[o.k :] + ("z",))
+    z = o.grown()
+    num, den = orbit_map(o, basis, _at_one(basis), _eigenvalue_poly(q_poly), z)
+    return OrbitForm(0, num, den, o.names[o.k :] + ("z",), z)
 
 
 Eigenvalue = Callable[[Partition, int], Fraction]
@@ -170,46 +181,52 @@ def lift(f: MultiPoly, basis: str) -> MultiPoly:
     return OrbitForm(n, num, den, default_names("x", n)).to_poly()
 
 
-def agreeing(a: MultiPoly, b: MultiPoly, label: str) -> MultiPoly:
-    """a, once checked equal to b, the same map by another route.
+def agreeing(a: OrbitForm, b: OrbitForm, label: str) -> OrbitForm:
+    """a, once checked equal to b, the same map by another route, both in orbit rows.
 
     Otherwise raises, naming ``label`` (basis, n and the two routes), the
     grevlex-leading exponent of a - b and both coefficients there.
     """
     if a != b:
-        lead = (a - b).sorted_terms()[0][0]
+        pa, pb = a.to_poly(), b.to_poly()
+        lead = (pa - pb).sorted_terms()[0][0]
         raise InvariantViolation(
             f"separation routes disagree {label}"
-            f" at exponent {list(lead)}: {a.terms.get(lead, 0)} vs {b.terms.get(lead, 0)}"
+            f" at exponent {list(lead)}: {pa.terms.get(lead, 0)} vs {pb.terms.get(lead, 0)}"
         )
     return a
 
 
-def separate_via_q(h, n: int, apply_q: Callable, apply_rho0_q: Callable[..., MultiPoly]) -> MultiPoly:
-    """rho_0 composed with n Q's of one basis, output in z_1..z_n.
+def _z_rows(h: OrbitForm, n: int) -> OrbitForm:
+    """A route's last form, whose n slots are all its z block: the orbit rows over z_1..z_n."""
+    return OrbitForm(n, h.num, h.den, default_names("z", n))
 
-    ``h`` is the input in the form the steps take: a MultiPoly for the
-    substitution average, its :class:`~symfact.bases.OrbitForm` for a
-    diagonal Q.  ``apply_q(h)`` runs Q_{z_n}..Q_{z_2}, each appending one
-    slot; the last Q and rho_0 are the one fused step ``apply_rho0_q``,
-    which returns the MultiPoly in (z_n..z_1).  Its slots are reversed and
-    named z_1..z_n once, at the end.
+
+def separate_via_q(h: OrbitForm, n: int, apply_q: Callable, apply_rho0_q: Callable) -> OrbitForm:
+    """rho_0 composed with n Q's of one basis, in orbit rows over z_1..z_n.
+
+    ``h`` is the input in the form the steps take, with an empty z block:
+    its x's in rows for a diagonal Q, whole (no head) for the substitution
+    average.  ``apply_q(h)`` runs Q_{z_n}..Q_{z_2}, each adding one slot to
+    the block; the last Q and rho_0 are the one fused step ``apply_rho0_q``,
+    which drops the x's.  What is left is the block, symmetric in the z's,
+    so its rows need no reordering of the slots.
     """
     for _ in range(n - 1):
         h = apply_q(h)
-    return apply_rho0_q(h).permute(list(range(n - 1, -1, -1))).rename(default_names("z", n))
+    return _z_rows(apply_rho0_q(h), n)
 
 
-def separate_via_chain(h, n: int, apply_a: Callable):
-    """The A-chain of one basis: its links k = n down to 1 applied to ``h``.
+def separate_via_chain(h: OrbitForm, n: int, apply_a: Callable) -> OrbitForm:
+    """The A-chain of one basis: its links k = n down to 1 applied to ``h``, in orbit rows over z_1..z_n.
 
-    ``h`` is the input in the form the links carry, and ``apply_a(h, k, n)``
-    is the k-th link, which leaves z_k in slot k; the last link's output is
-    returned as it is.
+    ``h`` is the input in the form the links carry, with an empty z block,
+    and ``apply_a(h, k, n)`` is the k-th link, which puts z_k in slot k, in
+    front of the block; after the last link the block is every slot.
     """
     for k in range(n, 0, -1):
         h = apply_a(h, k, n)
-    return h
+    return _z_rows(h, n)
 
 
 def euler_residual(p: UniPoly, exponents: Iterable[int]) -> UniPoly:

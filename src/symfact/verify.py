@@ -12,10 +12,12 @@ and their commutators run ``spectral.orbit_q`` and ``spectral.orbit_h`` on
 one orbit form per basis element, and the inverse suite feeds the rows of
 ``spectral.orbit_product`` and ``spectral.orbit_separate`` to
 ``qops_schur.orbit_separate_inverse`` and ``qops_schur.orbit_k``.  The m
-routes (substitution average, Euler operators) and the chain suite's
-separation routes are the independent routes and stay whole.  On every
-basis, ``[Q_z1, Q_z2] = 0`` applies Q twice and checks that the result is
-symmetric in its two z slots.
+routes (substitution average, Euler operators) are the independent routes
+and keep their x's whole.  The chain suite compares the orbit rows of the
+four separation routes, which keep their z's in sorted rows, with those of
+``spectral.orbit_product``.  On every basis, ``[Q_z1, Q_z2] = 0`` applies Q
+twice, each z slot whole, and checks that the result is symmetric in its
+two z slots; it is what the routes' sorted z rows rely on for rho-Q.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ from .bases import (
     restricted_schur,
     schur_poly,
     schur_value_at_one,
+    times_product,
     times_vandermonde,
     vandermonde_value,
 )
 from .partitions import Partition, enumerate_partitions
-from .poly import InvariantViolation, MultiPoly, NotDivisible, NotSymmetric, Pair, PolyError, accumulate, tensor_sum
+from .poly import InvariantViolation, MultiPoly, NotDivisible, NotSymmetric, Pair, PolyError, UniPoly, accumulate, tensor_sum
 
 SUITES = ("eigen", "chain", "inverse", "ode", "lifting", "quadrature", "all")
 
@@ -160,12 +163,7 @@ def suite_eigen(max_weight: int, n: int, rng: random.Random) -> Reporter:
         rep.record(f"Schur-in-m dominance triangularity {tag}", is_dominance_triangular(lam))
         if lam.weight() <= min(max_weight, 4):
             for k in range(1, n + 1):
-                num, den = restricted_schur(lam, k)
-                direct = schur_poly(lam).raw.partial_eval({i: 1 for i in range(k - 1, n)})
-                rep.guarded(
-                    f"restricted-Schur determinant ratio k={k} {tag}",
-                    lambda num=num, den=den, direct=direct: num == times_vandermonde(OrbitForm.of(den * direct)),
-                )
+                rep.guarded(f"restricted-Schur determinant ratio k={k} {tag}", partial(_restricted_ratio, lam, k))
         rep.record(
             f"Schur value-at-one closed form {tag}",
             schur_poly(lam).raw.eval([1] * n) == schur_value_at_one(lam),
@@ -203,6 +201,20 @@ def suite_eigen(max_weight: int, n: int, rng: random.Random) -> Reporter:
                 combine(basis, n, expand_in_basis(f, basis)) == f,
             )
     return rep
+
+
+def _restricted_ratio(lam: Partition, k: int) -> bool:
+    """Whether restricted_schur's numerator is a_delta times its denominator times s_lam(x_1..x_(k-1), 1..1).
+
+    The denominator is c prod_j (x_j - 1)^(n-k+1): its product with the
+    restriction is read on its orbit rows, and a_delta times that on its
+    strictly decreasing coefficients; no whole product is built.
+    """
+    n = lam.n
+    num, c = restricted_schur(lam, k)
+    direct = schur_poly(lam).raw.partial_eval({i: 1 for i in range(k - 1, n)})
+    rows = times_product(OrbitForm.of(direct), UniPoly([-1, 1]) ** (n - k + 1), 0)
+    return num == times_vandermonde(OrbitForm(k - 1, *rows, direct.names)) * c
 
 
 def _distinct_point(n: int, rng: random.Random) -> list[Fraction]:
@@ -244,19 +256,15 @@ def suite_chain(max_weight: int, n: int, rng: random.Random) -> Reporter:
         mbar = basis_poly("m", lam).normalized
         rep.guarded(
             f"separation both routes and product [m] {tag}",
-            lambda mbar=mbar, lam=lam: qm.separate(mbar)
-            == spectral.eigen_product(qm.q_poly(lam), n),
+            lambda mbar=mbar, lam=lam: qm.separate(mbar) == spectral.orbit_product(qm.q_poly(lam), n),
         )
         ebar = basis_poly("E", lam).normalized
+        product = spectral.orbit_product(qe.q_poly(lam), n)
         rep.guarded(
             f"separation eps/chain routes and product [E] {tag}",
-            lambda ebar=ebar, lam=lam: qe.separate(ebar)
-            == spectral.eigen_product(qe.q_poly(lam), n),
+            lambda ebar=ebar, product=product: qe.separate(ebar) == product,
         )
-        rep.record(
-            f"separation rho-Q route [E] {tag}",
-            qe.separate_via_q(ebar) == spectral.eigen_product(qe.q_poly(lam), n),
-        )
+        rep.record(f"separation rho-Q route [E] {tag}", qe.separate_via_q(ebar) == product)
         if lam.weight() <= min(max_weight, 4):
             for k in range(1, n + 1):
                 lhs = qm.apply_q(mbar).partial_eval({i: 1 for i in range(k - 1, n)})

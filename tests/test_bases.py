@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     alternant_sum,
@@ -33,13 +33,14 @@ from symfact.bases import (
     restricted_schur,
     schur_poly,
     schur_value_at_one,
+    times_product,
     times_vandermonde,
     vandermonde,
     vandermonde_value,
 )
 from symfact import bases
 from symfact.partitions import Partition, dominance_leq, enumerate_partitions
-from symfact.poly import MultiPoly, NotSymmetric, PolyError, det
+from symfact.poly import MultiPoly, NotSymmetric, PolyError, UniPoly, det
 
 
 def symmetrized_average(lam):
@@ -222,35 +223,49 @@ class TestSchur:
             assert is_dominance_triangular(lam)
 
 
+def restricted_denominator(n: int, k: int, c: int) -> MultiPoly:
+    """c prod_(j=1..k-1) (x_j - 1)^(n-k+1), the whole polynomial restricted_schur's docstring states."""
+    den = MultiPoly.const(k - 1, c)
+    for j in range(k - 1):
+        den = den * (MultiPoly.variable(j, k - 1) - 1) ** (n - k + 1)
+    return den
+
+
 class TestRestrictedSchur:
     """The numerator holds the strictly decreasing coefficients of the mixed determinant."""
 
     def test_k_equals_n_is_plain_restriction(self):
         lam = Partition((2, 1, 0))
-        num, den = restricted_schur(lam, 3)
+        num, c = restricted_schur(lam, 3)
+        den = restricted_denominator(3, 3, c)
         direct = schur_poly(lam).raw.partial_eval({2: 1})
         assert alternant_sum(num).divide_exact(den * vandermonde(2)) == direct
         assert num == times_vandermonde(OrbitForm.of(den * direct))
 
     def test_k_one_gives_value_at_one(self):
-        num, den = restricted_schur(Partition((1, 0)), 1)
-        assert num.eval(()) / den.eval(()) == 2
+        num, c = restricted_schur(Partition((1, 0)), 1)
+        assert num.eval(()) / c == 2
 
     def test_k_two_single_variable(self):
-        num, den = restricted_schur(Partition((1, 0)), 2)
+        num, c = restricted_schur(Partition((1, 0)), 2)
         assert num == MultiPoly(1, {(2,): 1, (0,): -1})
-        assert den == MultiPoly(1, {(1,): 1, (0,): -1})
-        assert num.divide_exact(den) == MultiPoly(1, {(1,): 1, (0,): 1})
+        assert c == 1
+        assert num.divide_exact(MultiPoly(1, {(1,): 1, (0,): -1})) == MultiPoly(1, {(1,): 1, (0,): 1})
+
+    def test_denominator_constant(self):
+        # c = prod_(i=1..n-k) i!
+        assert [restricted_schur(Partition((0,) * 5), k)[1] for k in range(1, 6)] == [288, 12, 2, 1, 1]
 
     def test_ratio_equals_substitution_sweep(self):
         for n in (2, 3, 4):
             for lam in enumerate_partitions(4, n):
                 for k in range(1, n + 1):
-                    num, den = restricted_schur(lam, k)
+                    num, c = restricted_schur(lam, k)
                     direct = schur_poly(lam).raw.partial_eval(
                         {i: 1 for i in range(k - 1, n)}
                     )
-                    assert alternant_sum(num).divide_exact(den * vandermonde(k - 1)) == direct, (lam, k)
+                    den = restricted_denominator(n, k, c) * vandermonde(k - 1)
+                    assert alternant_sum(num).divide_exact(den) == direct, (lam, k)
 
     @staticmethod
     def _cofactor_numerator(lam, k):
@@ -268,8 +283,9 @@ class TestRestrictedSchur:
         for n in range(1, 6):
             for lam in enumerate_partitions(4, n):
                 for k in range(1, n + 1):
-                    num, den = restricted_schur(lam, k)
+                    num, c = restricted_schur(lam, k)
                     direct = schur_poly(lam).raw.partial_eval({i: 1 for i in range(k - 1, n)})
+                    den = restricted_denominator(n, k, c)
                     assert num == times_vandermonde(OrbitForm.of(den * direct)), (lam, k)
                     whole = self._cofactor_numerator(lam, k)
                     want = strict_part(whole)
@@ -413,3 +429,49 @@ class TestTimesVandermonde:
     def test_needs_every_slot_in_the_head(self):
         with pytest.raises(PolyError, match="all 3 slots"):
             times_vandermonde(OrbitForm.of(MultiPoly.one(3), 2))
+
+
+class TestTimesProduct:
+    """f * prod_j p(x_j) at its weakly (step 0) or strictly (step 1) decreasing exponents, against the whole product."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("top, step", [(0, 0), (2, 0), (0, 1), (1, 1), (3, 1)])
+    def test_feasible_orbit_is_every_permutation_a_shift_lifts(self, n, top, step):
+        # brute force over every shift b in [0, top]^n
+        shifts = list(itertools.product(range(top + 1), repeat=n))
+        for lam in enumerate_partitions(5, n):
+            want = {
+                p
+                for p in itertools.permutations(lam.parts)
+                if any(all(a - b >= step for a, b in zip(s, s[1:])) for s in ([a + c for a, c in zip(p, bs)] for bs in shifts))
+            }
+            got = bases._feasible_orbit(lam.parts, top, step)
+            assert len(got) == len(want) and set(got) == want
+
+    @staticmethod
+    def whole(f: MultiPoly, p: UniPoly) -> MultiPoly:
+        for j in range(f.arity):
+            f = f * p.as_multipoly(f.arity, j, f.names)
+        return f
+
+    @settings(max_examples=60)
+    @given(
+        symmetric_polys(max_n=4),
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4).filter(any),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_rows_and_strict_part_of_the_whole_product(self, f, coeffs, d):
+        p = UniPoly([F(c, d) for c in coeffs])
+        whole = self.whole(f, p)
+        rows = OrbitForm.of(whole)
+        assert MultiPoly._make(f.arity, *times_product(OrbitForm.of(f), p, 0), f.names) == MultiPoly._make(
+            f.arity, rows.num, rows.den, f.names
+        )
+        assert MultiPoly._make(f.arity, *times_product(OrbitForm.of(f), p, 1), f.names) == strict_part(whole)
+
+    def test_no_slots(self):
+        assert times_product(OrbitForm.of(MultiPoly.const(0, F(3, 2))), UniPoly([5, 7]), 1) == ({(): 3}, 2)
+
+    def test_needs_every_slot_in_the_head(self):
+        with pytest.raises(PolyError, match="all 3 slots"):
+            times_product(OrbitForm.of(MultiPoly.one(3), 2), UniPoly([-1, 1]), 0)

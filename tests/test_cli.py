@@ -306,6 +306,11 @@ class TestInputBoundary:
             (INVERT + ("--n", "3"), _poly([{"e": [1, 0], "c": "1"}], ("z1", "z2")), "has 2 variables, expected 3"),
             (INVERT, _poly([], ()), "has no variables"),
             (("apply-q", "--basis", "s", "--input", "-"), _poly([], ()), "has no variables"),
+            (APPLY_Q, _poly([{"e": [1, 0], "c": "1"}], ("x", "x")), "variable name 'x' appears twice"),
+            (APPLY_Q, _poly([{"e": [1, 0], "c": "1"}], ("z", "y")), 'variable named "z"'),
+            (APPLY_Q, _poly([{"e": [1, 0], "c": "1"}], ("", "")), "variable name '' is not an ASCII identifier"),
+            (INVERT, _poly([{"e": [1, 0], "c": "1"}], ("z1", "z 2")), "variable name 'z 2' is not an ASCII identifier"),
+            (INVERT, _poly([{"e": [1, 0], "c": "1"}], ("z1", "x\u00e9")), "variable name 'x\u00e9' is not an ASCII identifier"),
         ],
         ids=[
             "zero-denominator",
@@ -321,6 +326,11 @@ class TestInputBoundary:
             "invert-n-differs",
             "invert-no-variables",
             "apply-q-no-variables",
+            "repeated-variable",
+            "apply-q-input-has-z",
+            "empty-variable-names",
+            "non-identifier-variable",
+            "non-ascii-variable",
         ],
     )
     def test_stdin_input_error(self, capsys, monkeypatch, argv, stdin, fragment):

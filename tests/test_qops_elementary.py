@@ -12,7 +12,7 @@ from conftest import expand_with_tail, head_symmetric, symmetric_polys
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact import spectral
-from symfact.bases import combine, elementary_generating, elementary_product, elementary_sym
+from symfact.bases import OrbitForm, combine, elementary_generating, elementary_product, elementary_sym
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, PolyError, UniPoly, default_names
 
@@ -224,17 +224,19 @@ class TestChain:
     @given(symmetric_polys(max_n=4))
     def test_chain_matches_full_monomial_links(self, f):
         n = f.arity
-        want = spectral.separate_via_chain(f, n, full_link).rename(default_names("z", n))
-        assert_same(qe.separate_via_chain(f), want)
+        want = f
+        for k in range(n, 0, -1):
+            want = full_link(want, k, n)
+        assert_same(qe.separate_via_chain(f).to_poly(), want.rename(default_names("z", n)))
 
 
 class TestSeparation:
     def test_frozen_products(self):
-        assert qe.separate(ebar(1, 0)) == MultiPoly(
+        assert qe.separate(ebar(1, 0)).to_poly() == MultiPoly(
             2, {(1, 1): F(1, 4), (1, 0): F(1, 4), (0, 1): F(1, 4), (0, 0): F(1, 4)}
         )
-        assert qe.separate(MultiPoly.one(2)) == MultiPoly.one(2)
-        assert qe.separate(ebar(1, 1)) == MultiPoly(2, {(1, 1): 1})
+        assert qe.separate(MultiPoly.one(2)).to_poly() == MultiPoly.one(2)
+        assert qe.separate(ebar(1, 1)).to_poly() == MultiPoly(2, {(1, 1): 1})
 
     def test_three_routes_agree(self):
         rng = random.Random(5)
@@ -254,10 +256,10 @@ class TestSeparation:
             expected = MultiPoly.one(3)
             for j in range(3):
                 expected = expected * q.as_multipoly(3, j)
-            assert qe.separate(ebar(*lam.parts)) == expected
+            assert qe.separate(ebar(*lam.parts)).to_poly() == expected
 
     def test_route_disagreement_names_basis_n_and_routes(self, monkeypatch):
-        monkeypatch.setattr(qe, "separate_via_chain", lambda f: MultiPoly.zero(f.arity))
+        monkeypatch.setattr(qe, "separate_via_chain", lambda f: OrbitForm.of(MultiPoly.zero(f.arity)))
         with pytest.raises(InvariantViolation) as err:
             qe.separate(ebar(1, 0))
         message = str(err.value)
@@ -268,14 +270,14 @@ class TestSeparation:
         # the chain gains 1/2 z1 z2 + 1 over prod_j (1 + z_j) / 2: they differ first at [1, 1]
         chain = qe.separate_via_chain
         extra = MultiPoly(2, {(1, 1): F(1, 2), (0, 0): 1})
-        monkeypatch.setattr(qe, "separate_via_chain", lambda f: chain(f) + extra)
+        monkeypatch.setattr(qe, "separate_via_chain", lambda f: OrbitForm.of(chain(f).to_poly() + extra))
         with pytest.raises(InvariantViolation, match=r"A-chain at exponent \[1, 1\]: 1/4 vs 3/4$"):
             qe.separate(ebar(1, 0))
 
     def test_differs_from_eps_coordinates(self):
         # the two separated forms genuinely differ
         f = ebar(1, 0)
-        assert qe.separate(f) != qe.to_eps(f)
+        assert qe.separate(f).to_poly() != qe.to_eps(f)
 
 
 class TestLift:

@@ -280,19 +280,6 @@ class TestSeparationAndInverse:
         assert times_vandermonde(OrbitForm.of(got)) == self.full_inverse(g)
         assert got.names == default_names("x", f.arity)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_feasible_orbit_is_every_permutation_a_shift_makes_strictly_decreasing(self, n):
-        # brute force over every shift b in [0, n-1]^n
-        shifts = list(itertools.product(range(n), repeat=n))
-        for lam in enumerate_partitions(5, n):
-            want = {
-                p
-                for p in itertools.permutations(lam.parts)
-                if any(strictly_decreasing([a + b for a, b in zip(p, bs)]) for bs in shifts)
-            }
-            got = qs._feasible_orbit(lam.parts)
-            assert len(got) == len(want) and set(got) == want
-
     @given(symmetric_polys(min_n=2, max_n=4), st.data())
     def test_non_symmetric_input_is_rejected(self, f, data):
         n = f.arity

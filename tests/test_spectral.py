@@ -221,7 +221,7 @@ class TestFusedStep:
     def test_diagonal(self, case):
         basis, k, h = case
         q_poly = BASES[basis].q_poly
-        fused = spectral.rho0_orbit_q(OrbitForm.of(h, k), basis, q_poly)
+        fused = spectral.rho0_orbit_q(OrbitForm.of(h, k), basis, q_poly).to_poly()
         assert_same(fused, rho0(whole_orbit_q(h, basis, q_poly, k), k))
         assert_same(fused, rho0(full_diagonal_q(h, basis, q_poly, k), k))
 
@@ -236,15 +236,15 @@ class TestSeparateViaQ:
     @settings(max_examples=30)
     @given(symmetric_polys(max_n=3))
     def test_matches_unfused_composition(self, f):
-        assert_same(qm.separate_via_q(f), unfused_separate_via_q(f, qm.apply_q))
+        assert_same(qm.separate_via_q(f).to_poly(), unfused_separate_via_q(f, qm.apply_q))
         orbit_q = partial(whole_orbit_q, basis="E", q_poly=qe.q_poly)
-        assert_same(qe.separate_via_q(f), unfused_separate_via_q(f, orbit_q))
+        assert_same(qe.separate_via_q(f).to_poly(), unfused_separate_via_q(f, orbit_q))
 
     @settings(max_examples=30)
     @given(symmetric_polys(max_n=4))
     def test_elementary_route_matches_full_monomial_composition(self, f):
         full_q = partial(full_diagonal_q, basis="E", q_poly=qe.q_poly)
-        assert_same(qe.separate_via_q(f), unfused_separate_via_q(f, full_q))
+        assert_same(qe.separate_via_q(f).to_poly(), unfused_separate_via_q(f, full_q))
 
 
 @pytest.mark.parametrize("apply_h", [qe.apply_h, qs.apply_h], ids=["E", "s"])

@@ -158,14 +158,17 @@ def test_eigen_and_inverse_suites_keep_the_symmetric_side_in_orbit_rows(monkeypa
     assert [(c["name"], c["status"]) for c in guarded["checks"]] == [(c["name"], c["status"]) for c in plain["checks"]]
 
 
-def test_an_asymmetric_restricted_denominator_fails_its_checks(monkeypatch, capsys):
-    # a den that is not symmetric in its k-1 >= 2 slots makes den * direct
-    # asymmetric: each such check fails with the reason, and verify exits 1
-    def skewed(lam, k):
-        num, den = bases.restricted_schur(lam, k)
-        return num, den + MultiPoly.variable(0, den.arity) if k >= 3 else den
+def test_an_asymmetric_restriction_fails_its_checks(monkeypatch, capsys):
+    # s_lam + (x1 - x2)(x2 - 1) is not symmetric once x3 = 1, at k = 3, and
+    # unchanged at x2 = x3 = 1: each k = 3 check fails with the reason, the
+    # others pass, and verify exits 1
+    x1, x2 = MultiPoly.variable(0, 3), MultiPoly.variable(1, 3)
 
-    monkeypatch.setattr(verify, "restricted_schur", skewed)
+    def skewed(lam):
+        nb = bases.schur_poly(lam)
+        return nb._replace(raw=nb.raw + (x1 - x2) * (x2 - 1))
+
+    monkeypatch.setattr(verify, "schur_poly", skewed)
     report = verify.run_suite("eigen", max_weight=2, n=3)
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert report["counts"] == {"total": 98, "failed": 4}
