@@ -120,17 +120,6 @@ def elementary_sym(r: int, n: int) -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
-def elementary_generating(n: int) -> MultiPoly:
-    """w_n(t) = prod_i (1 + t x_i), in slots (x_1..x_n, t)."""
-    names = default_names("x", n) + ("t",)
-    acc = MultiPoly.one(n + 1, names)
-    t = MultiPoly.variable(n, n + 1, names)
-    for i in range(n):
-        acc = acc * (MultiPoly.one(n + 1, names) + t * MultiPoly.variable(i, n + 1, names))
-    return acc
-
-
-@lru_cache(maxsize=None)
 def elementary_product(lam: Partition) -> NormalizedBasisPoly:
     """E_lam = prod_j e_j^(lam_j - lam_{j+1}), with value prod C(n,j)^(...)."""
     n = lam.n

@@ -460,22 +460,6 @@ class MultiPoly:
 
     # -- slot surgery --------------------------------------------------------
 
-    def extend(self, extra: int, new_names: Sequence[str] | None = None) -> "MultiPoly":
-        """Append ``extra`` fresh slots (all exponents zero)."""
-        if extra < 0:
-            raise PolyError("extra must be nonnegative")
-        if new_names is None:
-            new_names = default_names("z", extra)
-        if len(new_names) != extra:
-            raise PolyError("need one name per new slot")
-        pad = (0,) * extra
-        return MultiPoly._wrap(
-            self.arity + extra,
-            {e + pad: c for e, c in self.num.items()},
-            self.den,
-            self.names + tuple(new_names),
-        )
-
     def insert_slot(self, pos: int, name: str) -> "MultiPoly":
         """Insert a fresh slot before position ``pos``."""
         if not 0 <= pos <= self.arity:

@@ -13,7 +13,10 @@ itself, so verify's eigenrelation check on E tests only the E expansion and
 its m-coordinate table; the explicit first-order form ``h_explicit_values`` is the
 independent check, and the tests also compare ``apply_h`` with the eps route.
 The chain links A_k act on the elementary polynomials of the first k
-variables by a two-term rule; the A-chain is kept as an independent route
+variables by a two-term rule, so A_k is a ring map on the eps-coordinates:
+the image of E_lam is a product of small polynomials in eps_1..eps_(k-1)
+and z_k, each of whose terms is an E element of the first k-1 variables
+times a power of z_k.  The A-chain is kept as an independent route
 and checked against the spectral separating map (``separate``) and the
 rho-Q composition (``separate_via_q``).  All three return the separated
 polynomial as orbit rows over z_1..z_n: the routes carry the z's they make
@@ -25,11 +28,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate
 
 from . import spectral
-from .bases import OrbitForm, elementary_sym, elementary_value, expand_in_basis
+from .bases import OrbitForm, elementary_value, expand_in_basis, m_coordinates
 from .partitions import Partition
-from .poly import MultiPoly, Pair, PolyError, UniPoly, _contract, default_names
+from .poly import MultiPoly, Pair, PolyError, UniPoly, _contract, default_names, tensor_sum
 
 
 def to_eps(f: MultiPoly) -> MultiPoly:
@@ -128,37 +132,40 @@ def apply_q(f: MultiPoly) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def _chain_image(j: int, k: int, n: int) -> MultiPoly:
-    """Image of e_j of the first k variables under the k-th chain link.
+    """Image of e_j of the first k variables under the k-th chain link, in eps-coordinates.
 
-    Lives in k slots: the first k-1 are x's, the last is z_k.  Only the
-    pair is read (:func:`_link_image`), so the slots keep default names.
+    eps_j (n - j + j z) / n + eps_(j-1) (k - j + (n - k + j) z) / n in k
+    slots: eps_1..eps_(k-1) of the first k-1 variables, then z_k.  There
+    eps_0 = 1 and eps_k = 0.
     """
     z = MultiPoly.variable(k - 1, k)
     one = MultiPoly.one(k)
-
-    def embed(i: int) -> MultiPoly:
-        return elementary_sym(i, k - 1).extend(1)
-
-    if j == k:
-        return z * embed(k - 1)
+    eps = [one, *(MultiPoly.variable(i, k) for i in range(k - 1)), MultiPoly.zero(k)]
     u = one * Fraction(n - j, n) + z * Fraction(j, n)
     v = one * Fraction(k - j, n) + z * Fraction(n - k + j, n)
-    return embed(j) * u + embed(j - 1) * v
+    return eps[j] * u + eps[j - 1] * v
 
 
 @lru_cache(maxsize=None)
 def _link_image(lam: Partition, k: int, n: int) -> Pair:
     """The k-th link's image of E_lam (lam of length k), prod_j A_k(e_j)^(lam_j - lam_(j+1)).
 
-    The (numerators, denominator) pair of its orbit rows over the k-1 x's,
-    with z_k as its one tail slot.
+    The product is taken in eps-coordinates, where the link is a ring map;
+    each term eps^s z_k^d is E_nu(x_1..x_(k-1)) z_k^d, nu the partition
+    whose steps are s, read through E_nu's m-coordinate rows (at k = 1
+    there are no x's, and s is empty).  Returns the
+    (numerators, denominator) pair of the image's orbit rows over the k-1
+    x's, with z_k as its one tail slot.
     """
     image = MultiPoly.one(k)
     for j, e in enumerate(lam.steps(), start=1):
         if e:
             image = image * _chain_image(j, k, n) ** e
-    rows = OrbitForm.of(image, k - 1)
-    return rows.num, rows.den
+
+    def rows(s: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        return m_coordinates("E", Partition(tuple(accumulate(reversed(s)))[::-1])) if s else {(): 1}
+
+    return tensor_sum(((rows(e[:-1]), 1), ({e[-1:]: c}, image.den)) for e, c in image.num.items())
 
 
 def _link(o: OrbitForm, k: int, n: int) -> OrbitForm:

@@ -2,7 +2,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from symfact.bases import BASIS_TAGS, OrbitForm, alternant, basis_poly, expand_orbits
 from symfact.partitions import Partition, enumerate_partitions
-from symfact.poly import MultiPoly
+from symfact.poly import MultiPoly, default_names
 
 settings.register_profile(
     "ci",
@@ -48,6 +48,17 @@ def multipoly_triples(draw, max_terms=3, max_exp=2):
 @st.composite
 def points_for(draw, arity):
     return [draw(fractions_small) for _ in range(arity)]
+
+
+def elementary_generating(n):
+    """w_n(t) = prod_i (1 + t x_i), in slots (x_1..x_n, t): the generating function of the e_r."""
+    names = default_names("x", n) + ("t",)
+    one = MultiPoly.one(n + 1, names)
+    t = MultiPoly.variable(n, n + 1, names)
+    acc = one
+    for i in range(n):
+        acc = acc * (one + t * MultiPoly.variable(i, n + 1, names))
+    return acc
 
 
 def outer(head, tail):

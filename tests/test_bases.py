@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     alternant_sum,
+    elementary_generating,
     expand_with_tail,
     fractions_small,
     head_symmetric,
@@ -23,7 +24,6 @@ from symfact.bases import (
     alternant,
     basis_poly,
     combine,
-    elementary_generating,
     elementary_product,
     elementary_sym,
     elementary_value,

@@ -6,8 +6,11 @@ as a name, an attribute, or a string constant that is a (dotted) name,
 because ``bench/tracer.py`` names its targets in strings.  Dunder methods
 are called by Python itself and are not scanned.  Tests do not count as
 callers: a definition only tests read is listed in ``ORACLES``, with the
-reason it stays.  A module-level import must be named in its own module
-(``from __future__`` aside) or listed in the module's ``__all__``.
+reason it stays.  Since any attribute counts, a definition named like a
+builtin method would count as used wherever that method is called, so no
+definition may take such a name.  A module-level import must be named in
+its own module (``from __future__`` aside) or listed in the module's
+``__all__``.
 """
 
 import ast
@@ -17,9 +20,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "symfact"
 
-ORACLES = {
-    "bases.elementary_generating": "generating-function oracle for e_r and the E-basis q-polynomials",
-}
+ORACLES: dict[str, str] = {}
+
+# every method name of these builtin types; a call like ``list.extend`` names one
+BUILTIN_METHODS = {name for t in (list, dict, str, tuple, set, int, bytes) for name in dir(t)}
 
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
@@ -67,6 +71,11 @@ def test_every_definition_is_named_outside_the_tests():
     refs = _references()
     unused = sorted(q for q, name in _definitions().items() if name not in refs)
     assert unused == sorted(ORACLES)
+
+
+def test_no_definition_is_named_like_a_builtin_method():
+    clashes = sorted(q for q, name in _definitions().items() if name in BUILTIN_METHODS)
+    assert clashes == []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

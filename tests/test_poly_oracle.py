@@ -415,7 +415,7 @@ class TestResultTerms:
             (f * g).divide_exact(g) if not g.is_zero else f,
             f.partial_eval({0: 1}), f.partial_eval({0: 0}), f.partial_eval({0: c}),
             f.permute(list(range(f.arity))[::-1]), f.euler(0), f.diff(0),
-            f.extend(2), f.insert_slot(0, "t"),
+            f.insert_slot(f.arity, "z"), f.insert_slot(0, "t"),
             f.rename([f"y{i}" for i in range(f.arity)]),
         ]
         for r in results:
@@ -436,7 +436,7 @@ class TestResultTerms:
             (f + g) - g, g + f - g, -(-f), (f * c) * (1 / c), (f * 6) * Fraction(1, 6),
             f * MultiPoly.one(f.arity), f.permute(reverse).permute(reverse),
             MultiPoly(f.arity, f.terms), MultiPoly(f.arity, f.terms, default_names("y", f.arity)),
-            f.extend(1).partial_eval({f.arity: c}), f.insert_slot(0, "t").partial_eval({0: 1}),
+            f.insert_slot(f.arity, "z").partial_eval({f.arity: c}), f.insert_slot(0, "t").partial_eval({0: 1}),
         ]
         if not g.is_zero:
             routes.append((f * g).divide_exact(g))

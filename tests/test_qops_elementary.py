@@ -7,24 +7,42 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import expand_with_tail, head_symmetric, symmetric_polys
+from conftest import elementary_generating, expand_with_tail, head_symmetric, symmetric_polys
 
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact import spectral
-from symfact.bases import OrbitForm, combine, elementary_generating, elementary_product, elementary_sym
+from symfact.bases import OrbitForm, combine, elementary_product, elementary_sym
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, PolyError, UniPoly, default_names
 
 
+def chain_image(j: int, k: int, n: int) -> MultiPoly:
+    """A_k(e_j) in x-monomials, slots (x_1..x_(k-1), z_k): e_j u + e_(j-1) v, with e_k = 0 in k-1 variables."""
+    z = MultiPoly.variable(k - 1, k)
+    one = MultiPoly.one(k)
+
+    def e(i: int) -> MultiPoly:
+        return elementary_sym(i, k - 1).insert_slot(k - 1, "z") if i < k else MultiPoly.zero(k)
+
+    u = one * F(n - j, n) + z * F(j, n)
+    v = one * F(k - j, n) + z * F(n - k + j, n)
+    return e(j) * u + e(j - 1) * v
+
+
+def whole_link_image(lam: Partition, k: int, n: int) -> MultiPoly:
+    """prod_j A_k(e_j)^(lam_j - lam_(j+1)) with every monomial built."""
+    image = MultiPoly.one(k)
+    for j, e in enumerate(lam.steps(), start=1):
+        image = image * chain_image(j, k, n) ** e
+    return image
+
+
 def full_link(f: MultiPoly, k: int, n: int) -> MultiPoly:
-    """The k-th chain link with every monomial built: sum_lam prod_j A_k(e_j)^(lam_j - lam_(j+1)) * tail_lam."""
+    """The k-th chain link with every monomial built: sum_lam A_k(E_lam) * tail_lam."""
     out = MultiPoly.zero(f.arity, f.names)
     for lam, tail in expand_with_tail(f, "E", k).items():
-        image = MultiPoly.one(k)
-        parts = lam.parts + (0,)
-        for j in range(1, k + 1):
-            image = image * qe._chain_image(j, k, n) ** (parts[j - 1] - parts[j])
+        image = whole_link_image(lam, k, n)
         out = out + MultiPoly(
             f.arity, {h + t: hc * tc for h, hc in image.terms.items() for t, tc in tail.terms.items()}
         )
@@ -167,7 +185,7 @@ class TestQOperator:
         for lam in enumerate_partitions(5, 3):
             f = ebar(*lam.parts)
             q = qe.q_poly(lam)
-            assert qe.apply_q(f) == f.extend(1, ("z",)) * q.as_multipoly(4, 3)
+            assert qe.apply_q(f) == f.insert_slot(f.arity, "z") * q.as_multipoly(4, 3)
 
     def test_generating_function_form(self):
         # Q acts on w_n(t) as 1 + ((z-1)/n) t d/dt
@@ -176,13 +194,13 @@ class TestQOperator:
             lhs = MultiPoly.zero(n + 2)
             for j in range(n + 1):
                 coeff = MultiPoly(n, {e[:n]: c for e, c in w.terms.items() if e[n] == j})
-                image = qe.apply_q(coeff) if j else coeff.extend(1, ("z",))
+                image = qe.apply_q(coeff) if j else coeff.insert_slot(n, "z")
                 # reattach the t power: slots (x..., z) -> (x..., t, z)
                 lhs = lhs + MultiPoly(
                     n + 2,
                     {e[:n] + (j,) + e[n:]: c for e, c in image.terms.items()},
                 )
-            wz = w.extend(1, ("z",))
+            wz = w.insert_slot(w.arity, "z")
             t_deriv = wz.euler(n)  # t d/dt
             z = MultiPoly.variable(n + 1, n + 2)
             rhs = wz + (z - 1) * t_deriv * F(1, n)
@@ -212,6 +230,13 @@ class TestChain:
     def test_requires_symmetry(self):
         with pytest.raises(NotSymmetric):
             qe.apply_a(MultiPoly.variable(0, 2), 2, 2)
+
+    def test_link_image_is_the_rows_of_the_whole_product(self):
+        for n in range(1, 6):
+            for k in range(1, n + 1):
+                for lam in enumerate_partitions(5, k):
+                    rows = OrbitForm.of(whole_link_image(lam, k, n), k - 1)
+                    assert qe._link_image(lam, k, n) == (rows.num, rows.den), (lam, k, n)
 
     @given(head_symmetric(), st.integers(min_value=0, max_value=1))
     def test_link_matches_full_monomial_product(self, case, extra):

@@ -113,7 +113,7 @@ class TestQOperator:
         for lam in enumerate_partitions(5, 3):
             f = monomial_sym(lam).normalized
             q = qm.q_poly(lam)
-            assert qm.apply_q(f) == f.extend(1, ("z",)) * q.as_multipoly(4, 3)
+            assert qm.apply_q(f) == f.insert_slot(f.arity, "z") * q.as_multipoly(4, 3)
 
     def test_agrees_with_spectral_route(self):
         for lam in enumerate_partitions(4, 3):

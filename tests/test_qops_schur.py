@@ -302,7 +302,7 @@ class TestSpectralQ:
     def test_diagonal_action(self):
         s = sbar(1, 0)
         q = qs.q_poly(Partition((1, 0)))
-        assert qs.apply_q(s) == s.extend(1, ("z",)) * q.as_multipoly(3, 2)
+        assert qs.apply_q(s) == s.insert_slot(s.arity, "z") * q.as_multipoly(3, 2)
 
     def test_constant(self):
         assert qs.apply_q(MultiPoly.one(2)) == MultiPoly.one(3)
@@ -312,7 +312,7 @@ class TestSpectralQ:
 
         e2 = elementary_sym(2, 3)
         q = qs.q_poly(Partition((1, 1, 0)))
-        assert qs.apply_q(e2) == e2.extend(1, ("z",)) * q.as_multipoly(4, 3)
+        assert qs.apply_q(e2) == e2.insert_slot(e2.arity, "z") * q.as_multipoly(4, 3)
 
 
 class TestLift:

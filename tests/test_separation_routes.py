@@ -7,9 +7,13 @@ every z slot (``qm.apply_q``/``apply_rho0_q``/``apply_a``,
 ``spectral.orbit_q``/``rho0_orbit_q`` on forms without a z block,
 ``qe.apply_a``), and that whole output must equal its rows spread over their
 orbits.  The chain suite must also still catch two planted defects, and its
-traced heap stays small (a route that spread its z's again would not).
+traced heap stays small (a route that spread its z's again would not).  At
+n=6 it runs the k = 5 and 6 links, past every golden size, and must still
+give the check names and statuses recorded there.
 """
 
+import hashlib
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -140,3 +144,15 @@ def test_chain_suite_heap_stays_small():
         tracemalloc.stop()
     assert report["passed"]
     assert peak < CHAIN_PEAK_BOUND, f"traced peak {peak} B"
+
+
+# sha256 of the [name, status] list of run_suite("chain", max_weight=5, n=6, seed=0),
+# recorded when the E chain link still built A_k(E_lam) as a whole x-monomial product
+CHAIN_N6_W5 = (172, "00fe36e2e1702783299345714a68ce6f532b61dc54e514e14058d2b245727940")
+
+
+def test_chain_suite_past_the_golden_sizes():
+    report = verify.run_suite("chain", max_weight=5, n=6, seed=0)
+    pairs = [[c["name"], c["status"]] for c in report["checks"]]
+    assert report["passed"]
+    assert (len(pairs), hashlib.sha256(json.dumps(pairs).encode()).hexdigest()) == CHAIN_N6_W5

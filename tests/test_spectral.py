@@ -166,7 +166,7 @@ class TestOrbitH:
             assert spectral.orbit_h(OrbitForm.of(f), basis, ops.h_eigenvalue, j) == OrbitForm.of(want)
 
     def test_rejects_j_outside_the_head(self):
-        o = OrbitForm.of(basis_poly("E", Partition((1, 0))).raw.extend(1, ("z",)), 2)
+        o = OrbitForm.of(basis_poly("E", Partition((1, 0))).raw.insert_slot(2, "z"), 2)
         for j in (0, 3):
             with pytest.raises(PolyError, match="need 1 <= j <= n, got j="):
                 spectral.orbit_h(o, "E", qe.h_eigenvalue, j)
