@@ -11,6 +11,15 @@ the eliminated variable's bound starts to cap the inner range.  Every value
 is a ``Fraction`` and is compared with its oracle by exact equality; inputs
 are ints or Fractions, never floats or bools.
 
+The delta integrals, the box integrals and the determinant identities run on
+integer tables, as polynomial evaluation does.  A bound p/q gets one table
+of p^(e-a) q^(b-e) over the exponents a..b a term needs, negative ones
+included, so the integrals of x^e over an interval are ints over one
+denominator carrying the LCM of the (e+1); each piece sums numerators times
+table entries and builds one ``Fraction``.  The border identity scales
+each column of its matrix to integers, which multiplies both sides by the
+same factor, and takes every determinant by integer Bareiss elimination.
+
 The integral form of the Q-operator can be normalized with its (z-1)^(n-1)
 factor either multiplying or dividing, and only one choice reproduces the
 eigenvalue polynomial; both are computed and the exact spectral oracle
@@ -21,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import qops_schur
 from .bases import alternant, schur_poly, vandermonde, vandermonde_value
@@ -75,9 +84,29 @@ class QuadratureResult(NamedTuple):
     evaluations: int
 
 
-def _power_integral(e: int, lo: Fraction, hi: Fraction) -> Fraction:
-    """Integral of x^e over (lo, hi) for e != -1; a negative e needs 0 < lo."""
-    return (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
+def _powers(v: Fraction, exps: set[int]) -> tuple[dict[int, int], int]:
+    """v^e for each e in ``exps`` as int numerators over one denominator.
+
+    With v = p/q, a = min(exps, 0) and b = max(exps, 0), v^e = p^(e-a)
+    q^(b-e) / (p^(-a) q^b); a negative e needs v != 0.
+    """
+    span = {0, *exps}
+    a, b = min(span), max(span)
+    p, q = v.numerator, v.denominator
+    return {e: p ** (e - a) * q ** (b - e) for e in exps}, p**-a * q**b
+
+
+def _integrals(lo: Fraction, hi: Fraction, exps: Iterable[int]) -> tuple[dict[int, int], int]:
+    """The integrals of x^e over (lo, hi), e in ``exps`` and never -1, as ints over one denominator.
+
+    (hi^(e+1) - lo^(e+1)) / (e+1) on the power tables of both bounds; the
+    denominator carries the LCM of the (e+1).  A negative e needs 0 < lo.
+    """
+    fs = {e + 1 for e in exps}
+    top, top_den = _powers(hi, fs)
+    bot, bot_den = _powers(lo, fs)
+    m = math.lcm(*fs)
+    return {f - 1: (top[f] * bot_den - bot[f] * top_den) * (m // f) for f in fs}, m * top_den * bot_den
 
 
 def _check_no_logarithm(p: MultiPoly, pairs: list[tuple[int, int]], route: str) -> None:
@@ -103,10 +132,11 @@ def _exact_delta_integral_2d(p: MultiPoly, c: Fraction, lo: Fraction, hi: Fracti
     if p.arity != 2:
         raise PolyError("need a two-variable polynomial")
     _check_no_logarithm(p, [(0, 1)], "delta-constrained integral, one interval")
-    return sum(
-        (coeff * c**b * _power_integral(a - b - 1, lo, hi) for (a, b), coeff in p.terms.items()),
-        Fraction(0),
-    )
+    num = p.num
+    c_pow, c_den = _powers(c, {b for _, b in num})
+    ints, den = _integrals(lo, hi, {a - b - 1 for a, b in num})
+    total = sum(k * c_pow[b] * ints[a - b - 1] for (a, b), k in num.items())
+    return Fraction(total, p.den * c_den * den)
 
 
 def _exact_delta_integral_3d(
@@ -138,24 +168,33 @@ def _exact_delta_integral_3d(
         hi1 = min(b1, cap / a2)
         kink = cap / b2
         pieces = [(a1, min(hi1, kink), None), (max(a1, kink), hi1, cap)]
-    total = Fraction(0)
-    for lo, hi, cap in pieces:
-        if hi <= lo:
-            continue
+    pieces = [piece for piece in pieces if piece[0] < piece[1]]
+    for _, _, cap in pieces:
         if cap is None:
             _check_no_logarithm(p, [(0, 2), (1, 2)], "delta-constrained integral, uncapped piece")
         else:
             _check_no_logarithm(p, [(0, 2), (1, 2), (0, 1)], "delta-constrained integral, capped piece")
-        for (a, b, d), coeff in p.terms.items():
-            e1, e2 = a - d - 1, b - d - 1
-            if cap is None:  # x2 over the whole inner range
-                value = _power_integral(e1, lo, hi) * _power_integral(e2, a2, b2)
-            else:  # x2 from a2 up to cap / x1
-                f2 = e2 + 1
-                value = (
-                    cap**f2 * _power_integral(e1 - f2, lo, hi) - a2**f2 * _power_integral(e1, lo, hi)
-                ) / f2
-            total += coeff * c**d * value
+    num = p.num
+    c_pow, c_den = _powers(c, {d for _, _, d in num})
+    terms = [(a - d - 1, b - d, k * c_pow[d]) for (a, b, d), k in num.items()]  # (e1, f2, coefficient)
+    total = Fraction(0)
+    for lo, hi, cap in pieces:
+        if cap is None:  # x2 over the whole inner range
+            i1, d1 = _integrals(lo, hi, {e1 for e1, _, _ in terms})
+            i2, d2 = _integrals(a2, b2, {f2 - 1 for _, f2, _ in terms})
+            value = sum(k * i1[e1] * i2[f2 - 1] for e1, f2, k in terms)
+        else:  # x2 from a2 up to cap / x1: (cap^f2 x1^(e1-f2) - a2^f2 x1^e1) / f2
+            fs = {f2 for _, f2, _ in terms}
+            i1, d1 = _integrals(lo, hi, {e1 for e1, _, _ in terms} | {e1 - f2 for e1, f2, _ in terms})
+            up, up_den = _powers(cap, fs)
+            down, down_den = _powers(a2, fs)
+            m = math.lcm(*fs)
+            value = sum(
+                k * (up[f2] * down_den * i1[e1 - f2] - down[f2] * up_den * i1[e1]) * (m // f2)
+                for e1, f2, k in terms
+            )
+            d2 = up_den * down_den * m
+        total += Fraction(value, p.den * c_den * d1 * d2)
     return total
 
 
@@ -163,18 +202,17 @@ def box_integral(p: MultiPoly, bounds: list[tuple[Fraction, Fraction]]) -> Fract
     """Exact iterated integral of a polynomial over an axis-aligned box.
 
     Each slot's integrals of x^e over its interval, e = 0..top, form one
-    table, scaled to integers over their common denominator, so the sum
-    over the terms runs in ints.
+    int table over one denominator, so the sum over the terms runs in ints.
+    The bounds are ints or Fractions.
     """
     if len(bounds) != p.arity:
         raise PolyError("need one bound pair per slot")
     tables = []
     den = p.den
     for (lo, hi), top in zip(bounds, map(max, zip(*p.num))):
-        row = [_power_integral(e, lo, hi) for e in range(top + 1)]
-        scale = math.lcm(*(v.denominator for v in row))
-        tables.append([v.numerator * (scale // v.denominator) for v in row])
-        den *= scale
+        table, table_den = _integrals(_scalar(lo), _scalar(hi), range(top + 1))
+        tables.append(table)
+        den *= table_den
     return Fraction(_contract(p.num, tables), den)
 
 
@@ -319,30 +357,22 @@ def integral_q0prime(f: MultiPoly, y) -> tuple[Fraction, QuadratureResult]:
 # -- determinant identities ----------------------------------------------------
 
 
-def det_fractions(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix by fraction-free elimination.
+def det_int(matrix: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by Bareiss elimination.
 
-    Each row is scaled to integers by the LCM of its denominators; integer
-    Bareiss elimination with row pivoting then divides every update exactly
-    by the previous pivot, and the last pivot over the product of the row
-    scales is the determinant.
+    Row pivoting skips zero pivots; every update divides exactly by the
+    previous pivot, and the last pivot is the determinant.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise PolyError("matrix is not square")
-    scale = 1
-    m = []
-    for row in matrix:
-        row = [_scalar(v) for v in row]
-        s = math.lcm(*(v.denominator for v in row))
-        scale *= s
-        m.append([v.numerator * (s // v.denominator) for v in row])
+    m = [list(row) for row in matrix]
     sign, prev = 1, 1
     for col in range(n - 1):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
+        if not m[col][col]:
+            pivot = next((r for r in range(col + 1, n) if m[r][col]), None)
+            if pivot is None:
+                return 0
             m[col], m[pivot] = m[pivot], m[col]
             sign = -sign
         p, top = m[col][col], m[col]
@@ -351,27 +381,29 @@ def det_fractions(matrix: list[list[Fraction]]) -> Fraction:
             for c in range(col + 1, n):
                 row[c] = (row[c] * p - a * top[c]) // prev
         prev = p
-    return Fraction(sign * m[-1][-1], scale) if n else Fraction(1)
+    return sign * m[-1][-1] if n else 1
 
 
 def matrix_identity_check(t: list[list[Scalar]]) -> bool:
     """Border identity at every column position k: difference determinant = (+-) bordered one.
 
-    ``t`` has n rows and n-1 columns (the k-th column of an n-column array
-    deleted).  Left side: the (n-1) x (n-1) determinant of consecutive row
-    differences, computed once.  Right side, for each k = 1..n: (-1)^(k-1)
-    times the n x n determinant with a column of ones restored at position k.
+    ``t`` has n >= 1 rows and n-1 columns (the k-th column of an n-column
+    array deleted).  Left side: the (n-1) x (n-1) determinant of consecutive
+    row differences, computed once.  Right side, for each k = 1..n:
+    (-1)^(k-1) times the n x n determinant with a column of ones restored at
+    position k.  Column j of t is scaled to integers by the LCM c_j of its
+    denominators, which multiplies both sides by prod c_j, so every
+    determinant is an integer one.
     """
     n = len(t)
     rows = [[_scalar(v) for v in row] for row in t]
-    if any(len(row) != n - 1 for row in rows):
-        raise PolyError("need n rows and n-1 columns")
-    lhs_rows = [
-        [rows[i + 1][j] - rows[i][j] for j in range(n - 1)] for i in range(n - 1)
-    ]
-    lhs = det_fractions(lhs_rows) if n > 1 else Fraction(1)
+    if not rows or any(len(row) != n - 1 for row in rows):
+        raise PolyError("need n >= 1 rows and n-1 columns")
+    scales = [math.lcm(*(v.denominator for v in col)) for col in zip(*rows)]
+    ints = [[v.numerator * (s // v.denominator) for v, s in zip(row, scales)] for row in rows]
+    lhs = det_int([[b - a for a, b in zip(r0, r1)] for r0, r1 in zip(ints, ints[1:])])
     return all(
-        lhs == det_fractions([row[: k - 1] + [Fraction(1)] + row[k - 1 :] for row in rows]) * (-1) ** (k - 1)
+        lhs == det_int([row[: k - 1] + [1] + row[k - 1 :] for row in ints]) * (-1) ** (k - 1)
         for k in range(1, n + 1)
     )
 
@@ -381,12 +413,15 @@ def delta_integration_identity(v: list[Scalar]) -> bool:
 
     With m = len(v) - 1 integration variables u_i in (v_i, v_{i+1}), the
     integral of prod_{i<j} (u_i - u_j) equals (-1)^m / m! times the
-    Vandermonde of the bounds.
+    Vandermonde of the bounds.  With the bounds v_i = a_i / d over their
+    common denominator, that right side is (-1)^m V(a) / (m! d^(m(m+1)/2)).
     """
     vv = _as_fractions(v)
     m = len(vv) - 1
     if m < 1:
         raise PolyError("need at least two bounds")
     lhs = box_integral(vandermonde(m), [(vv[i], vv[i + 1]) for i in range(m)])
-    rhs = vandermonde_value(vv) * Fraction((-1) ** m, math.factorial(m))
+    d = math.lcm(*(x.denominator for x in vv))
+    a = [x.numerator * (d // x.denominator) for x in vv]
+    rhs = Fraction((-1) ** m * vandermonde_value(a), math.factorial(m) * d ** (m * (m + 1) // 2))
     return lhs == rhs

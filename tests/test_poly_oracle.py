@@ -2,8 +2,8 @@
 
 Arity 1-4, coefficients with denominators other than 1.  The UniPoly view
 is checked against univariate sympy.Poly, schur_poly against sympy's own
-cancellation of the bialternant, and the exact n = 3 delta integral against
-sympy's iterated integration.  Also the invariants every kernel result
+cancellation of the bialternant, and the exact n = 2 and n = 3 delta integrals
+against sympy's (iterated) integration.  Also the invariants every kernel result
 keeps, which the trusted constructors do not check: the stored
 (numerators, denominator) pair is reduced, with nonzero int numerators under
 int exponent tuples of length ``arity`` over a positive denominator, and
@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import alternant_sum, expand_with_tail, strict_part
 from symfact import qops_elementary as qe
@@ -349,7 +349,43 @@ def sympy_delta_integral(p: MultiPoly, c, outer, inner, tail_bound) -> Fraction:
     return Fraction(int(total.p), int(total.q))
 
 
+@st.composite
+def antisymmetric_2(draw):
+    """g(x1, x2) - g(x2, x1) for a random two-slot g, nonzero."""
+    g = draw(polys(arity=2, max_terms=5, max_exp=5))
+    p = g - g.permute([1, 0])
+    assume(not p.is_zero)
+    return p
+
+
+@st.composite
+def delta_intervals(draw):
+    """(c, lo, hi) with 0 < lo < hi, denominators up to 6."""
+    step = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=6)
+    lo = draw(step)
+    return draw(st.fractions(min_value=Fraction(1, 6), max_value=20, max_denominator=6)), lo, lo + draw(step)
+
+
+def sympy_delta_integral_2d(p: MultiPoly, c, lo, hi) -> Fraction:
+    """sympy's integral of p(x, c/x) / x over (lo, hi), term by term."""
+    x = sympy.symbols("x", positive=True)
+    c = rational(c)
+    total = sympy.Add(
+        *(
+            sympy.integrate(rational(k) * x**a * (c / x) ** b / x, (x, rational(lo), rational(hi)))
+            for (a, b), k in p.terms.items()
+        )
+    )
+    assert total.is_Rational
+    return Fraction(int(total.p), int(total.q))
+
+
 class TestDeltaIntegralAgainstSympy:
+    @settings(max_examples=25)
+    @given(antisymmetric_2(), delta_intervals())
+    def test_one_interval_matches_sympy(self, p, cell):
+        assert qc._exact_delta_integral_2d(p, *cell) == sympy_delta_integral_2d(p, *cell)
+
     @pytest.mark.parametrize("regime", ["capped", "both", "uncapped"])
     @settings(max_examples=6)
     @given(data=st.data())

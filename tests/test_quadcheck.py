@@ -177,17 +177,24 @@ class TestExactInputs:
             lambda: qc.integral_a(Partition((1, 0)), 2, 1.5, (3,)),
             lambda: qc.integral_q0prime(MultiPoly.one(1), (1, 2.5)),
             lambda: qc.matrix_identity_check([[True], [F(1, 2)]]),
-            lambda: qc.det_fractions([[True, 0], [0, 1]]),
             lambda: qc.delta_integration_identity([1, 2.5]),
+            lambda: qc.box_integral(vandermonde(2), [(F(0), 1.0), (F(1), F(2))]),
+            lambda: qc.box_integral(vandermonde(2), [(F(0), F(1)), (True, F(2))]),
         ],
         ids=[
             "float-bound", "float-z", "float-z-q", "float-ytilde", "float-z_k",
-            "float-lifting-bound", "bool-border-entry", "bool-det-entry", "float-box-bound",
+            "float-lifting-bound", "bool-border-entry", "float-box-bound",
+            "float-box-integral-bound", "bool-box-integral-bound",
         ],
     )
     def test_rejected(self, call):
         with pytest.raises(PolyError, match="not an int or a Fraction"):
             call()
+
+    def test_border_identity_needs_a_row(self):
+        # no rows would mean n - 1 = -1 columns
+        with pytest.raises(PolyError, match="need n >= 1 rows and n-1 columns"):
+            qc.matrix_identity_check([])
 
 
 class TestChainLinkIntegral:
@@ -247,6 +254,13 @@ class TestBoxIntegral:
         # int_0^1 int_1^2 (x1 - x2) = [1/2 * 1] - [1 * 3/2] = -1
         assert qc.box_integral(vandermonde(2), [(F(0), F(1)), (F(1), F(2))]) == -1
 
+    def test_slots_with_different_denominators(self):
+        # int_{1/2}^{2/3} int_{-3/5}^{1/4} (x1^2 x2 - 3 x2^2) dx2 dx1
+        #   = (37/648) (-119/800) - 3 (1/6) (1/64 + 27/125) / 3
+        p = MultiPoly(2, {(2, 1): 1, (0, 2): -3})
+        want = F(37, 648) * F(-119, 800) - F(1, 6) * (F(1, 64) + F(27, 125))
+        assert qc.box_integral(p, [(F(1, 2), F(2, 3)), (F(-3, 5), F(1, 4))]) == want
+
 
 class TestDeterminantIdentities:
     def test_border_identity_smallest_case(self):
@@ -257,8 +271,8 @@ class TestDeterminantIdentities:
     def test_border_identity_checks_every_column_position(self, monkeypatch):
         # one difference determinant, then the bordered one with ones at k = 1, 2, 3
         seen = []
-        det = qc.det_fractions
-        monkeypatch.setattr(qc, "det_fractions", lambda m: seen.append(m) or det(m))
+        det = qc.det_int
+        monkeypatch.setattr(qc, "det_int", lambda m: seen.append(m) or det(m))
         assert qc.matrix_identity_check([[F(2), F(3)], [F(5), F(7)], [F(11), F(13)]])
         assert len(seen) == 4 and len(seen[0]) == 2
         ones = [[j for j in range(3) if all(row[j] == 1 for row in m)] for m in seen[1:]]
@@ -288,24 +302,31 @@ class TestDeterminantIdentities:
                 assert qc.delta_integration_identity(vs[: m + 1])
                 count += 1
 
-    def test_fraction_determinant(self):
-        assert qc.det_fractions([[F(1), F(2)], [F(3), F(4)]]) == -2
-        assert qc.det_fractions([[F(1), F(2)], [F(2), F(4)]]) == 0
+    def test_integer_determinant(self):
+        assert qc.det_int([[1, 2], [3, 4]]) == -2
+        assert qc.det_int([[1, 2], [2, 4]]) == 0
+        assert qc.det_int([]) == 1
         # zero pivots that need a row swap
-        assert qc.det_fractions([[F(0), F(1)], [F(1), F(0)]]) == -1
-        assert qc.det_fractions([[0, 0, F(1, 2)], [0, F(1, 3), 0], [F(1, 5), 0, 0]]) == F(-1, 30)
+        assert qc.det_int([[0, 1], [1, 0]]) == -1
+        assert qc.det_int([[0, 0, 15], [0, 10, 0], [6, 0, 0]]) == -900
         with pytest.raises(PolyError):
-            qc.det_fractions([[F(1), F(2)]])
+            qc.det_int([[1, 2]])
+
+    def test_integer_determinant_leaves_its_argument(self):
+        m = [[0, 2, 1], [3, 4, 5], [6, 7, 9]]
+        assert qc.det_int(m) == 3
+        assert m == [[0, 2, 1], [3, 4, 5], [6, 7, 9]]
 
     @given(st.data())
-    def test_fraction_determinant_matches_cofactor_det(self, data):
+    def test_integer_determinant_matches_cofactor_det(self, data):
         n = data.draw(st.integers(min_value=1, max_value=4))
-        entry = st.just(F(0)) | fractions_small
+        entry = st.just(0) | st.integers(-60, 60)
         m = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
         if n > 1 and data.draw(st.booleans()):
-            # singular: one row a rational multiple of another
+            # singular: one row a rational multiple of another, cleared of its denominator
             i, k = data.draw(st.permutations(range(n)))[:2]
             c = data.draw(fractions_small)
-            m[i] = [c * v for v in m[k]]
+            m[i] = [c.numerator * v for v in m[k]]
+            m[k] = [c.denominator * v for v in m[k]]
         want = det([[MultiPoly.const(0, v) for v in row] for row in m]).eval(())
-        assert qc.det_fractions(m) == want
+        assert qc.det_int(m) == want

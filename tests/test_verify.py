@@ -1,5 +1,6 @@
-"""Suite runner: determinism, report shape, failure surfacing."""
+"""Suite runner: determinism, report shape, failure surfacing, pinned reports past the golden sizes."""
 
+import hashlib
 import json
 
 import pytest
@@ -199,3 +200,41 @@ def test_eigen_suite_at_nine_variables():
     # the restricted-Schur checks at every k <= 9 build no 8!-term Vandermonde
     report = verify.run_suite("eigen", max_weight=0, n=9)
     assert report["passed"] and report["counts"]["total"] == 95
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+# (suite, n, max_weight) -> (check count, sha256 of the [name, status] list of
+# run_suite at seed 0), recorded while quadcheck still integrated on Fractions
+PAST_ACCEPTANCE = {
+    ("quadrature", 7, 6): (2, "5b96fbc798666d711b1317180fb83c9c48355af41a36313d5a28301a3c618e92"),
+    ("eigen", 7, 4): (468, "cbc1d622dd1e1ae716beb31d3fcfbcc0a60cbdc22907f8e014f8b9987b6ec514"),
+    ("inverse", 6, 4): (38, "1b5bba50c9f5c8f0a6d963cdc0263b29f4db7066198b8d2e7e332f48f6a81534"),
+    ("ode", 7, 6): (240, "6f20448e87bbc9ef664eb05857a6067193579d9ef880ace920e7335b428de9b1"),
+    ("lifting", 7, 6): (153, "5702e567fbfcd6dfe9e3376d7b3b8769d39a0ae46f8f9cb2849bbfde63f36a1e"),
+}
+
+
+@pytest.mark.parametrize("suite, n, w", list(PAST_ACCEPTANCE), ids=[f"{s}-n{n}-w{w}" for s, n, w in PAST_ACCEPTANCE])
+def test_suite_past_the_acceptance_sizes(suite, n, w):
+    report = verify.run_suite(suite, max_weight=w, n=n, seed=0)
+    pairs = [[c["name"], c["status"]] for c in report["checks"]]
+    assert report["passed"]
+    assert (len(pairs), _digest(pairs)) == PAST_ACCEPTANCE[(suite, n, w)]
+
+
+# n -> (check count, sha256 of the whole run_suite("quadrature", max_weight=6, n, seed=0)
+# report with sorted keys): the exact oracle strings and rendered computed values too
+QUADRATURE_REPORTS = {
+    2: (61, "e47774b048f0f450a34bd7d3b21c64e77d5a2b0d9543e53680ed155652f75f87"),
+    3: (72, "a84de2050005453a54b9ada3e2abfca2d6ee6a6a5b364e57d13b0520687f8b5e"),
+}
+
+
+@pytest.mark.parametrize("n", list(QUADRATURE_REPORTS))
+def test_quadrature_report_is_pinned_whole(n):
+    report = verify.run_suite("quadrature", max_weight=6, n=n, seed=0)
+    assert report["passed"]
+    assert (len(report["checks"]), _digest(report)) == QUADRATURE_REPORTS[n]
