@@ -1,10 +1,15 @@
 """The three symmetric-polynomial bases and expansions of symmetric polynomials.
 
 Monomial sums m, products of elementary symmetric polynomials E, and Schur
-functions s (built by the branching rule, one variable at a time, with no
-division; the bialternant, the alternant divided exactly by the
-Vandermonde, is its test oracle).  Every basis element also comes in a
-normalized form with value 1 at the all-ones point.
+functions s.  Each basis element b_lam is defined by its m-coordinate rows
+(:func:`m_coordinates`, its integer coefficients at partition exponents):
+m_lam is the one row lam, E_lam is multiplied out one e_j at a time on
+rows, and s_lam is built by the branching rule, one variable at a time,
+with no division (the bialternant, the alternant divided exactly by the
+Vandermonde, is its test oracle).  Its value at the all-ones point is a
+closed form (:func:`value_at_one`), and the whole polynomial, with its
+normalized form of value 1 there, is the orbit spread of the rows
+(:func:`basis_poly`), built only where a whole polynomial is asked for.
 :func:`expand_in_basis` writes a symmetric polynomial as coordinates over
 one basis, and :func:`combine` is the one sum of basis elements that takes
 coordinates back.  A symmetric polynomial is multiplied by the
@@ -24,7 +29,6 @@ from typing import Iterable, NamedTuple
 
 from .partitions import Partition, dominance_leq
 from .poly import (
-    InvariantViolation,
     MultiPoly,
     NotSymmetric,
     Pair,
@@ -49,6 +53,8 @@ class NormalizedBasisPoly(NamedTuple):
 
 def elementary_value(values: Iterable[int], j: int) -> int:
     """e_j(values), by the recurrence e_k(a_1..a_i) = e_k(a_1..a_(i-1)) + a_i e_(k-1)(a_1..a_(i-1))."""
+    if j < 0:
+        raise PolyError(f"need j >= 0, got j={j}")
     e = [1] + [0] * j
     for a in values:
         if a:
@@ -98,79 +104,49 @@ def vandermonde(n: int) -> MultiPoly:
     return alternant(tuple(range(n - 1, -1, -1)), n)
 
 
-@lru_cache(maxsize=None)
-def monomial_sym(lam: Partition) -> NormalizedBasisPoly:
-    """Sum of all distinct permutations of the exponent vector lam."""
-    orbit = _orbit(lam.parts)
-    raw = MultiPoly(lam.n, {exp: 1 for exp in orbit})
-    value = Fraction(len(orbit))
-    return NormalizedBasisPoly(raw, value, raw * (1 / value))
-
-
-@lru_cache(maxsize=None)
-def elementary_sym(r: int, n: int) -> MultiPoly:
-    """Sum of all products of r distinct variables out of n."""
-    if not 0 <= r <= n:
-        raise PolyError(f"need 0 <= r <= n, got r={r}, n={n}")
-    terms = {}
-    for subset in itertools.combinations(range(n), r):
-        exp = tuple(1 if i in subset else 0 for i in range(n))
-        terms[exp] = 1
-    return MultiPoly(n, terms)
-
-
-@lru_cache(maxsize=None)
-def elementary_product(lam: Partition) -> NormalizedBasisPoly:
-    """E_lam = prod_j e_j^(lam_j - lam_{j+1}), with value prod C(n,j)^(...)."""
-    n = lam.n
-    raw = MultiPoly.one(n)
-    value = Fraction(1)
-    for j, mult in enumerate(lam.steps(), start=1):
-        if mult:
-            raw = raw * elementary_sym(j, n) ** mult
-            value *= Fraction(math.comb(n, j)) ** mult
-    return NormalizedBasisPoly(raw, value, raw * (1 / value))
-
-
 def schur_value_at_one(lam: Partition) -> Fraction:
     """Closed form prod_{i<j} (mu_i - mu_j)/(j - i): V(mu) / V(delta)."""
     return Fraction(vandermonde_value(lam.shifted()), vandermonde_value(range(lam.n - 1, -1, -1)))
 
 
 @lru_cache(maxsize=None)
-def _schur_numerators(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """The integer coefficients of s_parts(x_1..x_n), by the branching rule.
+def _schur_rows(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The m-coordinate rows of s_parts(x_1..x_n), by the branching rule.
 
     s_lam(x_1..x_n) = sum over the mu interlacing lam (lam_1 >= mu_1 >=
     lam_2 >= ... >= mu_(n-1) >= lam_n) of s_mu(x_1..x_(n-1)) x_n^(|lam| - |mu|)
-    (Macdonald, Symmetric Functions and Hall Polynomials, I (5.11)).
+    (Macdonald, Symmetric Functions and Hall Polynomials, I (5.11)).  A
+    partition exponent e + (t,) comes from a partition exponent e of s_mu,
+    so only the rows of s_mu are read, and only those with e[-1] >= t.
     """
     if len(parts) == 1:
         return {parts: 1}
     weight = sum(parts)
     out: dict[tuple[int, ...], int] = {}
     for mu in itertools.product(*(range(b, a + 1) for a, b in zip(parts, parts[1:]))):
-        tail = (weight - sum(mu),)
-        accumulate(out, ((e + tail, c) for e, c in _schur_numerators(mu).items()))
+        t = weight - sum(mu)
+        accumulate(out, ((e + (t,), c) for e, c in _schur_rows(mu).items() if e[-1] >= t))
     return out
 
 
-@lru_cache(maxsize=None)
-def schur_poly(lam: Partition) -> NormalizedBasisPoly:
-    """The Schur polynomial s_lam, built by the branching rule without division.
+def _times_elementary(rows: dict[tuple[int, ...], int], j: int) -> dict[tuple[int, ...], int]:
+    """e_j times the symmetric polynomial whose m-coordinate rows are ``rows``, in m-coordinate rows.
 
-    The value at the all-ones point is computed both by direct evaluation
-    and by the closed product formula; disagreement is an internal error.
+    e_j m_nu raises r_b parts in each block b of nu's equal parts v_b, with
+    sum_b r_b = j and r_b <= |b|.  Raising the first r_b parts of each block
+    gives a partition kappa, a different one for each choice, and x^kappa is
+    reached from the monomials of m_nu in prod_b C(mult_kappa(v_b + 1), r_b)
+    ways: the r_b slots of value v_b + 1 in kappa that were raised.
     """
-    n = lam.n
-    raw = MultiPoly._wrap(n, _schur_numerators(lam.parts), 1, default_names("x", n))
-    direct = raw.eval([1] * n)
-    closed = schur_value_at_one(lam)
-    if direct != closed:
-        raise InvariantViolation(
-            f"normalization mismatch for {lam}: direct {direct} vs closed {closed}"
-        )
-    return NormalizedBasisPoly(raw, direct, raw * (1 / direct))
+    out: dict[tuple[int, ...], int] = {}
+    for nu, c in rows.items():
+        blocks = [(v, len(list(g))) for v, g in itertools.groupby(nu)]
+        for r in itertools.product(*(range(min(size, j) + 1) for _, size in blocks)):
+            if sum(r) == j:
+                kappa = sum(((v + 1,) * k + (v,) * (size - k) for (v, size), k in zip(blocks, r)), ())
+                w = math.prod(math.comb(kappa.count(v + 1), k) for (v, _), k in zip(blocks, r))
+                accumulate(out, ((kappa, c * w),))
+    return out
 
 
 def times_vandermonde(o: OrbitForm) -> MultiPoly:
@@ -277,16 +253,6 @@ def restricted_schur(lam: Partition, k: int) -> tuple[MultiPoly, int]:
     return MultiPoly._wrap(arity, num, 1, default_names("x", arity)), c
 
 
-def basis_poly(basis: str, lam: Partition) -> NormalizedBasisPoly:
-    if basis == "m":
-        return monomial_sym(lam)
-    if basis == "E":
-        return elementary_product(lam)
-    if basis == "s":
-        return schur_poly(lam)
-    raise PolyError(f"unknown basis tag {basis!r}")
-
-
 def combine(basis: str, n: int, coeffs: dict[Partition, Fraction]) -> MultiPoly:
     """sum_lam c_lam b_lam over the raw basis elements in n variables.
 
@@ -388,11 +354,49 @@ class OrbitForm(NamedTuple):
 
 @lru_cache(maxsize=None)
 def m_coordinates(basis: str, lam: Partition) -> dict[tuple[int, ...], int]:
-    """The raw b_lam over the m basis: its integer coefficients at partition exponents."""
-    element = basis_poly(basis, lam).raw
-    if element.den != 1:
-        raise InvariantViolation(f"basis element {basis}{lam} has non-integer coefficients")
-    return {e: c for e, c in element.num.items() if _is_partition(e)}
+    """The raw b_lam over the m basis: its integer coefficients at partition exponents.
+
+    This table is the definition of b_lam.  m: the one row lam.  E: the rows
+    of prod_j e_j^(lam_j - lam_(j+1)), one e_j at a time from the row 0^n.
+    s: the branching rule, kept at partition exponents.
+    """
+    if basis == "m":
+        return {lam.parts: 1}
+    if basis == "E":
+        rows = {(0,) * lam.n: 1}
+        for j, mult in enumerate(lam.steps(), start=1):
+            for _ in range(mult):
+                rows = _times_elementary(rows, j)
+        return rows
+    if basis == "s":
+        return _schur_rows(lam.parts)
+    raise PolyError(f"unknown basis tag {basis!r}")
+
+
+@lru_cache(maxsize=None)
+def value_at_one(basis: str, lam: Partition) -> Fraction:
+    """b_lam(1..1) in closed form: the orbit size n!/prod mult! (m), prod_j C(n,j)^(lam_j - lam_(j+1)) (E), V(mu)/V(delta) (s)."""
+    n = lam.n
+    if basis == "m":
+        return Fraction(math.factorial(n) // math.prod(math.factorial(len(list(g))) for _, g in itertools.groupby(lam.parts)))
+    if basis == "E":
+        return Fraction(math.prod(math.comb(n, j) ** mult for j, mult in enumerate(lam.steps(), start=1)))
+    if basis == "s":
+        return schur_value_at_one(lam)
+    raise PolyError(f"unknown basis tag {basis!r}")
+
+
+@lru_cache(maxsize=None)
+def basis_poly(basis: str, lam: Partition) -> NormalizedBasisPoly:
+    """The whole b_lam(x_1..x_n): its :func:`m_coordinates` spread over their orbits, with its :func:`value_at_one`."""
+    raw = OrbitForm(lam.n, m_coordinates(basis, lam), 1, default_names("x", lam.n)).to_poly()
+    value = value_at_one(basis, lam)
+    return NormalizedBasisPoly(raw, value, raw * (1 / value))
+
+
+def schur_poly(lam: Partition) -> NormalizedBasisPoly:
+    """The whole Schur polynomial s_lam: :func:`basis_poly` on the s basis."""
+    return basis_poly("s", lam)
 
 
 def expand_orbits(o: OrbitForm, basis: str) -> dict[Partition, dict[tuple[int, ...], int]]:

@@ -62,6 +62,8 @@ def apply_h(f: MultiPoly, j: int) -> MultiPoly:
 
 def h_eigenvalue(lam: Partition, j: int) -> Fraction:
     """Eigenvalue of H_j on m_lam: e_j of the parts."""
+    if not 1 <= j <= lam.n:
+        raise PolyError(f"need 1 <= j <= n, got j={j}")
     return Fraction(elementary_value(lam.parts, j))
 
 

@@ -41,6 +41,7 @@ from .bases import (
     is_strict,
     restricted_schur,
     schur_poly,
+    schur_value_at_one,
     times_product,
     vandermonde_value,
 )
@@ -124,7 +125,7 @@ def q_via_restricted_determinant(lam: Partition) -> UniPoly:
     """Second oracle: the mixed-determinant restriction with k = 2."""
     num, c = restricted_schur(lam, 2)
     ratio = UniPoly.of(num).divide_exact(_pole(lam.n) * c)
-    return ratio * (1 / schur_poly(lam).value_at_one)
+    return ratio * (1 / schur_value_at_one(lam))
 
 
 def phi_ode_residual(lam: Partition) -> UniPoly:
@@ -134,6 +135,8 @@ def phi_ode_residual(lam: Partition) -> UniPoly:
 
 def h_eigenvalue(lam: Partition, j: int) -> Fraction:
     """Eigenvalue of H_j on s_lam: e_j of the shifted parts mu."""
+    if not 1 <= j <= lam.n:
+        raise PolyError(f"need 1 <= j <= n, got j={j}")
     return Fraction(elementary_value(lam.shifted(), j))
 
 

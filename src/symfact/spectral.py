@@ -17,10 +17,13 @@ by left(lam) * tail_lam * right(lam), two sides that depend on lam only:
     lift                b_(lam, 0)'s m-coordinate rows   b_lam(1..1) / b_(lam, 0)(1..1)
     qe._link (E chain)  the rows of A_k(E_lam)           1
 
-Symmetric polynomials are carried as orbit rows: one row per head
-partition, not per monomial, so a chain of steps checks symmetry once and
-never builds a full intermediate; the E and s ``apply_q``, ``apply_h`` and
-``separate`` are these steps on the orbit form of a whole polynomial.
+The rows are the definition of b_lam (:func:`symfact.bases.m_coordinates`)
+and b_lam(1..1) is a closed form (:func:`symfact.bases.value_at_one`), so
+no operator here builds a whole basis element.  Symmetric polynomials are
+carried as orbit rows: one row per head partition, not per monomial, so a
+chain of steps checks symmetry once and never builds a full intermediate;
+the E and s ``apply_q``, ``apply_h`` and ``separate`` are these steps on
+the orbit form of a whole polynomial.
 Every separated polynomial is symmetric in its z's, so prod_j q(z_j)
 (:func:`orbit_product`) and the separating map are orbit rows too, one per
 multiset of q's support instead of one per monomial; :func:`eigen_product`
@@ -48,7 +51,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .bases import OrbitForm, basis_poly, expand_orbits, m_coordinates
+from .bases import OrbitForm, expand_orbits, m_coordinates, value_at_one
 from .partitions import Partition
 from .poly import InvariantViolation, MultiPoly, Pair, PolyError, UniPoly, default_names, tensor_sum
 
@@ -108,7 +111,7 @@ def _rows(basis: str) -> Side:
 
 def _at_one(basis: str) -> Side:
     """lam -> b_lam(1..1): the left side that sets the head slots to 1."""
-    return lambda lam: _scalar(basis_poly(basis, lam).value_at_one)
+    return lambda lam: _scalar(value_at_one(basis, lam))
 
 
 def _eigenvalue_poly(q_poly: QPoly) -> Side:
@@ -175,7 +178,7 @@ def lift(f: MultiPoly, basis: str) -> MultiPoly:
     n = f.arity + 1
 
     def ratio(lam: Partition) -> Pair:
-        return _scalar(basis_poly(basis, lam).value_at_one / basis_poly(basis, lam.with_trailing_zero()).value_at_one)
+        return _scalar(value_at_one(basis, lam) / value_at_one(basis, lam.with_trailing_zero()))
 
     num, den = orbit_map(OrbitForm.of(f), basis, lambda lam: (m_coordinates(basis, lam.with_trailing_zero()), 1), ratio)
     return OrbitForm(n, num, den, default_names("x", n)).to_poly()

@@ -35,7 +35,6 @@ from .bases import (
     OrbitForm,
     basis_poly,
     combine,
-    elementary_sym,
     expand_in_basis,
     is_dominance_triangular,
     restricted_schur,
@@ -272,7 +271,7 @@ def suite_chain(max_weight: int, n: int, rng: random.Random) -> Reporter:
                 rep.record(f"chain link rho Q = A rho [m] k={k} {tag}", lhs == rhs)
     for k in range(1, n + 1):
         for j in range(1, n + 1):
-            ej = elementary_sym(j, n)
+            ej = basis_poly("E", Partition((1,) * j + (0,) * (n - j))).raw
             lhs = qe.apply_q(ej).partial_eval({i: 1 for i in range(k - 1, n)})
             rhs = qe.apply_a(qm.rho(ej, k), k, n)
             rep.record(f"chain link rho Q = A rho [E] generator j={j}, k={k}, n={n}", lhs == rhs)

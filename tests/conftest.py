@@ -1,8 +1,10 @@
+import itertools
+
 from hypothesis import HealthCheck, settings, strategies as st
 
-from symfact.bases import BASIS_TAGS, OrbitForm, alternant, basis_poly, expand_orbits
+from symfact.bases import BASIS_TAGS, OrbitForm, alternant, basis_poly, expand_orbits, vandermonde
 from symfact.partitions import Partition, enumerate_partitions
-from symfact.poly import MultiPoly, default_names
+from symfact.poly import MultiPoly, PolyError, default_names
 
 settings.register_profile(
     "ci",
@@ -59,6 +61,31 @@ def elementary_generating(n):
     for i in range(n):
         acc = acc * (one + t * MultiPoly.variable(i, n + 1, names))
     return acc
+
+
+def elementary_sym(r, n):
+    """e_r(x_1..x_n), the sum of all products of r distinct variables out of n."""
+    if not 0 <= r <= n:
+        raise PolyError(f"need 0 <= r <= n, got r={r}, n={n}")
+    return MultiPoly(n, {tuple(1 if i in subset else 0 for i in range(n)): 1 for subset in itertools.combinations(range(n), r)})
+
+
+def whole_basis_element(basis, lam):
+    """b_lam as a whole polynomial, by a route that reads no m-coordinate rows.
+
+    m: the orbit of lam, every distinct permutation once.  E: the product of
+    whole e_j's.  s: the bialternant a_(lam + delta) divided exactly by the
+    Vandermonde.
+    """
+    n = lam.n
+    if basis == "m":
+        return MultiPoly(n, {perm: 1 for perm in set(itertools.permutations(lam.parts))})
+    if basis == "E":
+        out = MultiPoly.one(n)
+        for j, mult in enumerate(lam.steps(), start=1):
+            out = out * elementary_sym(j, n) ** mult
+        return out
+    return alternant(lam.shifted(), n).divide_exact(vandermonde(n))
 
 
 def outer(head, tail):

@@ -11,12 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     alternant_sum,
     elementary_generating,
+    elementary_sym,
     expand_with_tail,
     fractions_small,
     head_symmetric,
     outer,
     strict_part,
     symmetric_polys,
+    whole_basis_element,
 )
 from symfact.bases import (
     BASIS_TAGS,
@@ -24,12 +26,10 @@ from symfact.bases import (
     alternant,
     basis_poly,
     combine,
-    elementary_product,
-    elementary_sym,
     elementary_value,
     expand_in_basis,
     is_dominance_triangular,
-    monomial_sym,
+    m_coordinates,
     restricted_schur,
     schur_poly,
     schur_value_at_one,
@@ -37,6 +37,7 @@ from symfact.bases import (
     times_vandermonde,
     vandermonde,
     vandermonde_value,
+    value_at_one,
 )
 from symfact import bases
 from symfact.partitions import Partition, dominance_leq, enumerate_partitions
@@ -54,27 +55,27 @@ def symmetrized_average(lam):
 
 class TestMonomialSym:
     def test_two_distinct_permutations(self):
-        nb = monomial_sym(Partition((2, 0)))
+        nb = basis_poly("m", Partition((2, 0)))
         assert nb.raw == MultiPoly(2, {(2, 0): 1, (0, 2): 1})
         assert nb.normalized == nb.raw * F(1, 2)
 
     def test_no_repetition(self):
-        nb = monomial_sym(Partition((1, 1)))
+        nb = basis_poly("m", Partition((1, 1)))
         assert nb.raw == MultiPoly(2, {(1, 1): 1})
         assert nb.value_at_one == 1
 
     def test_six_distinct_monomials(self):
-        nb = monomial_sym(Partition((2, 1, 0)))
+        nb = basis_poly("m", Partition((2, 1, 0)))
         assert len(nb.raw.terms) == 6
         assert all(c == F(1, 6) for c in nb.normalized.terms.values())
 
     def test_matches_full_average(self):
         for lam in enumerate_partitions(4, 3):
-            assert monomial_sym(lam).normalized == symmetrized_average(lam)
+            assert basis_poly("m", lam).normalized == symmetrized_average(lam)
 
     def test_normalized_value_is_one(self):
         for lam in enumerate_partitions(5, 3):
-            nb = monomial_sym(lam)
+            nb = basis_poly("m", lam)
             assert nb.normalized.eval([1, 1, 1]) == 1
 
     def test_orbit_is_every_distinct_permutation_once(self):
@@ -87,10 +88,10 @@ class TestMonomialSym:
 
 class TestElementary:
     def test_e0_is_one(self):
-        assert elementary_sym(0, 3) == MultiPoly.one(3)
+        assert basis_poly("E", Partition((0, 0, 0))).raw == MultiPoly.one(3)
 
     def test_e2_three_vars(self):
-        assert elementary_sym(2, 3) == MultiPoly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
+        assert basis_poly("E", Partition((1, 1, 0))).raw == MultiPoly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
 
     def test_generating_function_coefficients(self):
         # the t^j coefficient of prod (1 + t x_i) is e_j
@@ -100,14 +101,16 @@ class TestElementary:
                 coeff = MultiPoly(
                     n, {e[:n]: c for e, c in w.terms.items() if e[n] == j}
                 )
-                assert coeff == elementary_sym(j, n)
+                assert coeff == basis_poly("E", Partition((1,) * j + (0,) * (n - j))).raw
 
     def test_out_of_range(self):
-        with pytest.raises(Exception):
+        # the oracle's e_r needs r <= n, as the E element e_r = E_(1^r 0^(n-r)) does
+        with pytest.raises(PolyError):
             elementary_sym(4, 3)
 
     def test_value_at_one_is_binomial(self):
-        assert elementary_sym(2, 3).eval([1, 1, 1]) == math.comb(3, 2)
+        e2 = Partition((1, 1, 0))
+        assert value_at_one("E", e2) == basis_poly("E", e2).raw.eval([1, 1, 1]) == math.comb(3, 2)
 
 
 class TestPointValues:
@@ -126,6 +129,13 @@ class TestPointValues:
     def test_vandermonde_value_is_the_polynomial_at_the_point(self, point):
         assert vandermonde_value(point) == vandermonde(len(point)).eval(point)
 
+    def test_elementary_value_rejects_a_negative_index(self):
+        # e_0 = 1, but j < 0 is no index of e_j
+        assert elementary_value([2, 3], 0) == 1
+        for j in (-1, -2):
+            with pytest.raises(PolyError, match="need j >= 0"):
+                elementary_value([2, 3], j)
+
     def test_vandermonde_value_of_fewer_than_two_values_is_one(self):
         assert vandermonde_value([]) == 1
         assert vandermonde_value([F(5, 3)]) == 1
@@ -133,23 +143,23 @@ class TestPointValues:
 
 class TestElementaryProduct:
     def test_single_factor(self):
-        nb = elementary_product(Partition((1, 0)))
+        nb = basis_poly("E", Partition((1, 0)))
         assert nb.raw == elementary_sym(1, 2)
         assert nb.normalized == nb.raw * F(1, 2)
 
     def test_top_factor(self):
-        nb = elementary_product(Partition((1, 1)))
+        nb = basis_poly("E", Partition((1, 1)))
         assert nb.raw == elementary_sym(2, 2)
         assert nb.value_at_one == 1
 
     def test_mixed_product_normalization(self):
-        nb = elementary_product(Partition((2, 1)))
+        nb = basis_poly("E", Partition((2, 1)))
         assert nb.raw == elementary_sym(1, 2) * elementary_sym(2, 2)
         assert nb.normalized.eval([1, 1]) == 1
 
     def test_value_formula(self):
         for lam in enumerate_partitions(5, 3):
-            nb = elementary_product(lam)
+            nb = basis_poly("E", lam)
             a, b, c = lam.parts
             expected = math.comb(3, 1) ** (a - b) * math.comb(3, 2) ** (b - c) * math.comb(3, 3) ** c
             assert nb.value_at_one == expected == nb.raw.eval([1, 1, 1])
@@ -221,6 +231,26 @@ class TestSchur:
     def test_dominance_triangularity(self):
         for lam in enumerate_partitions(5, 3):
             assert is_dominance_triangular(lam)
+
+
+class TestRows:
+    """The m-coordinate rows and the value at (1..1) that define each basis element, against whole oracles."""
+
+    @pytest.mark.parametrize("basis", BASIS_TAGS)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_rows_and_value_match_the_whole_oracle(self, basis, n):
+        for lam in enumerate_partitions(6, n):
+            whole = whole_basis_element(basis, lam)
+            assert whole.den == 1
+            partition_terms = {e: c for e, c in whole.num.items() if list(e) == sorted(e, reverse=True)}
+            assert m_coordinates(basis, lam) == partition_terms, lam
+            assert value_at_one(basis, lam) == whole.eval([1] * n), lam
+            assert basis_poly(basis, lam).raw == whole, lam
+
+    def test_unknown_basis_tag(self):
+        for build in (m_coordinates, value_at_one, basis_poly):
+            with pytest.raises(PolyError, match="unknown basis tag 'F'"):
+                build("F", Partition((1, 0)))
 
 
 def restricted_denominator(n: int, k: int, c: int) -> MultiPoly:

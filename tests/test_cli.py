@@ -366,7 +366,7 @@ class TestInputBoundary:
         def refuse(*_args):
             raise AssertionError("a polynomial was built before the size check")
 
-        for module, name in [(bases, "_schur_numerators"), (cli, "basis_poly"), (cli, "eigen_product")]:
+        for module, name in [(bases, "_schur_rows"), (bases, "_times_elementary"), (cli, "basis_poly"), (cli, "eigen_product")]:
             monkeypatch.setattr(module, name, refuse)
         for ops in (qm, qe, qs):
             monkeypatch.setattr(ops, "q_poly", refuse)

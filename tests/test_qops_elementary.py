@@ -7,12 +7,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import elementary_generating, expand_with_tail, head_symmetric, symmetric_polys
+from conftest import elementary_generating, elementary_sym, expand_with_tail, head_symmetric, symmetric_polys
 
 from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact import spectral
-from symfact.bases import OrbitForm, combine, elementary_product, elementary_sym
+from symfact.bases import OrbitForm, basis_poly, combine
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import InvariantViolation, MultiPoly, NotSymmetric, PolyError, UniPoly, default_names
 
@@ -61,7 +61,7 @@ def from_eps(p: MultiPoly) -> MultiPoly:
 
 
 def ebar(*parts):
-    return elementary_product(Partition(parts)).normalized
+    return basis_poly("E", Partition(parts)).normalized
 
 
 class TestEpsCoordinates:
@@ -75,7 +75,7 @@ class TestEpsCoordinates:
         assert qe.to_eps(f) == MultiPoly(2, {(2, 0): 1, (0, 1): -2})
 
     def test_basis_element_is_a_monomial(self):
-        f = elementary_product(Partition((2, 1))).raw
+        f = basis_poly("E", Partition((2, 1))).raw
         assert qe.to_eps(f) == MultiPoly(2, {(1, 1): 1})
 
     def test_round_trip(self):
@@ -84,7 +84,7 @@ class TestEpsCoordinates:
         for _ in range(8):
             f = MultiPoly.zero(3)
             for _ in range(3):
-                f = f + elementary_product(rng.choice(lams)).raw * F(
+                f = f + basis_poly("E", rng.choice(lams)).raw * F(
                     rng.randint(-3, 3), rng.randint(1, 4)
                 )
             assert from_eps(qe.to_eps(f)) == f
@@ -96,7 +96,7 @@ class TestEpsCoordinates:
 
 class TestHamiltonians:
     def test_eigenrelation_examples(self):
-        e10 = elementary_product(Partition((1, 0))).raw
+        e10 = basis_poly("E", Partition((1, 0))).raw
         assert qe.apply_h(e10, 1) == e10
         assert qe.apply_h(e10, 2).is_zero
 
@@ -108,7 +108,7 @@ class TestHamiltonians:
                 assert qe.apply_h(f, j) == f * mult
 
     def test_eigenvalue_rejects_j_out_of_range(self):
-        for j in (0, 4):
+        for j in (-1, 0, 4):
             with pytest.raises(PolyError, match="need 1 <= j <= n"):
                 qe.h_eigenvalue(Partition((2, 1, 0)), j)
 
@@ -132,7 +132,7 @@ class TestHamiltonians:
         lams = enumerate_partitions(4, 3)
         f = MultiPoly.zero(3)
         for _ in range(3):
-            f = f + elementary_product(rng.choice(lams)).raw * rng.randint(1, 3)
+            f = f + basis_poly("E", rng.choice(lams)).raw * rng.randint(1, 3)
         for j in (1, 2, 3):
             g = qe.apply_h(f, j)
             points = []
@@ -269,7 +269,7 @@ class TestSeparation:
         for _ in range(4):
             f = MultiPoly.zero(3)
             for _ in range(2):
-                f = f + elementary_product(rng.choice(lams)).raw * F(
+                f = f + basis_poly("E", rng.choice(lams)).raw * F(
                     rng.randint(-3, 3), rng.randint(1, 2)
                 )
             subst = qe.separate(f)  # asserts chain route inside

@@ -10,13 +10,13 @@ from hypothesis import given, strategies as st
 from conftest import multipolys
 from symfact import qops_monomial as qm
 from symfact import spectral
-from symfact.bases import OrbitForm, monomial_sym
+from symfact.bases import OrbitForm, basis_poly
 from symfact.partitions import Partition, enumerate_partitions
 from symfact.poly import InvariantViolation, MultiPoly, PolyError, UniPoly
 
 
 def mbar(*parts):
-    return monomial_sym(Partition(parts)).normalized
+    return basis_poly("m", Partition(parts)).normalized
 
 
 def subset_loop_h(f: MultiPoly, j: int) -> MultiPoly:
@@ -67,6 +67,11 @@ class TestHamiltonians:
             with pytest.raises(PolyError):
                 qm.apply_h(f, j)
 
+    def test_eigenvalue_rejects_j_out_of_range(self):
+        for j in (-1, 0, 4):
+            with pytest.raises(PolyError, match="need 1 <= j <= n"):
+                qm.h_eigenvalue(Partition((2, 1, 0)), j)
+
     def test_commutators_vanish(self):
         f = MultiPoly(3, {(2, 1, 0): 1, (1, 1, 1): F(1, 2)})
         for j in (1, 2, 3):
@@ -83,7 +88,7 @@ class TestEigenvaluePolynomial:
     def test_matches_restriction_oracle(self):
         # q(z) is the normalized basis polynomial at (z, 1, ..., 1)
         for lam in enumerate_partitions(5, 3):
-            restricted = monomial_sym(lam).normalized.partial_eval({1: 1, 2: 1})
+            restricted = basis_poly("m", lam).normalized.partial_eval({1: 1, 2: 1})
             coeffs = [F(0)] * (lam.parts[0] + 1)
             for (e,), c in restricted.terms.items():
                 coeffs[e] = c
@@ -111,13 +116,13 @@ class TestQOperator:
 
     def test_eigenrelation_sweep(self):
         for lam in enumerate_partitions(5, 3):
-            f = monomial_sym(lam).normalized
+            f = basis_poly("m", lam).normalized
             q = qm.q_poly(lam)
             assert qm.apply_q(f) == f.insert_slot(f.arity, "z") * q.as_multipoly(4, 3)
 
     def test_agrees_with_spectral_route(self):
         for lam in enumerate_partitions(4, 3):
-            f = monomial_sym(lam).normalized
+            f = basis_poly("m", lam).normalized
             assert qm.apply_q(f) == spectral.orbit_q(OrbitForm.of(f), "m", qm.q_poly).to_poly()
 
     def test_commutativity_on_symmetric_input(self):
@@ -172,7 +177,7 @@ class TestProjectorChain:
         # restriction of Q equals the chain link applied to the restriction
         n = 3
         for lam in enumerate_partitions(4, n):
-            f = monomial_sym(lam).normalized
+            f = basis_poly("m", lam).normalized
             for k in range(1, n + 1):
                 lhs = qm.apply_q(f).partial_eval({i: 1 for i in range(k - 1, n)})
                 rhs = qm.apply_a(qm.rho(f, k), k, n)
@@ -193,7 +198,7 @@ class TestSeparation:
             expected = MultiPoly.one(3)
             for j in range(3):
                 expected = expected * q.as_multipoly(3, j)
-            assert qm.separate(monomial_sym(lam).normalized).to_poly() == expected
+            assert qm.separate(basis_poly("m", lam).normalized).to_poly() == expected
 
     def test_route_check_is_active(self):
         # both routes agree on symmetric input (raises otherwise)
@@ -228,9 +233,9 @@ class TestLift:
 
     def test_lifts_basis_elements(self):
         for lam_short in enumerate_partitions(4, 2):
-            f = monomial_sym(lam_short).normalized
+            f = basis_poly("m", lam_short).normalized
             lifted = qm.lift(f)
-            assert lifted == monomial_sym(lam_short.with_trailing_zero()).normalized
+            assert lifted == basis_poly("m", lam_short.with_trailing_zero()).normalized
             # the insertion average is a cross-route for the generic spectral lift
             assert spectral.lift(f, "m") == lifted
 

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import fractions_small, strict_part, strictly_decreasing, symmetric_polys
+from conftest import elementary_sym, fractions_small, strict_part, strictly_decreasing, symmetric_polys
 
 from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
@@ -171,6 +171,11 @@ class TestHamiltonians:
             " exponent [1, 0, 0] and a swap of it have different coefficients"
         )
 
+    def test_eigenvalue_rejects_j_out_of_range(self):
+        for j in (-1, 0, 4):
+            with pytest.raises(PolyError, match="need 1 <= j <= n"):
+                qs.h_eigenvalue(Partition((2, 1, 0)), j)
+
 
 class TestKOperator:
     def test_frozen_example(self):
@@ -308,8 +313,6 @@ class TestSpectralQ:
         assert qs.apply_q(MultiPoly.one(2)) == MultiPoly.one(3)
 
     def test_elementary_is_single_schur_component(self):
-        from symfact.bases import elementary_sym
-
         e2 = elementary_sym(2, 3)
         q = qs.q_poly(Partition((1, 1, 0)))
         assert qs.apply_q(e2) == e2.insert_slot(e2.arity, "z") * q.as_multipoly(4, 3)

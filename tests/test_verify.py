@@ -179,6 +179,48 @@ def test_an_asymmetric_restriction_fails_its_checks(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["counts"] == report["counts"]
 
 
+def _doubled_below_the_lead(rule):
+    """A planted defect in a row rule: every coefficient but the lex-leading row's doubled."""
+
+    def planted(*args):
+        rows = rule(*args)
+        lead = max(rows)
+        return {e: c if e == lead else 2 * c for e, c in rows.items()}
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "rule, families",
+    [
+        (
+            "_times_elementary",
+            {"[H_1, H_2] = 0 pointwise via explicit form [E], n=3": 1, "[H_1, H_3] = 0 pointwise via explicit form [E], n=3": 1},
+        ),
+        (
+            "_schur_rows",
+            {
+                "Schur value-at-one closed form": 16,
+                **{f"restricted-Schur determinant ratio k={k}": 6 for k in (1, 2, 3)},
+            },
+        ),
+    ],
+)
+def test_a_defective_row_rule_fails_the_eigen_suite(monkeypatch, rule, families):
+    # the E rows are caught only by the explicit first-order form of H_j, the
+    # s rows only by the checks that reach s_lam another way: every other
+    # check reads the same rows on both of its sides
+    clear_caches()
+    monkeypatch.setattr(bases, rule, _doubled_below_the_lead(getattr(bases, rule)))
+    try:
+        report = verify.run_suite("eigen", max_weight=6, n=3)
+    finally:
+        clear_caches()
+    failed = [c["name"].split(" lambda=")[0] for c in report["checks"] if c["status"] == "fail"]
+    assert report["counts"] == {"total": 442, "failed": sum(families.values())}
+    assert {name: failed.count(name) for name in failed} == families
+
+
 @pytest.mark.parametrize("suite", ["eigen", "inverse"])
 def test_eigen_and_inverse_suites_build_no_vandermonde_or_alternant(monkeypatch, suite):
     def refuse(*_args):
