@@ -660,6 +660,11 @@ class UniPoly:
         object.__setattr__(self, "poly", poly)
         return self
 
+    @classmethod
+    def over(cls, nums: Iterable[int], den: int) -> "UniPoly":
+        """Trusted constructor: sum_d nums[d] z^d / den, from int numerators by degree over a positive int den."""
+        return cls.of(MultiPoly._make(1, {(d,): c for d, c in enumerate(nums) if c}, den, _Z))
+
     def __setattr__(self, *_):
         raise AttributeError("UniPoly is immutable")
 

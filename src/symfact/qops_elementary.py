@@ -25,15 +25,15 @@ in the z block of their orbit form, never as whole monomials.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate
 
 from . import spectral
 from .bases import OrbitForm, elementary_value, expand_in_basis, m_coordinates
 from .partitions import Partition
-from .poly import MultiPoly, Pair, PolyError, UniPoly, _contract, default_names, tensor_sum
+from .poly import MultiPoly, Pair, PolyError, UniPoly, _contract, _reduce, accumulate, default_names
 
 
 def to_eps(f: MultiPoly) -> MultiPoly:
@@ -91,13 +91,25 @@ def h_explicit_values(f: MultiPoly, j: int, points: list[list[Fraction]]) -> lis
 
 @lru_cache(maxsize=None)
 def q_poly(lam: Partition) -> UniPoly:
-    """prod_j (1 + (z-1) j / n)^(lam_j - lam_{j+1}); value 1 at z = 1."""
+    """prod_j (1 + (z-1) j / n)^(lam_j - lam_{j+1}); value 1 at z = 1.
+
+    Built on ints: the numerators of prod_j (n - j + j z)^(lam_j - lam_{j+1}),
+    one linear factor at a time, over n^(lam_1), the sum of the exponents.
+    """
     n = lam.n
-    acc = UniPoly([1])
+    nums = [1]
     for j, mult in enumerate(lam.steps(), start=1):
-        if mult:
-            acc = acc * UniPoly([Fraction(n - j, n), Fraction(j, n)]) ** mult
-    return acc
+        for _ in range(mult):
+            nums = [(n - j) * a + j * b for a, b in zip(nums + [0], [0] + nums)]
+    return UniPoly.over(nums, n ** lam.parts[0])
+
+
+@lru_cache(maxsize=None)
+def _clearing_products(n: int) -> tuple[UniPoly, list[UniPoly]]:
+    """prod_j (j z + n - j) over j = 1..n, and for each j the same product without its j-th factor."""
+    linear = [UniPoly([n - j, j]) for j in range(1, n + 1)]
+    rests = [math.prod(linear[:j] + linear[j + 1 :], start=UniPoly([1])) for j in range(n)]
+    return rests[0] * linear[0], rests
 
 
 def q_ode_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
@@ -105,23 +117,16 @@ def q_ode_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
 
     Clearing multiplies through by prod_j (j z + n - j); the result must be
     the zero polynomial for lam's own eigenvalue polynomial (the default q).
+    The products of the linear factors depend on n only and are built once.
     """
     n = lam.n
     if q is None:
         q = q_poly(lam)
-    linear = [UniPoly([Fraction(n - j), Fraction(j)]) for j in range(1, n + 1)]
-    full = UniPoly([1])
-    for w in linear:
-        full = full * w
+    full, rests = _clearing_products(n)
     residual = q.derivative() * full
     for j, mult in enumerate(lam.steps(), start=1):
-        if not mult:
-            continue
-        rest = UniPoly([1])
-        for m, w in enumerate(linear, start=1):
-            if m != j:
-                rest = rest * w
-        residual = residual - rest * q * Fraction(mult * j)
+        if mult:
+            residual = residual - rests[j - 1] * q * (mult * j)
     return residual
 
 
@@ -163,9 +168,13 @@ def _link_image(lam: Partition, k: int, n: int) -> Pair:
             image = image * _chain_image(j, k, n) ** e
 
     def rows(s: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        return m_coordinates("E", Partition(tuple(accumulate(reversed(s)))[::-1])) if s else {(): 1}
+        return m_coordinates("E", Partition(tuple(itertools.accumulate(reversed(s)))[::-1])) if s else {(): 1}
 
-    return tensor_sum(((rows(e[:-1]), 1), ({e[-1:]: c}, image.den)) for e, c in image.num.items())
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in image.num.items():
+        z = e[-1:]
+        accumulate(out, ((r + z, c * w) for r, w in rows(e[:-1]).items()))
+    return _reduce(out, image.den)
 
 
 def _link(o: OrbitForm, k: int, n: int) -> OrbitForm:

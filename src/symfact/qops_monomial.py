@@ -39,12 +39,14 @@ from .poly import (
 
 @lru_cache(maxsize=None)
 def q_poly(lam: Partition) -> UniPoly:
-    """Eigenvalue polynomial (1/n) sum_j z^(lam_j); equals m-bar at (z,1,..,1)."""
-    n = lam.n
-    coeffs = [Fraction(0)] * (lam.parts[0] + 1)
+    """Eigenvalue polynomial (1/n) sum_j z^(lam_j); equals m-bar at (z,1,..,1).
+
+    Built on ints: the count of each part, over n.
+    """
+    nums = [0] * (lam.parts[0] + 1)
     for p in lam.parts:
-        coeffs[p] += Fraction(1, n)
-    return UniPoly(coeffs)
+        nums[p] += 1
+    return UniPoly.over(nums, lam.n)
 
 
 def apply_h(f: MultiPoly, j: int) -> MultiPoly:

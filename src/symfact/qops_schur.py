@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import spectral
 from .bases import (
@@ -53,8 +54,14 @@ from .poly import (
     NotSymmetric,
     PolyError,
     UniPoly,
-    accumulate,
 )
+
+
+def _weights(mu: tuple[int, ...]) -> tuple[list[int], int]:
+    """The c_j = prod_{k != j} (mu_j - mu_k)^(-1) of distinct mu, as int numerators over their LCM denominator."""
+    spreads = [math.prod(m - other for other in mu if other != m) for m in mu]
+    den = math.lcm(*spreads)
+    return [den // s for s in spreads], den
 
 
 @lru_cache(maxsize=None)
@@ -64,26 +71,18 @@ def phi(lam: Partition) -> UniPoly:
     Verified on construction: the power sums sum_j mu_j^k c_j vanish for
     k = 0..n-2 and equal 1 at k = n-1, which is exactly divisibility of phi
     by (z-1)^(n-1) plus the normalization of the eigenvalue polynomial.
+    The sums run on the weights' int numerators over their one denominator.
     """
     mu = lam.shifted()
     n = lam.n
-    cs = []
-    for j in range(n):
-        denom = Fraction(1)
-        for k in range(n):
-            if k != j:
-                denom *= mu[j] - mu[k]
-        cs.append(1 / denom)
-    coeffs = [0] * (mu[0] + 1)
-    for m, c in zip(mu, cs):
-        coeffs[m] = c
-    out = UniPoly(coeffs)
+    weights, den = _weights(mu)
     for k in range(n):
-        moment = sum(Fraction(mu[j]) ** k * cs[j] for j in range(n))
-        expected = Fraction(1 if k == n - 1 else 0)
-        if moment != expected:
+        if sum(m**k * w for m, w in zip(mu, weights)) != (den if k == n - 1 else 0):
             raise InvariantViolation(f"moment condition k={k} fails for {lam}")
-    return out
+    nums = [0] * (mu[0] + 1)
+    for m, w in zip(mu, weights):
+        nums[m] = w
+    return UniPoly.over(nums, den)
 
 
 @lru_cache(maxsize=None)
@@ -140,42 +139,45 @@ def h_eigenvalue(lam: Partition, j: int) -> Fraction:
     return Fraction(elementary_value(lam.shifted(), j))
 
 
-def z_powers(q: UniPoly, n: int) -> list[UniPoly]:
-    """Z^0 q .. Z^n q for Z = z (d/dz + (n-1)/(z-1)), as numerators over (z-1)^n.
+Powers = tuple[list[tuple[int, ...]], int]
+
+
+def z_powers(q: UniPoly, n: int) -> Powers:
+    """Z^0 q .. Z^n q for Z = z (d/dz + (n-1)/(z-1)), as numerators over (z-1)^n, in ints over q's denominator.
 
     Z^m q is a numerator over (z-1)^m, and Z sends num / (z-1)^m to
     z (num' (z-1) + (n-1-m) num) / (z-1)^(m+1); so its numerator over
-    (z-1)^n is that numerator times (z-1)^(n-m).
+    (z-1)^n is that numerator times (z-1)^(n-m).  Each step is an integer
+    map, so it runs on q's int numerators, and all n+1 share q's
+    denominator.  Returns the columns by degree, column d holding the z^d
+    numerators of Z^0 q .. Z^n q, with that one denominator.
     """
     z = UniPoly([0, 1])
-    zm1 = UniPoly([-1, 1])
-    nums = [q]
+    zm1 = _pole(2)
+    nums = [UniPoly.of(MultiPoly._wrap(1, q.poly.num, 1, q.poly.names))]
     for m in range(n):
         num = nums[-1]
         nums.append(z * (num.derivative() * zm1 + num * (n - 1 - m)))
-    return [num * zm1 ** (n - m) for m, num in enumerate(nums)]
+    rows = [(num * _pole(n - m + 1)).poly.num for m, num in enumerate(nums)]
+    top = max((d for row in rows for (d,) in row), default=-1)
+    return [tuple(row.get((d,), 0) for row in rows) for d in range(top + 1)], q.poly.den
 
 
-def residual_of_powers(lam: Partition, powers: list[UniPoly]) -> UniPoly:
-    """Numerator of [Z^n + sum_k (-1)^k h_k Z^(n-k)] q over (z-1)^n.
+def residual_of_powers(lam: Partition, powers: Powers) -> UniPoly:
+    """Numerator of p(Z) q over (z-1)^n, p(t) = prod_j (t - mu_j) = t^n + sum_k (-1)^k h_k t^(n-k).
 
     Z = z (d/dz + (n-1)/(z-1)), ``powers`` are the :func:`z_powers` of q,
-    and h_k are the Hamiltonian eigenvalues of lam, e_k of its shifted
-    parts.  A polynomial q satisfies lam's separated equation iff the
+    mu are the shifted parts of lam and h_k, e_k of mu, its Hamiltonian
+    eigenvalues.  A polynomial q satisfies lam's separated equation iff the
     returned numerator is the zero polynomial.  The powers depend on q and n
-    only, so one list serves every lam of that n; the sum is one integer
-    combination of their numerators over their common denominator.
+    only, so one table serves every lam of that n; each coefficient of the
+    sum is p's int coefficients against one column of the table.
     """
-    n = lam.n
-    mu = lam.shifted()
-    den = math.lcm(*(p.poly.den for p in powers))
-    out: dict[tuple[int, ...], int] = {}
-    for k in range(n + 1):
-        p = powers[n - k].poly
-        w = (-1) ** k * elementary_value(mu, k) * (den // p.den)
-        if w:
-            accumulate(out, ((e, w * c) for e, c in p.num.items()))
-    return UniPoly.of(MultiPoly._make(1, out, den, ("z",)))
+    weights = [1]  # p's coefficients by degree, one factor t - mu_j at a time
+    for m in lam.shifted():
+        weights = [a - m * b for a, b in zip([0, *weights], [*weights, 0])]
+    columns, den = powers
+    return UniPoly.over([sum(map(mul, weights, col)) for col in columns], den)
 
 
 def apply_h(f: MultiPoly, j: int) -> MultiPoly:

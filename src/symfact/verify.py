@@ -18,6 +18,15 @@ four separation routes, which keep their z's in sorted rows, with those of
 ``spectral.orbit_product``.  On every basis, ``[Q_z1, Q_z2] = 0`` applies Q
 twice, each z slot whole, and checks that the result is symmetric in its
 two z slots; it is what the routes' sorted z rows rely on for rho-Q.
+
+Each operand is built once per suite call.  The eigen suite keeps each E and
+s basis element's Q image beside its H_j images, and the commutator checks
+apply Q once more to those images.  The inverse suite computes S^-1 of each
+eigenvalue product once, and the "inverse composed with separating map" check
+reads it again only when the separating map gives exactly the product's
+rows; any other rows are inverted afresh.  The chain suite builds each Q
+image of m-bar and of the e_j once for all its links, and the ode suite
+builds the powers of Z on q_nu once for every lambda it tests them against.
 """
 
 from __future__ import annotations
@@ -136,21 +145,23 @@ def suite_eigen(max_weight: int, n: int, rng: random.Random) -> Reporter:
     rep = Reporter()
     sweep = enumerate_partitions(max_weight, n)
     steps = {basis: _steps(basis, n) for basis in BASES}
-    # each normalized basis element as its steps take it, and its H_1..H_n,
-    # read again by the commutator checks
-    forms: dict[tuple[str, Partition], MultiPoly | OrbitForm] = {}
+    # each normalized basis element's Q image and H_1..H_n images, as its
+    # steps take it, read again by the commutator checks
+    q_images: dict[tuple[str, Partition], MultiPoly | OrbitForm] = {}
     images: dict[tuple[str, Partition], list[MultiPoly | OrbitForm]] = {}
     for lam in sweep:
         tag = f"lambda={list(lam.parts)}, n={n}"
         for basis, ops in BASES.items():
             nb = basis_poly(basis, lam)
             apply_q, apply_h = steps[basis]
-            f = forms[basis, lam] = nb.normalized if basis == "m" else OrbitForm.of(nb.normalized)
+            f = nb.normalized if basis == "m" else OrbitForm.of(nb.normalized)
             q = ops.q_poly(lam).poly
-            rep.guarded(
-                f"Q eigenrelation [{basis}] {tag}",
-                lambda apply_q=apply_q, f=f, q=q: apply_q(f) == _times(f, (q.num, q.den), ("z",)),
-            )
+
+            def q_eigenrelation(apply_q=apply_q, f=f, q=q, key=(basis, lam)) -> bool:
+                qf = q_images[key] = apply_q(f)
+                return qf == _times(f, (q.num, q.den), ("z",))
+
+            rep.guarded(f"Q eigenrelation [{basis}] {tag}", q_eigenrelation)
             hs = images[basis, lam] = [apply_h(f, j) for j in range(1, n + 1)]
             for j, got in enumerate(hs, start=1):
                 h = ops.h_eigenvalue(lam, j)
@@ -171,12 +182,13 @@ def suite_eigen(max_weight: int, n: int, rng: random.Random) -> Reporter:
     # commutators on spanning sets
     monomials = [exp for lam in sweep for exp in basis_poly("m", lam).raw.num]
     singles = [MultiPoly(n, {exp: 1}) for exp in monomials]
-    ok_qq = all(_q_commute(f, steps["m"][0]) for f in singles)
+    q_m = steps["m"][0]
+    ok_qq = all(_q_commute(q_m(f), q_m) for f in singles)
     rep.record(f"[Q_z1, Q_z2] = 0 on monomials, n={n}", ok_qq)
     ok_hh = all(_h_commute([qm.apply_h(f, j) for j in range(1, n + 1)], qm.apply_h) for f in singles)
     rep.record(f"[H_j, H_k] = 0 on monomials [m], n={n}", ok_hh)
     for basis in ("E", "s"):
-        ok_qq = all(_q_commute(forms[basis, lam], steps[basis][0]) for lam in sweep)
+        ok_qq = all((basis, lam) in q_images and _q_commute(q_images[basis, lam], steps[basis][0]) for lam in sweep)
         rep.record(f"[Q_z1, Q_z2] = 0 on basis [{basis}], n={n}", ok_qq)
         ok_hh = all(_h_commute(images[basis, lam], steps[basis][1]) for lam in sweep)
         rep.record(f"[H_j, H_k] = 0 on basis [{basis}], n={n}", ok_hh)
@@ -233,14 +245,14 @@ def _h_commute(hs: list, apply_h) -> bool:
     )
 
 
-def _q_commute(f: MultiPoly | OrbitForm, apply_q) -> bool:
-    """Q_z1 Q_z2 f == Q_z2 Q_z1 f, for f a whole polynomial or orbit rows, as apply_q takes it.
+def _q_commute(qf: MultiPoly | OrbitForm, apply_q) -> bool:
+    """Q_z1 Q_z2 f == Q_z2 Q_z1 f, given qf = Q f, a whole polynomial or orbit rows, as apply_q takes it.
 
-    g = Q Q f holds the first Q's z in its second-last slot and the second's
+    g = Q qf holds the first Q's z in its second-last slot and the second's
     in its last, and Q_z2 Q_z1 f is g with those two swapped: so the
     operators commute on f iff g is symmetric in its last two slots.
     """
-    g = apply_q(apply_q(f))
+    g = apply_q(qf)
     return g.num == {e[:-2] + (e[-1], e[-2]): c for e, c in g.num.items()}
 
 
@@ -265,14 +277,16 @@ def suite_chain(max_weight: int, n: int, rng: random.Random) -> Reporter:
         )
         rep.record(f"separation rho-Q route [E] {tag}", qe.separate_via_q(ebar) == product)
         if lam.weight() <= min(max_weight, 4):
+            q_mbar = qm.apply_q(mbar)
             for k in range(1, n + 1):
-                lhs = qm.apply_q(mbar).partial_eval({i: 1 for i in range(k - 1, n)})
+                lhs = q_mbar.partial_eval({i: 1 for i in range(k - 1, n)})
                 rhs = qm.apply_a(qm.rho(mbar, k), k, n)
                 rep.record(f"chain link rho Q = A rho [m] k={k} {tag}", lhs == rhs)
+    generators = [basis_poly("E", Partition((1,) * j + (0,) * (n - j))).raw for j in range(1, n + 1)]
+    q_generators = [qe.apply_q(ej) for ej in generators]
     for k in range(1, n + 1):
-        for j in range(1, n + 1):
-            ej = basis_poly("E", Partition((1,) * j + (0,) * (n - j))).raw
-            lhs = qe.apply_q(ej).partial_eval({i: 1 for i in range(k - 1, n)})
+        for j, (ej, q_ej) in enumerate(zip(generators, q_generators), start=1):
+            lhs = q_ej.partial_eval({i: 1 for i in range(k - 1, n)})
             rhs = qe.apply_a(qm.rho(ej, k), k, n)
             rep.record(f"chain link rho Q = A rho [E] generator j={j}, k={k}, n={n}", lhs == rhs)
     for trial in range(3):
@@ -307,20 +321,27 @@ def suite_chain(max_weight: int, n: int, rng: random.Random) -> Reporter:
 def suite_inverse(max_weight: int, n: int, rng: random.Random) -> Reporter:
     rep = Reporter()
 
-    def inverse_of_separate(f: MultiPoly) -> MultiPoly:
-        return qs.orbit_separate_inverse(spectral.orbit_separate(OrbitForm.of(f), "s", qs.q_poly))
+    def separated(f: MultiPoly) -> OrbitForm:
+        return spectral.orbit_separate(OrbitForm.of(f), "s", qs.q_poly)
 
     for lam in enumerate_partitions(max_weight, n):
         tag = f"lambda={list(lam.parts)}, n={n}"
         sbar = schur_poly(lam).normalized
-        rep.guarded(
-            f"inverse separating map on eigenvalue products {tag}",
-            lambda lam=lam, sbar=sbar: qs.orbit_separate_inverse(spectral.orbit_product(qs.q_poly(lam), n)) == sbar,
-        )
-        rep.guarded(
-            f"inverse composed with separating map {tag}",
-            lambda sbar=sbar: inverse_of_separate(sbar) == sbar,
-        )
+        # the eigenvalue product's rows and their S^-1, computed once: the
+        # composed check reads S^-1 again only for exactly those rows
+        known: list[tuple[OrbitForm, MultiPoly]] = []
+
+        def inverse_of_product(lam=lam, sbar=sbar, known=known) -> bool:
+            product = spectral.orbit_product(qs.q_poly(lam), n)
+            known.append((product, qs.orbit_separate_inverse(product)))
+            return known[0][1] == sbar
+
+        def inverse_of_separate(sbar=sbar, known=known) -> bool:
+            rows = separated(sbar)
+            return (known[0][1] if known and known[0][0] == rows else qs.orbit_separate_inverse(rows)) == sbar
+
+        rep.guarded(f"inverse separating map on eigenvalue products {tag}", inverse_of_product)
+        rep.guarded(f"inverse composed with separating map {tag}", inverse_of_separate)
         if lam.weight() <= min(max_weight, 4):
             # K_n prod_j phi(x_j) = ± a_mu / V(mu), and x^mu is the only strictly decreasing term of a_mu
             prod_phi = spectral.orbit_product(qs.phi(lam), n)
@@ -334,7 +355,7 @@ def suite_inverse(max_weight: int, n: int, rng: random.Random) -> Reporter:
         f = random_symmetric(n, min(max_weight, 4), rng, basis="s")
         rep.guarded(
             f"inverse round trip on random symmetric input n={n} trial={trial}",
-            lambda f=f: inverse_of_separate(f) == f,
+            lambda f=f: qs.orbit_separate_inverse(separated(f)) == f,
         )
     return rep
 
@@ -529,6 +550,9 @@ def run_suite(name: str, max_weight: int = 4, n: int = 3, seed: int = 0) -> dict
     """Run one named suite (or all of them) at a single variable count."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    for key, value in (("max_weight", max_weight), ("n", n), ("seed", seed)):
+        if type(value) is not int:
+            raise PolyError(f"{key} must be an int, got {value!r}")
     if max_weight < 0 or n < 1:
         raise PolyError("need max_weight >= 0 and n >= 1")
     params = {"max_weight": max_weight, "n": n, "seed": seed}

@@ -54,13 +54,22 @@ class TestPhi:
             assert quotient * UniPoly([-1, 1]) ** (n - 1) == phi
 
     def test_moment_check_refuses_wrong_weights(self, monkeypatch):
-        # fault injection: every Fraction phi builds is off by 1/1000, so the c_j
-        # are wrong and the moment sums no longer vanish; phi is cached, so
+        # fault injection: the first int weight numerator is off by one, so the
+        # c_j are wrong and the moment sums no longer vanish; phi is cached, so
         # the cache is emptied first, or an earlier phi would be read back
+        weights = qs._weights
+
+        def planted(mu):
+            nums, den = weights(mu)
+            return [nums[0] + 1, *nums[1:]], den
+
         qs.phi.cache_clear()
-        monkeypatch.setattr(qs, "Fraction", lambda v: F(v) + F(1, 1000))
-        with pytest.raises(InvariantViolation, match="moment condition k=0"):
-            qs.phi(Partition((1, 0)))
+        monkeypatch.setattr(qs, "_weights", planted)
+        try:
+            with pytest.raises(InvariantViolation, match="moment condition k=0"):
+                qs.phi(Partition((1, 0)))
+        finally:
+            qs.phi.cache_clear()
 
 
 class TestEigenvaluePolynomial:
@@ -94,7 +103,7 @@ class TestDifferentialEquations:
 
     def test_separated_equation_frozen(self):
         # Z q = z^2/(z-1) for lam = (1, 0): check one application by hand; over (z-1)^2 it is z^2 (z-1)
-        assert qs.z_powers(qs.q_poly(Partition((1, 0))), 2)[1] == UniPoly([0, 0, F(1)]) * UniPoly([-1, 1])
+        assert self.unipolys(qs.z_powers(qs.q_poly(Partition((1, 0))), 2), 2)[1] == UniPoly([0, 0, F(1)]) * UniPoly([-1, 1])
 
     def test_separated_equation_sweep(self):
         for lam in enumerate_partitions(5, 3):
@@ -112,9 +121,16 @@ class TestDifferentialEquations:
                     assert not qs.residual_of_powers(lam, qs.z_powers(qs.q_poly(nu), 3)).is_zero
 
     @staticmethod
-    def unipoly_residual(lam, powers):
+    def unipolys(powers, n):
+        """The n+1 z_powers numerators as UniPolys, each over the one denominator."""
+        columns, den = powers
+        return [UniPoly([F(col[m], den) for col in columns]) for m in range(n + 1)]
+
+    @classmethod
+    def unipoly_residual(cls, lam, powers):
         """The residual as n UniPoly multiply-and-add steps: the oracle for the integer combination."""
         n = lam.n
+        powers = cls.unipolys(powers, n)
         residual = powers[n]
         for k in range(1, n + 1):
             residual = residual + powers[n - k] * (qs.h_eigenvalue(lam, k) * (-1) ** k)

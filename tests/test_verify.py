@@ -10,12 +10,24 @@ from symfact import qops_elementary as qe
 from symfact import qops_monomial as qm
 from symfact import qops_schur as qs
 from symfact.bases import OrbitForm
+from symfact.partitions import enumerate_partitions
 from symfact.poly import MultiPoly, accumulate
 
 
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         verify.run_suite("nope")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"max_weight": True}, {"n": 2.0}, {"seed": 1.5}, {"n": "2"}, {"seed": False}],
+    ids=["max_weight-bool", "n-float", "seed-float", "n-str", "seed-bool"],
+)
+def test_parameters_must_be_plain_ints(params):
+    # a bool would run as 0 or 1, a float escaped as TypeError or was accepted
+    with pytest.raises(poly.PolyError, match=f"{next(iter(params))} must be an int"):
+        verify.run_suite("ode", **params)
 
 
 def test_chain_suite_passes_at_five_variables():
@@ -93,11 +105,12 @@ def test_q_commutator_check_sees_operators_that_do_not_commute():
     skewed = q_step(lambda e: [(e + (0,), 1), (e[:-1] + (e[-1] + 1, 1), 1)])
     f = COMMUTATOR_INPUT
     for g, q in ((f, verify._steps("m", 2)[0]), (OrbitForm.of(f), verify._steps("E", 2)[0])):
-        assert not verify._q_commute(g, skewed)
-        assert verify._q_commute(g, q)
+        assert not verify._q_commute(skewed(g), skewed)
+        assert verify._q_commute(q(g), q)
 
 
 def test_q_commutator_check_applies_q_twice():
+    # the check is given Q f and applies Q once more
     f = COMMUTATOR_INPUT
     for g, q in ((f, verify._steps("m", 2)[0]), (OrbitForm.of(f), verify._steps("s", 2)[0])):
         calls = []
@@ -106,8 +119,63 @@ def test_q_commutator_check_applies_q_twice():
             calls.append(h)
             return q(h)
 
-        assert verify._q_commute(g, counting)
+        assert verify._q_commute(counting(g), counting)
         assert len(calls) == 2
+
+
+def _failed(report: dict) -> list[str]:
+    return [c["name"] for c in report["checks"] if c["status"] == "fail"]
+
+
+def test_eigen_suite_applies_q_twice_per_basis_element(monkeypatch):
+    # once for the eigenrelation and once more, on that image, for the commutator
+    orbit_q = spectral.orbit_q
+    calls = []
+
+    def counting(o, basis, q_poly):
+        calls.append((basis, "z" in o.names))
+        return orbit_q(o, basis, q_poly)
+
+    monkeypatch.setattr(spectral, "orbit_q", counting)
+    report = verify.run_suite("eigen", max_weight=4, n=3)
+    sweep = len(enumerate_partitions(4, 3))
+    assert report["passed"]
+    assert sorted(calls) == sorted([(basis, again) for basis in ("E", "s") for again in (False, True)] * sweep)
+
+
+def test_a_q_that_does_not_commute_fails_the_commutator_checks(monkeypatch):
+    # a second Q that also multiplies by 1 + z1, z1 the first Q's slot: Q_z1 Q_z2 f
+    # is then not symmetric in z1, z2, while Q on a basis element is untouched
+    orbit_q = spectral.orbit_q
+
+    def skewed(o, basis, q_poly):
+        g = orbit_q(o, basis, q_poly)
+        if "z" not in o.names:
+            return g
+        pairs = ((e2, c) for e, c in g.num.items() for e2 in (e, e[:-2] + (e[-2] + 1, e[-1])))
+        return g._replace(num=accumulate({}, pairs))
+
+    monkeypatch.setattr(spectral, "orbit_q", skewed)
+    report = verify.run_suite("eigen", max_weight=3, n=3)
+    assert _failed(report) == ["[Q_z1, Q_z2] = 0 on basis [E], n=3", "[Q_z1, Q_z2] = 0 on basis [s], n=3"]
+
+
+def test_a_scaled_separating_map_fails_the_composed_inverse(monkeypatch):
+    # S doubling the s rows: S^-1 S f = 2 f, while the eigenvalue products, read
+    # without S, still invert; the composed check must not reuse their S^-1
+    orbit_separate = spectral.orbit_separate
+
+    def scaled(o, basis, q_poly):
+        g = orbit_separate(o, basis, q_poly)
+        return g._replace(num={e: 2 * c for e, c in g.num.items()}) if basis == "s" else g
+
+    monkeypatch.setattr(spectral, "orbit_separate", scaled)
+    report = verify.run_suite("inverse", max_weight=3, n=3)
+    sweep = enumerate_partitions(3, 3)
+    assert _failed(report) == [
+        *(f"inverse composed with separating map lambda={list(lam.parts)}, n=3" for lam in sweep),
+        *(f"inverse round trip on random symmetric input n=3 trial={trial}" for trial in range(2)),
+    ]
 
 
 def clear_caches():
