@@ -7,14 +7,19 @@ m_lam is the one row lam, E_lam is multiplied out one e_j at a time on
 rows, and s_lam is built by the branching rule, one variable at a time,
 with no division (the bialternant, the alternant divided exactly by the
 Vandermonde, is its test oracle).  Its value at the all-ones point is a
-closed form (:func:`value_at_one`), and the whole polynomial, with its
-normalized form of value 1 there, is the orbit spread of the rows
-(:func:`basis_poly`), built only where a whole polynomial is asked for.
+closed form (:func:`value_at_one`, the one place each basis's value is
+said), and the whole polynomial and its normalized form of value 1 there are
+the orbit spread of the rows (:func:`basis_poly`), built only where a whole
+polynomial is asked for.
 :func:`expand_in_basis` writes a symmetric polynomial as coordinates over
 one basis, and :func:`combine` is the one sum of basis elements that takes
 coordinates back.  A symmetric polynomial is multiplied by the
 Vandermonde without a product: :func:`times_vandermonde` gives a_delta * f
 at its strictly decreasing exponents, which fix an antisymmetric polynomial.
+:func:`times_product` is the one kernel that multiplies orbit rows by
+prod_j p(x_j): on its rows (the restricted-Schur check, and prod_j q(z_j)
+itself as the product on the row 0^n, :func:`symfact.spectral.orbit_product`)
+or at its strictly decreasing exponents (the Schur inverse separating map).
 """
 
 from __future__ import annotations
@@ -44,10 +49,9 @@ BASIS_TAGS = ("m", "E", "s")
 
 
 class NormalizedBasisPoly(NamedTuple):
-    """A basis polynomial together with its value at (1,...,1)."""
+    """A basis polynomial and its normalized form, of value 1 at (1,...,1)."""
 
     raw: MultiPoly
-    value_at_one: Fraction
     normalized: MultiPoly
 
 
@@ -102,11 +106,6 @@ def alternant(mu: tuple[int, ...], n: int) -> MultiPoly:
 def vandermonde(n: int) -> MultiPoly:
     """prod_{i<j} (x_i - x_j), the staircase alternant a_delta, delta = (n-1, ..., 0)."""
     return alternant(tuple(range(n - 1, -1, -1)), n)
-
-
-def schur_value_at_one(lam: Partition) -> Fraction:
-    """Closed form prod_{i<j} (mu_i - mu_j)/(j - i): V(mu) / V(delta)."""
-    return Fraction(vandermonde_value(lam.shifted()), vandermonde_value(range(lam.n - 1, -1, -1)))
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +206,7 @@ def times_product(o: OrbitForm, p: UniPoly, step: int) -> Pair:
     factor = sorted((b, c) for (b,), c in p.poly.num.items())
     degrees = [b for b, _ in factor]
     below = [factor[:i] for i in range(len(factor) + 1)]  # the terms of p below each cut
-    num = {q: c for e, c in o.num.items() for q in _feasible_orbit(e, degrees[-1], step)}
+    num = {q: c for e, c in o.num.items() for q in _feasible_orbit(e, p.degree, step)}
     for k in range(n):
         num = accumulate(
             {},
@@ -375,23 +374,25 @@ def m_coordinates(basis: str, lam: Partition) -> dict[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def value_at_one(basis: str, lam: Partition) -> Fraction:
-    """b_lam(1..1) in closed form: the orbit size n!/prod mult! (m), prod_j C(n,j)^(lam_j - lam_(j+1)) (E), V(mu)/V(delta) (s)."""
+    """b_lam(1..1) in closed form: the orbit size n!/prod mult! (m), prod_j C(n,j)^(lam_j - lam_(j+1)) (E), V(mu)/V(delta) (s).
+
+    For s, V(mu)/V(delta) = prod_(i<j) (mu_i - mu_j)/(j - i), mu = lam + delta.
+    """
     n = lam.n
     if basis == "m":
         return Fraction(math.factorial(n) // math.prod(math.factorial(len(list(g))) for _, g in itertools.groupby(lam.parts)))
     if basis == "E":
         return Fraction(math.prod(math.comb(n, j) ** mult for j, mult in enumerate(lam.steps(), start=1)))
     if basis == "s":
-        return schur_value_at_one(lam)
+        return Fraction(vandermonde_value(lam.shifted()), vandermonde_value(range(n - 1, -1, -1)))
     raise PolyError(f"unknown basis tag {basis!r}")
 
 
 @lru_cache(maxsize=None)
 def basis_poly(basis: str, lam: Partition) -> NormalizedBasisPoly:
-    """The whole b_lam(x_1..x_n): its :func:`m_coordinates` spread over their orbits, with its :func:`value_at_one`."""
+    """The whole b_lam(x_1..x_n), its :func:`m_coordinates` spread over their orbits, and b_lam over its :func:`value_at_one`."""
     raw = OrbitForm(lam.n, m_coordinates(basis, lam), 1, default_names("x", lam.n)).to_poly()
-    value = value_at_one(basis, lam)
-    return NormalizedBasisPoly(raw, value, raw * (1 / value))
+    return NormalizedBasisPoly(raw, raw * (1 / value_at_one(basis, lam)))
 
 
 def schur_poly(lam: Partition) -> NormalizedBasisPoly:

@@ -33,7 +33,7 @@ from functools import lru_cache, partial
 from . import spectral
 from .bases import OrbitForm, elementary_value, expand_in_basis, m_coordinates
 from .partitions import Partition
-from .poly import MultiPoly, Pair, PolyError, UniPoly, _contract, _reduce, accumulate, default_names
+from .poly import MultiPoly, Pair, PolyError, UniPoly, _contract, _reduce, _scalar, accumulate, default_names
 
 
 def to_eps(f: MultiPoly) -> MultiPoly:
@@ -59,11 +59,12 @@ def h_explicit_values(f: MultiPoly, j: int, points: list[list[Fraction]]) -> lis
     """The same operator as an explicit first-order form, at each of the points.
 
     e_j(x) sum_i (-x_i)^(n-j) / prod_{m != i} (x_m - x_i) * df/dx_i evaluated
-    at points with pairwise distinct coordinates (exact rationals); f is
-    differentiated once for all of them.  A point is written x_s = a_s / D
-    over its common denominator D, so each value is one sum in ints: with
-    T_s the top exponent of f in slot s, df/dx_i(x) is df's numerators
-    contracted with the tables a_s^e D^(T_s - e), over df.den D^(sum T).
+    at points with pairwise distinct coordinates, each an int or a Fraction
+    (a float or a bool raises); f is differentiated once for all of them.  A
+    point is written x_s = a_s / D over its common denominator D, so each
+    value is one sum in ints: with T_s the top exponent of f in slot s,
+    df/dx_i(x) is df's numerators contracted with the tables
+    a_s^e D^(T_s - e), over df.den D^(sum T).
     """
     n = f.arity
     if not 1 <= j <= n:
@@ -72,7 +73,7 @@ def h_explicit_values(f: MultiPoly, j: int, points: list[list[Fraction]]) -> lis
     tops = list(map(max, zip(*f.num)))
     values = []
     for point in points:
-        pt = [Fraction(v) for v in point]
+        pt = [_scalar(v) for v in point]
         if len(set(pt)) != n:
             raise PolyError("point must have pairwise distinct coordinates")
         d = math.lcm(*(v.denominator for v in pt))

@@ -100,11 +100,6 @@ def apply_q(f: MultiPoly, n_x: int | None = None) -> MultiPoly:
     return _substitution_average(_form(f), n_x, drop=False).to_poly()
 
 
-def apply_rho0_q(f: MultiPoly, n_x: int | None = None) -> MultiPoly:
-    """rho_0 after :func:`apply_q`, as one step: the first ``n_x`` slots set to 1."""
-    return _substitution_average(_form(f), n_x, drop=True).to_poly()
-
-
 def _projector_combination(o: OrbitForm, k: int, own: int, other: int, den: int) -> OrbitForm:
     """(own f + other sum_{j<k} P_jk f) / den over o's slots, whole but a z block.
 

@@ -42,8 +42,8 @@ from .bases import (
     is_strict,
     restricted_schur,
     schur_poly,
-    schur_value_at_one,
     times_product,
+    value_at_one,
     vandermonde_value,
 )
 from .partitions import Partition
@@ -124,7 +124,7 @@ def q_via_restricted_determinant(lam: Partition) -> UniPoly:
     """Second oracle: the mixed-determinant restriction with k = 2."""
     num, c = restricted_schur(lam, 2)
     ratio = UniPoly.of(num).divide_exact(_pole(lam.n) * c)
-    return ratio * (1 / schur_value_at_one(lam))
+    return ratio * (1 / value_at_one("s", lam))
 
 
 def phi_ode_residual(lam: Partition) -> UniPoly:

@@ -203,14 +203,15 @@ def box_integral(p: MultiPoly, bounds: list[tuple[Fraction, Fraction]]) -> Fract
 
     Each slot's integrals of x^e over its interval, e = 0..top, form one
     int table over one denominator, so the sum over the terms runs in ints.
-    The bounds are ints or Fractions.
+    The bounds are ints or Fractions, checked before any term is read.
     """
     if len(bounds) != p.arity:
         raise PolyError("need one bound pair per slot")
+    bounds = [(_scalar(lo), _scalar(hi)) for lo, hi in bounds]
     tables = []
     den = p.den
     for (lo, hi), top in zip(bounds, map(max, zip(*p.num))):
-        table, table_den = _integrals(_scalar(lo), _scalar(hi), range(top + 1))
+        table, table_den = _integrals(lo, hi, range(top + 1))
         tables.append(table)
         den *= table_den
     return Fraction(_contract(p.num, tables), den)

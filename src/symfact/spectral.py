@@ -24,12 +24,14 @@ carried as orbit rows: one row per head partition, not per monomial, so a
 chain of steps checks symmetry once and never builds a full intermediate;
 the E and s ``apply_q``, ``apply_h`` and ``separate`` are these steps on
 the orbit form of a whole polynomial.
-Every separated polynomial is symmetric in its z's, so prod_j q(z_j)
-(:func:`orbit_product`) and the separating map are orbit rows too, one per
-multiset of q's support instead of one per monomial; :func:`eigen_product`
-spreads them into a whole polynomial.  The two separation routes are
-driven here too: the rho-Q composition (:func:`separate_via_q`) and the
-A-chain (:func:`separate_via_chain`), each given one basis's steps.  The
+Every separated polynomial is symmetric in its z's, so prod_j q(z_j) and
+the separating map are orbit rows too, one per multiset of q's support
+instead of one per monomial: :func:`orbit_product` is the one kernel for
+products with prod_j p(x_j), :func:`symfact.bases.times_product`, on the
+single row 0^n, and :func:`eigen_product` spreads its rows into a whole
+polynomial.  The two separation routes are driven here too: the rho-Q
+composition (:func:`separate_via_q`) and the A-chain
+(:func:`separate_via_chain`), each given one basis's steps.  The
 rho-Q route S_n = rho_0 Q_{z_1}...Q_{z_n} runs n-1 Q's and then the one
 fused step rho_0 Q_{z_1} (:func:`rho0_orbit_q` on a diagonal basis), which
 never builds the last Q's output in the x's only to set them to 1.  Every
@@ -46,12 +48,10 @@ the same rows.
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .bases import OrbitForm, expand_orbits, m_coordinates, value_at_one
+from .bases import OrbitForm, expand_orbits, m_coordinates, times_product, value_at_one
 from .partitions import Partition
 from .poly import InvariantViolation, MultiPoly, Pair, PolyError, UniPoly, default_names, tensor_sum
 
@@ -59,19 +59,14 @@ QPoly = Callable[[Partition], UniPoly]
 
 
 def orbit_product(q: UniPoly, n: int) -> OrbitForm:
-    """prod_j q(z_j) over n z-slots, in orbit rows: one per multiset of q's support.
+    """prod_j q(z_j) over n z-slots, in orbit rows: :func:`~symfact.bases.times_product` on the one row 0^n.
 
     The row at e_1 >= .. >= e_n is prod_i [z^(e_i)]q over q's denominator to
     the n-th power.  The pair is reduced: each prime of that denominator
     misses some numerator c of q, so it misses the row c^n too.
     """
-    p = q.poly
-    support = sorted(p.num, reverse=True)
-    num = {
-        sum(es, ()): math.prod(p.num[e] for e in es)
-        for es in itertools.combinations_with_replacement(support, n)
-    }
-    return OrbitForm(n, num, p.den**n, default_names("z", n))
+    names = default_names("z", n)
+    return OrbitForm(n, *times_product(OrbitForm(n, {(0,) * n: 1}, 1, names), q, 0), names)
 
 
 def eigen_product(q: UniPoly, n: int) -> MultiPoly:

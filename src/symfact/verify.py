@@ -48,9 +48,9 @@ from .bases import (
     is_dominance_triangular,
     restricted_schur,
     schur_poly,
-    schur_value_at_one,
     times_product,
     times_vandermonde,
+    value_at_one,
     vandermonde_value,
 )
 from .partitions import Partition, enumerate_partitions
@@ -176,7 +176,7 @@ def suite_eigen(max_weight: int, n: int, rng: random.Random) -> Reporter:
                 rep.guarded(f"restricted-Schur determinant ratio k={k} {tag}", partial(_restricted_ratio, lam, k))
         rep.record(
             f"Schur value-at-one closed form {tag}",
-            schur_poly(lam).raw.eval([1] * n) == schur_value_at_one(lam),
+            schur_poly(lam).raw.eval([1] * n) == value_at_one("s", lam),
         )
 
     # commutators on spanning sets

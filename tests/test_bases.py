@@ -32,7 +32,6 @@ from symfact.bases import (
     m_coordinates,
     restricted_schur,
     schur_poly,
-    schur_value_at_one,
     times_product,
     times_vandermonde,
     vandermonde,
@@ -62,7 +61,7 @@ class TestMonomialSym:
     def test_no_repetition(self):
         nb = basis_poly("m", Partition((1, 1)))
         assert nb.raw == MultiPoly(2, {(1, 1): 1})
-        assert nb.value_at_one == 1
+        assert value_at_one("m", Partition((1, 1))) == 1
 
     def test_six_distinct_monomials(self):
         nb = basis_poly("m", Partition((2, 1, 0)))
@@ -150,7 +149,7 @@ class TestElementaryProduct:
     def test_top_factor(self):
         nb = basis_poly("E", Partition((1, 1)))
         assert nb.raw == elementary_sym(2, 2)
-        assert nb.value_at_one == 1
+        assert value_at_one("E", Partition((1, 1))) == 1
 
     def test_mixed_product_normalization(self):
         nb = basis_poly("E", Partition((2, 1)))
@@ -162,14 +161,14 @@ class TestElementaryProduct:
             nb = basis_poly("E", lam)
             a, b, c = lam.parts
             expected = math.comb(3, 1) ** (a - b) * math.comb(3, 2) ** (b - c) * math.comb(3, 3) ** c
-            assert nb.value_at_one == expected == nb.raw.eval([1, 1, 1])
+            assert value_at_one("E", lam) == expected == nb.raw.eval([1, 1, 1])
 
 
 class TestSchur:
     def test_single_row(self):
         nb = schur_poly(Partition((1, 0)))
         assert nb.raw == MultiPoly(2, {(1, 0): 1, (0, 1): 1})
-        assert nb.value_at_one == 2
+        assert value_at_one("s", Partition((1, 0))) == 2
         assert nb.raw.eval([1, 2]) == 3
 
     def test_empty_partition(self):
@@ -177,7 +176,7 @@ class TestSchur:
 
     def test_column_equals_elementary(self):
         assert schur_poly(Partition((1, 1, 0))).raw == elementary_sym(2, 3)
-        assert schur_poly(Partition((1, 1, 0))).value_at_one == 3
+        assert value_at_one("s", Partition((1, 1, 0))) == 3
 
     def test_alternant_of_staircase_is_vandermonde(self):
         for n in (2, 3, 4):
@@ -222,11 +221,11 @@ class TestSchur:
             nb = schur_poly(lam)
             want = alternant(lam.shifted(), n).divide_exact(vandermonde(n))
             assert (nb.raw.num, nb.raw.den, nb.raw.names) == (want.num, want.den, want.names), lam
-            assert nb.value_at_one == want.eval([1] * n), lam
+            assert value_at_one("s", lam) == want.eval([1] * n), lam
 
     def test_value_formula_agrees_with_direct(self):
         for lam in enumerate_partitions(6, 3):
-            assert schur_poly(lam).raw.eval([1, 1, 1]) == schur_value_at_one(lam)
+            assert schur_poly(lam).raw.eval([1, 1, 1]) == value_at_one("s", lam)
 
     def test_dominance_triangularity(self):
         for lam in enumerate_partitions(5, 3):

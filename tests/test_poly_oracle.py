@@ -497,7 +497,8 @@ class TestResultTerms:
         g = spectral.orbit_q(OrbitForm.of(f), basis, BASES[basis].q_poly).to_poly()
         results = [g, *expand_with_tail(g, basis, 3).values(), qe.apply_a(f, 3, 3)]
         results += [qm.apply_q(f), qm.apply_a_inv(f, 3, 3)]
-        results += [spectral.rho0_orbit_q(OrbitForm.of(g, 3), basis, BASES[basis].q_poly).to_poly(), qm.apply_rho0_q(g, 3)]
+        results.append(spectral.rho0_orbit_q(OrbitForm.of(g, 3), basis, BASES[basis].q_poly).to_poly())
+        results.append(qm.apply_q(g, n_x=3).partial_eval({i: 1 for i in range(3)}))
         results += [OrbitForm.of(g, 3).to_poly(), qm.separate_via_q(f).to_poly(), qe.separate_via_q(f).to_poly()]
         results += [qe.separate_via_chain(f).to_poly(), qm.separate_via_chain(f).to_poly()]
         results.append(qs.apply_h(f, 2))

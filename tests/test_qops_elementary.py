@@ -146,6 +146,15 @@ class TestHamiltonians:
         with pytest.raises(PolyError, match="pairwise distinct"):
             qe.h_explicit_values(elementary_sym(1, 2), 1, [[F(2), F(5)], [F(1), F(1)]])
 
+    @pytest.mark.parametrize("point", [[0.5, 1.5], [F(2), True], [1, "3"]], ids=["float", "bool", "str"])
+    def test_explicit_form_refuses_inexact_coordinates(self, point):
+        # Fraction(v) took 0.5 and True: [[0.5, 1.5]] gave [2]
+        with pytest.raises(PolyError, match="is not an int or a Fraction"):
+            qe.h_explicit_values(elementary_sym(1, 2), 1, [point])
+
+    def test_explicit_form_takes_int_coordinates(self):
+        assert qe.h_explicit_values(elementary_sym(1, 2), 1, [[2, F(5)]]) == [7]
+
 
 class TestEigenvaluePolynomial:
     def test_frozen_values(self):

@@ -261,6 +261,15 @@ class TestBoxIntegral:
         want = F(37, 648) * F(-119, 800) - F(1, 6) * (F(1, 64) + F(27, 125))
         assert qc.box_integral(p, [(F(1, 2), F(2, 3)), (F(-3, 5), F(1, 4))]) == want
 
+    def test_zero_polynomial(self):
+        assert qc.box_integral(MultiPoly.zero(2), [(F(0), F(1)), (1, F(5, 2))]) == 0
+
+    @pytest.mark.parametrize("bound", [(0.5, F(1)), (F(0), True)], ids=["float", "bool"])
+    def test_zero_polynomial_still_checks_its_bounds(self, bound):
+        # with no terms to integrate, the bounds were never read: 0 came back
+        with pytest.raises(PolyError, match="is not an int or a Fraction"):
+            qc.box_integral(MultiPoly.zero(1), [bound])
+
 
 class TestDeterminantIdentities:
     def test_border_identity_smallest_case(self):

@@ -3,7 +3,7 @@
 Orbit rows fix a polynomial only if it is symmetric in its z block, so a
 route whose output broke that symmetry could still match the product's rows.
 Here each route also runs whole, composed from the public steps that keep
-every z slot (``qm.apply_q``/``apply_rho0_q``/``apply_a``,
+every z slot (``qm.apply_q`` and ``apply_a``, with rho_0 as ``partial_eval``,
 ``spectral.orbit_q``/``rho0_orbit_q`` on forms without a z block,
 ``qe.apply_a``), and that whole output must equal its rows spread over their
 orbits.  The chain suite must also still catch two planted defects, and its
@@ -39,7 +39,7 @@ def whole_m_rho_q(f: MultiPoly) -> MultiPoly:
     n = f.arity
     for _ in range(n - 1):
         f = qm.apply_q(f, n_x=n)
-    return _named(qm.apply_rho0_q(f, n_x=n), n, reverse=True)
+    return _named(qm.apply_q(f, n_x=n).partial_eval({i: 1 for i in range(n)}), n, reverse=True)
 
 
 def whole_e_rho_q(f: MultiPoly) -> MultiPoly:

@@ -289,6 +289,64 @@ def test_a_defective_row_rule_fails_the_eigen_suite(monkeypatch, rule, families)
     assert {name: failed.count(name) for name in failed} == families
 
 
+def _without_the_largest_row(kernel, step):
+    """A planted defect in times_product: at one step, the lex-largest row of every nonzero result dropped."""
+
+    def planted(o, p, s):
+        num, den = kernel(o, p, s)
+        if s == step and num:
+            num = dict(num)
+            del num[max(num)]
+        return num, den
+
+    return planted
+
+
+_INVERSE_FAILURES = {
+    "inverse separating map on eigenvalue products": 11,
+    "inverse composed with separating map": 11,
+    **{f"inverse round trip on random symmetric input n=3 trial={t}": 1 for t in (0, 1)},
+}
+
+
+@pytest.mark.parametrize(
+    "step, suite, total, families",
+    [
+        (0, "eigen", 238, {f"restricted-Schur determinant ratio k={k}": 11 for k in (1, 2, 3)}),
+        (
+            0,
+            "chain",
+            82,
+            {
+                "separation both routes and product [m]": 11,
+                "separation eps/chain routes and product [E]": 11,
+                "separation rho-Q route [E]": 11,
+            },
+        ),
+        (0, "inverse", 35, _INVERSE_FAILURES),
+        (1, "inverse", 35, _INVERSE_FAILURES),
+    ],
+)
+def test_a_defective_product_kernel_fails_its_suites(monkeypatch, step, suite, total, families):
+    # step 0 is prod_j q(z_j) (spectral.orbit_product, the kernel on the row
+    # 0^n) and the restricted-Schur product; the chain suite catches it because
+    # its separation routes, which never call the kernel, are compared with
+    # orbit_product's rows.  Step 1 is read by the inverse separating map only.
+    kernel = bases.times_product
+    planted = _without_the_largest_row(kernel, step)
+    for module in (bases, spectral, verify, qs):
+        if getattr(module, "times_product", None) is kernel:
+            monkeypatch.setattr(module, "times_product", planted)
+    clear_caches()
+    try:
+        report = verify.run_suite(suite, max_weight=4, n=3)
+    finally:
+        clear_caches()
+    failed = [c["name"].split(" lambda=")[0] for c in report["checks"] if c["status"] == "fail"]
+    assert report["counts"] == {"total": total, "failed": sum(families.values())}
+    assert {name: failed.count(name) for name in failed} == families
+
+
 @pytest.mark.parametrize("suite", ["eigen", "inverse"])
 def test_eigen_and_inverse_suites_build_no_vandermonde_or_alternant(monkeypatch, suite):
     def refuse(*_args):
