@@ -20,16 +20,20 @@ at its strictly decreasing exponents, which fix an antisymmetric polynomial.
 prod_j p(x_j): on its rows (the restricted-Schur check, and prod_j q(z_j)
 itself as the product on the row 0^n, :func:`symfact.spectral.orbit_product`)
 or at its strictly decreasing exponents (the Schur inverse separating map).
+Neither kernel spreads a row over its orbit: both walk it one slot at a
+time, a walk's state being the entries placed so far and the parts still
+to place, so the input rows are the starting states, and walks from
+different rows that reach the same state merge.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, ge, gt
+from operator import ge, gt
 from typing import Iterable, NamedTuple
 
 from .partitions import Partition, dominance_leq
@@ -156,66 +160,58 @@ def times_vandermonde(o: OrbitForm) -> MultiPoly:
     sum of a_(alpha + delta) over the orbit of nu, and a_beta is zero when
     beta repeats an entry and sign(w) a_(w beta) for the w sorting beta
     into decreasing order, whose only strictly decreasing term is x^(w beta).
+    The orbit is walked one slot at a time (:func:`_take_each`): slot k
+    places v = a + n-1-k for each distinct part a left, ends the branch if v
+    is already placed, and otherwise inserts v into the placed entries, kept
+    strictly decreasing, flipping the sign once for each smaller entry it
+    passes.  Walks that reach the same placed entries with the same parts
+    left merge at every slot.
     """
     n = len(o.names)
     if o.k != n:
         raise PolyError(f"need an orbit form over all {n} slots, got k={o.k}")
-    delta = range(n - 1, -1, -1)
-    terms = []
-    for nu, c in o.num.items():
-        for alpha in _orbit(nu):
-            beta = tuple(map(add, alpha, delta))
-            if len(set(beta)) == n:
-                inversions = sum(a < b for a, b in itertools.combinations(beta, 2))
-                terms.append((tuple(sorted(beta, reverse=True)), -c if inversions % 2 else c))
-    return MultiPoly._make(n, accumulate({}, terms), o.den, o.names)
-
-
-@lru_cache(maxsize=None)
-def _feasible_orbit(e: tuple[int, ...], top: int, step: int) -> tuple[tuple[int, ...], ...]:
-    """The permutations p of e that some b in [0, top]^n makes into a p + b whose entries fall by at least step.
-
-    That is p_j + step j <= p_i + step i + top for every i < j: one pass
-    with the running minimum of p_i + step i.
-    """
-    out = []
-    for p in _orbit(e):
-        low = math.inf
-        for j, a in enumerate(p):
-            if a + step * j > low + top:
-                break
-            low = min(low, a + step * j)
-        else:
-            out.append(p)
-    return tuple(out)
+    num = o.num
+    for k in range(n):
+        terms = []
+        for e, c in num.items():
+            head = e[:k]
+            for a, rest in _take_each(e[k:]):
+                v = a + n - 1 - k
+                i = sum(map(v.__lt__, head))  # the placed entries above v
+                if i == k or head[i] != v:
+                    terms.append((head[:i] + (v,) + head[i:] + rest, -c if (k - i) % 2 else c))
+        num = accumulate({}, terms)
+    return MultiPoly._make(n, num, o.den, o.names)
 
 
 def times_product(o: OrbitForm, p: UniPoly, step: int) -> Pair:
     """f * prod_j p(x_j) at its exponents whose entries fall by at least step, for the f symmetric in every slot of o.
 
     Step 0 gives the orbit rows of that symmetric product, step 1 its
-    strictly decreasing coefficients.  Each row of f is spread only over the
-    permutations that some degrees of p can lift to such an exponent; then
-    p is multiplied in one slot at a time, slot k taking only the degrees b
-    with e_k + b <= e_(k-1) - step.  Returns the (numerators, denominator)
-    pair.
+    strictly decreasing coefficients.  The orbit of each row of f is walked
+    one slot at a time (:func:`_take_each`): slot k pairs each distinct part
+    a left with the degrees b of p that keep a + b at most the last placed
+    entry minus step, and at least the largest part left plus step, since
+    that part is still to be placed below it.  Walks that reach the same
+    placed entries with the same parts left merge at every slot.
+    Returns the (numerators, denominator) pair.
     """
     n = len(o.names)
     if o.k != n:
         raise PolyError(f"need an orbit form over all {n} slots, got k={o.k}")
     factor = sorted((b, c) for (b,), c in p.poly.num.items())
     degrees = [b for b, _ in factor]
-    below = [factor[:i] for i in range(len(factor) + 1)]  # the terms of p below each cut
-    num = {q: c for e, c in o.num.items() for q in _feasible_orbit(e, p.degree, step)}
+    num = o.num
     for k in range(n):
-        num = accumulate(
-            {},
-            (
-                (e[:k] + (e[k] + b,) + e[k + 1 :], c * w)
-                for e, c in num.items()
-                for b, w in (factor if k == 0 else below[bisect_right(degrees, e[k - 1] - step - e[k])])
-            ),
-        )
+        terms = []
+        for e, c in num.items():
+            top = e[k - 1] - step if k else math.inf  # the most slot k may hold
+            for a, rest in _take_each(e[k:]):
+                low = rest[0] + step if rest else 0  # the largest part left still fits below
+                hi = bisect_right(degrees, top - a)
+                lo = bisect_left(degrees, low - a, 0, hi)
+                terms.extend((e[:k] + (a + b,) + rest, c * w) for b, w in factor[lo:hi])
+        num = accumulate({}, terms)
     return num, o.den * p.poly.den**n
 
 
@@ -278,22 +274,26 @@ def is_strict(exp: tuple[int, ...]) -> bool:
     return all(map(gt, exp, exp[1:]))
 
 
+def _take_each(mu: tuple[int, ...]) -> Iterable[tuple[int, tuple[int, ...]]]:
+    """Each distinct part a of the partition mu, with the parts left once one a is taken: again a partition."""
+    i = 0
+    while i < len(mu):
+        a = mu[i]
+        yield a, mu[:i] + mu[i + 1 :]
+        i += mu.count(a)
+
+
 @lru_cache(maxsize=None)
 def _orbit(mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The distinct permutations of the partition mu: the monomials of m_mu.
 
-    Each distinct part leads once, followed by the orbit of the rest, which
-    is again a partition; so the work grows with the orbit's size, not with
+    Each distinct part leads once, followed by the orbit of the rest
+    (:func:`_take_each`); so the work grows with the orbit's size, not with
     len(mu)!.
     """
     if len(mu) <= 1:
         return (mu,)
-    return tuple(
-        (a,) + p
-        for i, a in enumerate(mu)
-        if not i or mu[i - 1] != a
-        for p in _orbit(mu[:i] + mu[i + 1 :])
-    )
+    return tuple((a,) + p for a, rest in _take_each(mu) for p in _orbit(rest))
 
 
 class OrbitForm(NamedTuple):

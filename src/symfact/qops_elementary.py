@@ -59,7 +59,7 @@ def h_explicit_values(f: MultiPoly, j: int, points: list[list[Fraction]]) -> lis
     """The same operator as an explicit first-order form, at each of the points.
 
     e_j(x) sum_i (-x_i)^(n-j) / prod_{m != i} (x_m - x_i) * df/dx_i evaluated
-    at points with pairwise distinct coordinates, each an int or a Fraction
+    at points of n pairwise distinct coordinates, each an int or a Fraction
     (a float or a bool raises); f is differentiated once for all of them.  A
     point is written x_s = a_s / D over its common denominator D, so each
     value is one sum in ints: with T_s the top exponent of f in slot s,
@@ -73,6 +73,8 @@ def h_explicit_values(f: MultiPoly, j: int, points: list[list[Fraction]]) -> lis
     tops = list(map(max, zip(*f.num)))
     values = []
     for point in points:
+        if len(point) != n:
+            raise PolyError("point length != arity")
         pt = [_scalar(v) for v in point]
         if len(set(pt)) != n:
             raise PolyError("point must have pairwise distinct coordinates")
@@ -113,16 +115,15 @@ def _clearing_products(n: int) -> tuple[UniPoly, list[UniPoly]]:
     return rests[0] * linear[0], rests
 
 
-def q_ode_residual(lam: Partition, q: UniPoly | None = None) -> UniPoly:
-    """Denominator-cleared residual of dq/dz = sum_j (lam_j - lam_{j+1}) q / (z + (n-j)/j).
+def q_ode_residual(lam: Partition) -> UniPoly:
+    """Denominator-cleared residual of dq/dz = sum_j (lam_j - lam_{j+1}) q / (z + (n-j)/j), q = :func:`q_poly` (lam).
 
     Clearing multiplies through by prod_j (j z + n - j); the result must be
-    the zero polynomial for lam's own eigenvalue polynomial (the default q).
-    The products of the linear factors depend on n only and are built once.
+    the zero polynomial.  The products of the linear factors depend on n
+    only and are built once.
     """
     n = lam.n
-    if q is None:
-        q = q_poly(lam)
+    q = q_poly(lam)
     full, rests = _clearing_products(n)
     residual = q.derivative() * full
     for j, mult in enumerate(lam.steps(), start=1):

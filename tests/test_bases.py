@@ -463,25 +463,25 @@ class TestTimesVandermonde:
 class TestTimesProduct:
     """f * prod_j p(x_j) at its weakly (step 0) or strictly (step 1) decreasing exponents, against the whole product."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("top, step", [(0, 0), (2, 0), (0, 1), (1, 1), (3, 1)])
-    def test_feasible_orbit_is_every_permutation_a_shift_lifts(self, n, top, step):
-        # brute force over every shift b in [0, top]^n
-        shifts = list(itertools.product(range(top + 1), repeat=n))
-        for lam in enumerate_partitions(5, n):
-            want = {
-                p
-                for p in itertools.permutations(lam.parts)
-                if any(all(a - b >= step for a, b in zip(s, s[1:])) for s in ([a + c for a, c in zip(p, bs)] for bs in shifts))
-            }
-            got = bases._feasible_orbit(lam.parts, top, step)
-            assert len(got) == len(want) and set(got) == want
-
     @staticmethod
     def whole(f: MultiPoly, p: UniPoly) -> MultiPoly:
         for j in range(f.arity):
             f = f * p.as_multipoly(f.arity, j, f.names)
         return f
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_monomial_sum_against_the_whole_product(self, n):
+        # brute force over every permutation of lam and every degree of p in
+        # each slot; the gaps between p's degrees make an off-by-one in either
+        # bound of the walk keep or drop a row
+        for p in (UniPoly([1, 0, 0, 3]), UniPoly([0, 0, 1, 0, F(-1, 2)])):
+            for lam in enumerate_partitions(5, n):
+                f = basis_poly("m", lam).raw
+                whole, o = self.whole(f, p), OrbitForm.of(f)
+                rows = OrbitForm.of(whole)
+                got = {step: MultiPoly._make(n, *times_product(o, p, step), f.names) for step in (0, 1)}
+                assert got[0] == MultiPoly._make(n, rows.num, rows.den, f.names), lam
+                assert got[1] == strict_part(whole), lam
 
     @settings(max_examples=60)
     @given(

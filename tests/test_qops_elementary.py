@@ -152,6 +152,12 @@ class TestHamiltonians:
         with pytest.raises(PolyError, match="is not an int or a Fraction"):
             qe.h_explicit_values(elementary_sym(1, 2), 1, [point])
 
+    @pytest.mark.parametrize("point", [[1, 2, 3, 3], [1, 2, 3, 4], [1, 2]], ids=["repeated", "distinct", "short"])
+    def test_explicit_form_refuses_a_point_of_the_wrong_length(self, point):
+        # [1, 2, 3, 3] gave [0], and [1, 2, 3, 4] claimed its coordinates were not distinct
+        with pytest.raises(PolyError, match="point length != arity"):
+            qe.h_explicit_values(basis_poly("E", Partition((1, 1, 0))).raw, 1, [point])
+
     def test_explicit_form_takes_int_coordinates(self):
         assert qe.h_explicit_values(elementary_sym(1, 2), 1, [[2, F(5)]]) == [7]
 
@@ -171,10 +177,11 @@ class TestEigenvaluePolynomial:
         for lam in enumerate_partitions(6, 4):
             assert qe.q_ode_residual(lam).is_zero
 
-    def test_ode_residual_detects_wrong_polynomial(self):
+    def test_ode_residual_detects_wrong_polynomial(self, monkeypatch):
         lam = Partition((2, 0))
         wrong = qe.q_poly(Partition((1, 1)))
-        assert not qe.q_ode_residual(lam, wrong).is_zero
+        monkeypatch.setattr(qe, "q_poly", lambda _lam: wrong)
+        assert not qe.q_ode_residual(lam).is_zero
 
 
 class TestQOperator:

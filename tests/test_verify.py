@@ -347,6 +347,50 @@ def test_a_defective_product_kernel_fails_its_suites(monkeypatch, step, suite, t
     assert {name: failed.count(name) for name in failed} == families
 
 
+def _without_the_largest_term(kernel):
+    """A planted defect in times_vandermonde: the lex-largest term of every nonzero result dropped."""
+
+    def planted(o):
+        g = kernel(o)
+        if not g.num:
+            return g
+        num = dict(g.num)
+        del num[max(num)]
+        return MultiPoly._make(g.arity, num, g.den, g.names)
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "suite, n, total, families",
+    [
+        ("eigen", 3, 238, {f"restricted-Schur determinant ratio k={k}": 11 for k in (1, 2, 3)}),
+        ("eigen", 2, 160, {f"restricted-Schur determinant ratio k={k}": 9 for k in (1, 2)}),
+        ("chain", 3, 82, {}),
+        ("inverse", 3, 35, {}),
+        ("ode", 3, 88, {}),
+        ("lifting", 3, 50, {}),
+    ],
+    ids=["eigen-n3", "eigen-n2", "chain-n3", "inverse-n3", "ode-n3", "lifting-n3"],
+)
+def test_a_defective_vandermonde_kernel_fails_only_the_restricted_schur_check(monkeypatch, suite, n, total, families):
+    # only the restricted-Schur check reads a_delta * f; the other suites
+    # must not notice the defect
+    kernel = bases.times_vandermonde
+    planted = _without_the_largest_term(kernel)
+    for module in (bases, verify):
+        if getattr(module, "times_vandermonde", None) is kernel:
+            monkeypatch.setattr(module, "times_vandermonde", planted)
+    clear_caches()
+    try:
+        report = verify.run_suite(suite, max_weight=4, n=n)
+    finally:
+        clear_caches()
+    failed = [c["name"].split(" lambda=")[0] for c in report["checks"] if c["status"] == "fail"]
+    assert report["counts"] == {"total": total, "failed": sum(families.values())}
+    assert {name: failed.count(name) for name in failed} == families
+
+
 @pytest.mark.parametrize("suite", ["eigen", "inverse"])
 def test_eigen_and_inverse_suites_build_no_vandermonde_or_alternant(monkeypatch, suite):
     def refuse(*_args):
@@ -382,6 +426,8 @@ PAST_ACCEPTANCE = {
     ("inverse", 6, 4): (38, "1b5bba50c9f5c8f0a6d963cdc0263b29f4db7066198b8d2e7e332f48f6a81534"),
     ("ode", 7, 6): (240, "6f20448e87bbc9ef664eb05857a6067193579d9ef880ace920e7335b428de9b1"),
     ("lifting", 7, 6): (153, "5702e567fbfcd6dfe9e3376d7b3b8769d39a0ae46f8f9cb2849bbfde63f36a1e"),
+    ("inverse", 7, 5): (52, "fb2417f186bae3643ca0d4c4cb777835d3def05d5fbbce13df92f15242c7a643"),
+    ("eigen", 11, 0): (122, "69e7ce9bc40b0100e51d5f11940e0b540665a289213f4ea798027722488ff6fa"),
 }
 
 
