@@ -470,6 +470,24 @@ class TestTimesProduct:
         return f
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("top, step", [(0, 0), (2, 0), (0, 1), (1, 1), (3, 1)])
+    def test_feasible_orbit_is_every_permutation_a_shift_lifts(self, n, top, step):
+        # brute force over every permutation of lam and every shift b in
+        # [0, top]^n; p has a positive coefficient at each degree 0..top, so
+        # no term cancels and the rows the walk keeps are exactly the lifts
+        p = UniPoly(list(range(1, top + 2)))
+        shifts = list(itertools.product(range(top + 1), repeat=n))
+        for lam in enumerate_partitions(5, n):
+            want = {
+                s
+                for perm in itertools.permutations(lam.parts)
+                for s in (tuple(a + b for a, b in zip(perm, bs)) for bs in shifts)
+                if all(a - b >= step for a, b in zip(s, s[1:]))
+            }
+            num, _ = times_product(OrbitForm.of(basis_poly("m", lam).raw), p, step)
+            assert set(num) == want, lam
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_monomial_sum_against_the_whole_product(self, n):
         # brute force over every permutation of lam and every degree of p in
         # each slot; the gaps between p's degrees make an off-by-one in either
