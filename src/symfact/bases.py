@@ -19,7 +19,8 @@ at its strictly decreasing exponents, which fix an antisymmetric polynomial.
 :func:`times_product` is the one kernel that multiplies orbit rows by
 prod_j p(x_j): on its rows (the restricted-Schur check, and prod_j q(z_j)
 itself as the product on the row 0^n, :func:`symfact.spectral.orbit_product`)
-or at its strictly decreasing exponents (the Schur inverse separating map).
+or at its strictly decreasing exponents (``qops_schur.orbit_k``, K_n of that
+product, which the Schur inverse separating map and the K check run).
 Neither kernel spreads a row over its orbit: both walk it one slot at a
 time, a walk's state being the entries placed so far and the parts still
 to place, so the input rows are the starting states, and walks from
@@ -33,7 +34,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from operator import ge, gt
+from operator import ge
 from typing import Iterable, NamedTuple
 
 from .partitions import Partition, dominance_leq
@@ -267,11 +268,6 @@ def combine(basis: str, n: int, coeffs: dict[Partition, Fraction]) -> MultiPoly:
 
 def _is_partition(exp: tuple[int, ...]) -> bool:
     return all(map(ge, exp, exp[1:]))
-
-
-def is_strict(exp: tuple[int, ...]) -> bool:
-    """Whether the exponent is strictly decreasing: the exponents an antisymmetric polynomial is read at."""
-    return all(map(gt, exp, exp[1:]))
 
 
 def _take_each(mu: tuple[int, ...]) -> Iterable[tuple[int, tuple[int, ...]]]:

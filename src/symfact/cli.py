@@ -63,7 +63,10 @@ def _parse_partition(text: str, n: int | None = None) -> Partition:
     fields = text.split(",")
     if not all(_DIGITS.fullmatch(p) for p in fields):
         raise PolyError(f"cannot parse partition {text!r}")
-    parts = tuple(map(int, fields))
+    try:
+        parts = tuple(map(int, fields))
+    except ValueError:  # more digits than the interpreter converts to an int
+        raise PolyError(f"partition of {len(text)} characters has a part with too many digits to read") from None
     if any(a < b for a, b in zip(parts, parts[1:])):
         raise PolyError(f"partition parts must be given in weakly decreasing order: {text}")
     lam = Partition(parts)

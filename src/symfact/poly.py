@@ -598,6 +598,8 @@ def _parse_coeff(c) -> Fraction:
             return Fraction(c)
         except ZeroDivisionError:
             raise PolyError(f"coefficient {c!r} has a zero denominator") from None
+        except ValueError:  # more digits than the interpreter converts to an int
+            raise PolyError(f"coefficient of {len(c)} characters has too many digits to read") from None
     raise PolyError(f'coefficient {c!r} must be an int or a string "p" or "p/q"')
 
 

@@ -7,12 +7,15 @@ The Hamiltonians are Euler-operator polynomials conjugated by the
 Vandermonde: ``apply_h`` scales the Schur coordinates of f by their
 eigenvalues (``spectral.orbit_h``), so it never builds f a_delta.  The
 separating map has an exact differential-operator inverse built from
-K_n = prod_{i<j} (D_i - D_j), which ends on an antisymmetric polynomial; the
-Vandermonde is read off its strictly decreasing coefficients in the Schur
-basis, and ``separate_inverse`` computes only those coefficients, from the
-orbit rows of its symmetric input (``orbit_separate_inverse``).  On a
-symmetric input K_n is diagonal on orbits, so ``orbit_k`` reads its
-strictly decreasing coefficients off the orbit rows.
+K_n = prod_{i<j} (D_i - D_j): K_n(g prod_k (x_k - 1)^(n-1)) is
+antisymmetric, and its quotient by the Vandermonde has its strictly
+decreasing coefficients as Schur coordinates.  K_n on a symmetric input is
+stated once, ``orbit_k(o, p)``: K_n(f prod_j p(x_j)) at its strictly
+decreasing exponents, V(nu) times the rows of ``bases.times_product`` at
+step 1, from the orbit rows o of f.  ``separate_inverse`` (through
+``orbit_separate_inverse``) runs it with p = (x - 1)^(n-1), and verify's K
+check with p = phi on the one row 0^n; ``apply_k`` is K_n on a whole
+polynomial.
 
 H_j, Q, the separating map and the lift are the one orbit map of
 ``symfact.spectral`` (``orbit_h``, ``orbit_q``, ``orbit_separate``,
@@ -39,7 +42,6 @@ from .bases import (
     OrbitForm,
     combine,
     elementary_value,
-    is_strict,
     restricted_schur,
     schur_poly,
     times_product,
@@ -207,16 +209,17 @@ def apply_k(f: MultiPoly) -> MultiPoly:
     return MultiPoly._make(f.arity, num, f.den, f.names)
 
 
-def orbit_k(o: OrbitForm) -> MultiPoly:
-    """K_n of a symmetric polynomial at its strictly decreasing exponents, read off its orbit rows.
+def orbit_k(o: OrbitForm, p: UniPoly) -> MultiPoly:
+    """K_n(f prod_j p(x_j)) at its strictly decreasing exponents, for the symmetric f whose orbit rows are o.
 
     K_n is diagonal on orbits: K_n m_nu = V(nu) a_nu for a strictly
     decreasing nu and 0 otherwise, and [x^nu] a_nu = 1, so these
-    coefficients are V(nu) times the rows at nu; they determine the
-    antisymmetric K_n f.
+    coefficients are V(nu) times those of f prod_j p(x_j) at nu, which
+    :func:`~symfact.bases.times_product` with step 1 computes alone; they
+    determine the antisymmetric K_n(f prod_j p(x_j)).
     """
-    num = {e: vandermonde_value(e) * c for e, c in o.num.items() if is_strict(e)}
-    return MultiPoly._make(len(o.names), num, o.den, o.names)
+    num, den = times_product(o, p, 1)
+    return MultiPoly._make(len(o.names), {nu: vandermonde_value(nu) * c for nu, c in num.items()}, den, o.names)
 
 
 def separate(f: MultiPoly) -> MultiPoly:
@@ -249,19 +252,16 @@ def separate_inverse(g: MultiPoly) -> MultiPoly:
 def orbit_separate_inverse(o: OrbitForm) -> MultiPoly:
     """:func:`separate_inverse` of the polynomial whose orbit rows (over all its slots) are o.
 
-    The quotient K_n h / a_delta, h = g prod_k (x_k - 1)^(n-1), is
-    sum_mu V(mu) [x^mu]h s_(mu - delta) over the strictly decreasing mu
-    (Macdonald, Symmetric Functions and Hall Polynomials, I §3), so only
-    those coefficients of h are computed, by
-    :func:`~symfact.bases.times_product` with step 1.
+    The quotient K_n(g prod_k (x_k - 1)^(n-1)) / a_delta is sum_mu
+    [x^mu]K_n(...) s_(mu - delta) over the strictly decreasing mu
+    (Macdonald, Symmetric Functions and Hall Polynomials, I §3):
+    :func:`orbit_k` with p = (x - 1)^(n-1) computes only those coefficients,
+    and each is scaled by V(0..n-1) / ((n-1)!)^n.
     """
     n = o.k
-    num, den = times_product(o, _pole(n), 1)
-    scale = Fraction(vandermonde_value(range(n)), den * math.factorial(n - 1) ** n)
-    coeffs = {
-        Partition(tuple(m - (n - 1 - i) for i, m in enumerate(mu))): vandermonde_value(mu) * c * scale
-        for mu, c in num.items()
-    }
+    k = orbit_k(o, _pole(n))
+    scale = Fraction(vandermonde_value(range(n)), k.den * math.factorial(n - 1) ** n)
+    coeffs = {Partition(tuple(m - (n - 1 - i) for i, m in enumerate(mu))): c * scale for mu, c in k.num.items()}
     return combine("s", n, coeffs)
 
 

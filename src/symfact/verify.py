@@ -11,7 +11,9 @@ wherever a check can compare rows: the E and s Q and H_j eigenrelations
 and their commutators run ``spectral.orbit_q`` and ``spectral.orbit_h`` on
 one orbit form per basis element, and the inverse suite feeds the rows of
 ``spectral.orbit_product`` and ``spectral.orbit_separate`` to
-``qops_schur.orbit_separate_inverse`` and ``qops_schur.orbit_k``.  The m
+``qops_schur.orbit_separate_inverse``, and the one row 0^n with phi to
+``qops_schur.orbit_k``, which both read through ``bases.times_product`` at
+step 1: only the strictly decreasing coefficients are built.  The m
 routes (substitution average, Euler operators) are the independent routes
 and keep their x's whole.  The chain suite compares the orbit rows of the
 four separation routes, which keep their z's in sorted rows, with those of
@@ -228,11 +230,13 @@ def _restricted_ratio(lam: Partition, k: int) -> bool:
     return num == times_vandermonde(OrbitForm(k - 1, *rows, direct.names)) * c
 
 
+# the 107 distinct values a/b, a in 1..40, b in 1..4, that explicit-form points are drawn from
+_POINT_VALUES = sorted({Fraction(a, b) for a in range(1, 41) for b in range(1, 5)})
+
+
 def _distinct_point(n: int, rng: random.Random) -> list[Fraction]:
-    while True:
-        pt = [Fraction(rng.randint(1, 40), rng.randint(1, 4)) for _ in range(n)]
-        if len(set(pt)) == n:
-            return pt
+    """n pairwise distinct coordinates, as the explicit form of H_j needs."""
+    return rng.sample(_POINT_VALUES, n)
 
 
 def _h_commute(hs: list, apply_h) -> bool:
@@ -324,6 +328,7 @@ def suite_inverse(max_weight: int, n: int, rng: random.Random) -> Reporter:
     def separated(f: MultiPoly) -> OrbitForm:
         return spectral.orbit_separate(OrbitForm.of(f), "s", qs.q_poly)
 
+    one = OrbitForm.of(MultiPoly.one(n))  # the one row 0^n, which orbit_k multiplies by prod_j phi(x_j)
     for lam in enumerate_partitions(max_weight, n):
         tag = f"lambda={list(lam.parts)}, n={n}"
         sbar = schur_poly(lam).normalized
@@ -344,12 +349,11 @@ def suite_inverse(max_weight: int, n: int, rng: random.Random) -> Reporter:
         rep.guarded(f"inverse composed with separating map {tag}", inverse_of_separate)
         if lam.weight() <= min(max_weight, 4):
             # K_n prod_j phi(x_j) = ± a_mu / V(mu), and x^mu is the only strictly decreasing term of a_mu
-            prod_phi = spectral.orbit_product(qs.phi(lam), n)
             mu = lam.shifted()
             sign = -1 if (n * (n - 1) // 2) % 2 else 1
             rep.record(
                 f"K operator on phi products {tag}",
-                qs.orbit_k(prod_phi) == MultiPoly(n, {mu: Fraction(sign, vandermonde_value(mu))}),
+                qs.orbit_k(one, qs.phi(lam)) == MultiPoly(n, {mu: Fraction(sign, vandermonde_value(mu))}),
             )
     for trial in range(2):
         f = random_symmetric(n, min(max_weight, 4), rng, basis="s")

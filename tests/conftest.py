@@ -168,6 +168,17 @@ def expand_with_tail(f, basis, k=None):
     }
 
 
+def doubled_below_the_lead(rule):
+    """A planted defect in a row rule: every coefficient but the lex-leading row's doubled."""
+
+    def planted(*args):
+        rows = rule(*args)
+        lead = max(rows)
+        return {e: c if e == lead else 2 * c for e, c in rows.items()}
+
+    return planted
+
+
 def strictly_decreasing(exp):
     return all(a > b for a, b in zip(exp, exp[1:]))
 

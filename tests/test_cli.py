@@ -311,6 +311,10 @@ class TestInputBoundary:
             (APPLY_Q, _poly([{"e": [1, 0], "c": "1"}], ("", "")), "variable name '' is not an ASCII identifier"),
             (INVERT, _poly([{"e": [1, 0], "c": "1"}], ("z1", "z 2")), "variable name 'z 2' is not an ASCII identifier"),
             (INVERT, _poly([{"e": [1, 0], "c": "1"}], ("z1", "x\u00e9")), "variable name 'x\u00e9' is not an ASCII identifier"),
+            # past the interpreter's 4300-digit limit for reading an int
+            (APPLY_Q, _poly([{"e": [1, 0], "c": "9" * 5000}]), "coefficient of 5000 characters has too many digits"),
+            (APPLY_Q, _poly([{"e": [1, 0], "c": "1/" + "9" * 5000}]), "coefficient of 5002 characters has too many digits"),
+            (("basis", "--kind", "m", "--lambda", "9" * 5000, "--n", "1"), "", "partition of 5000 characters has a part with too many digits"),
         ],
         ids=[
             "zero-denominator",
@@ -331,6 +335,9 @@ class TestInputBoundary:
             "empty-variable-names",
             "non-identifier-variable",
             "non-ascii-variable",
+            "long-coefficient",
+            "long-denominator",
+            "long-partition-part",
         ],
     )
     def test_stdin_input_error(self, capsys, monkeypatch, argv, stdin, fragment):

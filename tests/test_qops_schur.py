@@ -217,14 +217,27 @@ class TestKOperator:
                 )
                 assert qs.apply_k(prod) == alternant(mu, n) * F(sign, delta_mu)
 
-    @given(symmetric_polys(max_n=4))
-    def test_orbit_rows_give_the_strictly_decreasing_coefficients(self, f):
-        # K_n f is antisymmetric, so these coefficients determine it
-        whole = qs.apply_k(f)
+    # the factors p of orbit_k: 1, sparse ones with gaps between their degrees, and the inverse's (x - 1)^(n-1)
+    FACTORS = {
+        "one": lambda n: UniPoly([1]),
+        "gaps": lambda n: UniPoly([F(-2, 3), 0, 0, 5, 0, F(1, 2)]),
+        "no-constant": lambda n: UniPoly([0, 0, 1, 0, 0, 0, F(-3, 4)]),
+        "pole": qs._pole,
+    }
+
+    @given(symmetric_polys(max_n=4), st.sampled_from(sorted(FACTORS)))
+    def test_orbit_rows_give_the_strictly_decreasing_coefficients(self, f, factor):
+        # K_n(f prod_j p(x_j)) is antisymmetric, so these coefficients determine it;
+        # with p = 1 they are the strict part of apply_k(f)
         n = f.arity
+        p = self.FACTORS[factor](n)
+        whole = f
+        for i in range(n):
+            whole = whole * p.as_multipoly(n, i)
+        whole = qs.apply_k(whole)
         for i in range(n - 1):
             assert whole.permute([*range(i), i + 1, i, *range(i + 2, n)]) == -whole
-        got, want = qs.orbit_k(OrbitForm.of(f)), strict_part(whole)
+        got, want = qs.orbit_k(OrbitForm.of(f), p), strict_part(whole)
         assert (got.num, got.den, got.names) == (want.num, want.den, want.names)
 
     def test_alternant_identity_sweep_on_orbit_rows(self):
@@ -233,7 +246,7 @@ class TestKOperator:
             for lam in enumerate_partitions(3, n):
                 mu = lam.shifted()
                 rhs = alternant(mu, n) * F(sign, vandermonde_value(mu))
-                assert qs.orbit_k(spectral.orbit_product(qs.phi(lam), n)) == strict_part(rhs)
+                assert qs.orbit_k(OrbitForm.of(MultiPoly.one(n)), qs.phi(lam)) == strict_part(rhs)
 
 
 class TestSeparationAndInverse:
